@@ -188,10 +188,8 @@ def classical_gray(p, D):
         raise DomainError("classical_gray requires 0 < p <= 0.5")
     if D < 0.0:
         raise DomainError("distortion must be nonnegative")
-    q = 1.0 - p
-    d_c = 0.5 * (1.0 - math.sqrt(1.0 - (p / q) ** 2))
     value = max(binary_entropy(p) - binary_entropy(min(D, 1.0)), 0.0)
-    return value, D <= d_c
+    return value, D <= gray_critical_distortion(p)
 
 
 def gray_critical_distortion(p):

@@ -232,6 +232,16 @@ def _scalar_design_payload(design):
     }
 
 
+def _scalar_report_payload(report):
+    return {
+        "samples": report.samples,
+        "distortion": report.distortion,
+        "distortion_se": report.distortion_se,
+        "power": report.power,
+        "power_se": report.power_se,
+    }
+
+
 def _cmd_jscc_sim(args):
     mode = args.mode
     seed = _resolve_seed(args)
@@ -255,13 +265,7 @@ def _cmd_jscc_sim(args):
             "power": args.power, "steps": steps,
         }
         payload["analytic"] = _scalar_design_payload(design)
-        payload["empirical"] = {
-            "samples": report.samples,
-            "distortion": report.distortion,
-            "distortion_se": report.distortion_se,
-            "power": report.power,
-            "power_se": report.power_se,
-        }
+        payload["empirical"] = _scalar_report_payload(report)
     elif mode == "iid":
         design = jscc.design_iid_scalar(args.sigma_x, args.sigma_vc, args.power)
         report = jscc.simulate_scalar(design, steps, rng)
@@ -270,13 +274,7 @@ def _cmd_jscc_sim(args):
             "power": args.power, "steps": steps,
         }
         payload["analytic"] = _scalar_design_payload(design)
-        payload["empirical"] = {
-            "samples": report.samples,
-            "distortion": report.distortion,
-            "distortion_se": report.distortion_se,
-            "power": report.power,
-            "power_se": report.power_se,
-        }
+        payload["empirical"] = _scalar_report_payload(report)
     elif mode == "sk":
         trials = args.trials if args.trials is not None else 100_000
         if trials < 2:

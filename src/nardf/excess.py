@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from .bsms import BsmsDesign, JointChain, joint_chain, optimal_reproduction
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution
-from .numerics import RngStream, maximize_concave_1d, perron_eigenvalue, sym_eig
+from .numerics import (RngStream, logsumexp, maximize_concave_1d, perron_eigenvalue,
+                       solve_discrete_lyapunov, sym_eig)
 
 __all__ = [
     "hoeffding_constants",
@@ -177,12 +176,20 @@ def rate_function_curve(chain: JointChain, thetas) -> RateFunctionCurve:
 
 
 def _sample_states(cum, u):
-    # next-state indices for a 4-state chain; cum holds column-wise cumsums
+    # 4-state chain indices; cum holds cumsums over states, per column or shared
     return (
         (u > cum[0]).astype(np.int8)
         + (u > cum[1]).astype(np.int8)
         + (u > cum[2]).astype(np.int8)
     )
+
+
+def _trial_blocks(rng: RngStream, trials, blocks):
+    """(generator, size) per block: trials split as evenly as possible over
+    at most `blocks` blocks, block i drawing from rng.shard(i)."""
+    blocks = max(1, min(blocks, trials))
+    for i in range(blocks):
+        yield rng.shard(i).generator(), trials // blocks + (1 if i < trials % blocks else 0)
 
 
 def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream, blocks=16):
@@ -196,18 +203,10 @@ def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream, blocks=16):
     cum = np.cumsum(chain.pi_matrix, axis=0)
     cum_pi = np.cumsum(chain.stationary)
     f = chain.f
-    blocks = max(1, min(blocks, trials))
-    sizes = [trials // blocks + (1 if i < trials % blocks else 0) for i in range(blocks)]
     exceed = 0
     threshold = n * d - 1e-9
-    for i, size in enumerate(sizes):
-        g = rng.shard(i).generator()
-        u0 = g.random(size)
-        state = (
-            (u0 > cum_pi[0]).astype(np.int8)
-            + (u0 > cum_pi[1]).astype(np.int8)
-            + (u0 > cum_pi[2]).astype(np.int8)
-        )
+    for g, size in _trial_blocks(rng, trials, blocks):
+        state = _sample_states(cum_pi, g.random(size))
         S = f[state].copy()
         for _ in range(n - 1):
             state = _sample_states(cum[:, state], g.random(size))
@@ -251,8 +250,7 @@ def gaussian_error_recursion(
         raise NumericError("gaussian_error_recursion: unstable error recursion")
     noise = B1 @ B1.T + (B2 @ B2.T if B2.shape[1] else 0.0) + B3 @ (solution.q[:, None] * B3.T)
     noise = 0.5 * (noise + noise.T)
-    cov = scipy.linalg.solve_discrete_lyapunov(A_tilde, noise)
-    cov = 0.5 * (cov + cov.T)
+    cov = solve_discrete_lyapunov(A_tilde, noise)
     if float(np.max(np.abs(cov - solution.Sigma_inf))) > 1e-8:
         raise NumericError(
             "gaussian_error_recursion: stationary covariance does not match Sigma_inf"
@@ -289,11 +287,8 @@ def _simulate_distortion_sums(model, solution, rec, n, trials, rng, blocks=16):
     sq = np.sqrt(solution.q)
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
-    blocks = max(1, min(blocks, trials))
-    sizes = [trials // blocks + (1 if i < trials % blocks else 0) for i in range(blocks)]
     out = []
-    for i, size in enumerate(sizes):
-        g = rng.shard(i).generator()
+    for g, size in _trial_blocks(rng, trials, blocks):
         e = chol @ g.standard_normal((m, size))
         S = np.zeros(size)
         for _ in range(n):
@@ -357,7 +352,7 @@ def gaussian_chernoff_exponent(
     best = int(np.argmax(vals))
     exponent = max(0.0, float(vals[best]))
 
-    # batch band: re-estimate the exponent on fixed contiguous batches
+    # batch band: re-estimate the exponent on fixed strided batches S[b::batches]
     batch_vals = []
     for b in range(batches):
         Sb = S[b::batches]

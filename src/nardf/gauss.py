@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import cubic_positive_root, sym_eig
+from .numerics import cubic_positive_root, sym_eig, water_level
 
 __all__ = [
     "GaussModel",
@@ -98,32 +98,25 @@ def _waterfill_rate(lam, delta):
 def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
     """Reverse water-filling: delta_i = min(xi, lambda_i) with sum(delta) = D.
 
-    xi is located by bisection, then resolved exactly on the active set.
-    D exceeding the total spectrum saturates every coordinate (rate 0,
-    flagged) instead of raising.
+    The exact water level fixes the active set {lambda_i > xi}, on which xi
+    is then resolved in closed form.  D exceeding the total spectrum
+    saturates every coordinate (rate 0, flagged) instead of raising.
     """
     lam = np.asarray(spectrum, dtype=float).reshape(-1)
     if lam.size == 0 or np.any(lam < -1e-12 * max(1.0, float(np.max(np.abs(lam))))):
         raise DomainError("reverse_waterfill: spectrum must be nonnegative")
     lam = np.maximum(lam, 0.0)
-    if D <= 0.0:
+    if not D > 0.0:
         raise DomainError("reverse_waterfill: distortion must be positive")
     total = float(lam.sum())
     if D >= total:
         return WaterfillAllocation(
             xi=float(lam.max()), delta=lam.copy(), rate=0.0, saturated=D > total
         )
-    lo, hi = 0.0, float(lam.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(np.minimum(mid, lam).sum()) < D:
-            lo = mid
-        else:
-            hi = mid
-    # piecewise-linear finish: on the interval found, the active set is fixed
-    active = lam > hi
+    level = water_level(lam, D)
+    active = lam > level
     n_active = int(active.sum())
-    xi = (D - float(lam[~active].sum())) / n_active if n_active else hi
+    xi = (D - float(lam[~active].sum())) / n_active if n_active else level
     delta = np.minimum(xi, lam)
     if abs(float(delta.sum()) - D) > 1e-12 * total:
         raise NumericError("reverse_waterfill: allocation does not meet D")
@@ -192,26 +185,7 @@ def _check_divergence(Sigma, context):
 
 def _riccati_init(A, BBt, C, NNt, n_iter=500, tol=1e-12):
     # standard Kalman filter Riccati (full observation weight H = I)
-    m = A.shape[0]
-    if m == 1 and C.shape[0] == 1:
-        a2 = float(A[0, 0]) ** 2
-        cc = float(C[0, 0]) ** 2
-        bb = float(BBt[0, 0])
-        nn = float(NNt[0, 0])
-        s = bb + 1.0
-        for _ in range(n_iter):
-            lam1 = cc * s + nn
-            new1 = a2 * s - a2 * cc * s * s / lam1 + bb if lam1 > 1e-300 else a2 * s + bb
-            if not math.isfinite(new1) or abs(new1) > _DIVERGENCE_CAP:
-                raise NumericError(
-                    "solve_realization (init): iteration diverged "
-                    "(model may violate detectability/stabilizability)"
-                )
-            if abs(new1 - s) < tol:
-                return np.array([[new1]])
-            s = new1
-        return np.array([[s]])
-    Sigma = BBt + np.eye(m)
+    Sigma = BBt + np.eye(A.shape[0])
     for _ in range(n_iter):
         Lam = C @ Sigma @ C.T + NNt
         lam, E = sym_eig(0.5 * (Lam + Lam.T))
@@ -260,7 +234,7 @@ def solve_realization(
     the Riccati step; Sigma is relaxed halfway toward the update until the
     change drops below tol.
     """
-    if D <= 0.0:
+    if not D > 0.0:
         raise DomainError("solve_realization: distortion must be positive")
     m, _, p, _ = model.dims
     q = _as_noise_diagonal(Q, p)
@@ -285,20 +259,12 @@ def solve_realization(
             eta1 = 1.0 - delta1 / lam1 if lam1 > 0.0 else 0.0
             new1 = a2 * s - a2 * cc * s * s * eta1 / lam1 + bb if lam1 > 0.0 else a2 * s + bb
             damped1 = 0.5 * (s + new1)
-            if not math.isfinite(damped1) or abs(damped1) > _DIVERGENCE_CAP:
-                raise NumericError(
-                    "solve_realization: iteration diverged "
-                    "(model may violate detectability/stabilizability)"
-                )
+            if not abs(damped1) <= _DIVERGENCE_CAP:  # NaN fails this test too
+                _check_divergence(damped1, "solve_realization")
             change = abs(damped1 - s)
             s = damped1
             if change < tol:
                 break
-        else:
-            raise NumericError(
-                f"solve_realization: no convergence in {int(max_iter)} iterations "
-                f"(last change {change:.3e})"
-            )
         Sigma = np.array([[s]])
     else:
         for iterations in range(1, int(max_iter) + 1):
@@ -309,11 +275,11 @@ def solve_realization(
             Sigma = damped
             if change < tol:
                 break
-        else:
-            raise NumericError(
-                f"solve_realization: no convergence in {int(max_iter)} iterations "
-                f"(last change {change:.3e})"
-            )
+    if not change < tol:
+        raise NumericError(
+            f"solve_realization: no convergence in {int(max_iter)} iterations "
+            f"(last change {change:.3e})"
+        )
 
     full, (Lam, lam, E, alloc, delta, eta) = _modified_step(A, BBt, C, NNt, Sigma, D)
     residual = float(np.max(np.abs(full - Sigma)))

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
-from .numerics import RngStream
+from .numerics import RngStream, solve_discrete_lyapunov, water_level
 
 __all__ = [
     "PowerMatch",
@@ -38,23 +37,18 @@ def capacity_waterfill(noise_vars, P):
     """Water-filling capacity of parallel AWGN channels.
 
     Returns (C in bits/use, allocation P*_i = max(0, nu - q_i)) with the
-    level nu bisected so the allocation sums to P.
+    level nu at which the allocation sums to P: sum_i max(0, nu - q_i) = P
+    is sum_i min(-nu, -q_i) = -(P + sum q), an exact water level.
     """
     q = np.asarray(noise_vars, dtype=float).reshape(-1)
     if q.size == 0 or np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise DomainError("capacity_waterfill: noise variances must be positive")
-    if P <= 0.0:
-        raise DomainError("capacity_waterfill: power must be positive")
+    if not 0.0 < P < math.inf:
+        raise DomainError("capacity_waterfill: power must be positive and finite")
     if q.size == 1:
         return 0.5 * math.log2(1.0 + P / q[0]), np.array([float(P)])
-    lo, hi = float(q.min()), float(q.max()) + float(P)
-    for _ in range(100):
-        nu = 0.5 * (lo + hi)
-        if float(np.maximum(0.0, nu - q).sum()) < P:
-            lo = nu
-        else:
-            hi = nu
-    active = q < hi
+    level = -water_level(-q, -(P + float(q.sum())))
+    active = q < level
     nu = (P + float(q[active].sum())) / int(active.sum())
     alloc = np.maximum(0.0, nu - q)
     if abs(float(alloc.sum()) - P) > 1e-12 * max(P, 1.0):
@@ -345,7 +339,7 @@ def simulate_vector(
     rho_A = float(np.max(np.abs(np.linalg.eigvals(A))))
     if rho_A >= 1.0:
         raise NumericError("simulate_vector: source state matrix is unstable")
-    Pz = scipy.linalg.solve_discrete_lyapunov(A, B @ B.T)
+    Pz = solve_discrete_lyapunov(A, B @ B.T)
     Pz_half = np.linalg.cholesky(Pz + 1e-15 * np.eye(m))
 
     E, eta, delta, q = solution.E_inf, solution.eta, solution.delta, solution.q

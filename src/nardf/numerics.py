@@ -1,4 +1,5 @@
-"""Numerical kernel: entropy, deterministic eigensolves, root finders,
+"""Numerical kernel: entropy, deterministic eigensolves, the exact water
+level, the discrete Lyapunov equation, log-sum-exp, root finders,
 Perron-Frobenius power iteration, 1-d concave maximization, RNG streams.
 
 All rates in this package are in bits (base-2 logs).  Large-deviations
@@ -70,6 +71,50 @@ def sym_eig(M, sym_tol=1e-12):
         if nz.size and row[nz[0]] < 0.0:
             row *= -1.0
     return w, E
+
+
+def water_level(values, total):
+    """Exact level L with sum_i min(L, v_i) = total, in O(p log p).
+
+    The sum is piecewise linear in L with breakpoints at the sorted values.
+    A total at or above sum(v) lands on the last piece, extended past
+    max(v), so a saturated total that differs from sum(v) only by summation
+    order still gives max(v) to rounding.  Reverse water-filling is
+    (lambda, D); capacity water-filling is (-q, -(P + sum q)), level -nu.
+    """
+    v = np.sort(np.asarray(values, dtype=float).reshape(-1))
+    below = np.concatenate(([0.0], np.cumsum(v[:-1])))  # sum of v_(i), i < j
+    above = v.size - np.arange(v.size)  # count of v_(i), i >= j
+    j = min(int(np.searchsorted(below + above * v, total)), v.size - 1)
+    return (total - float(below[j])) / int(above[j])
+
+
+def solve_discrete_lyapunov(A, Q):
+    """X = A X A' + Q for a stable A (spectral radius < 1) by Smith doubling,
+    X <- X + A_k X A_k' and A_k <- A_k^2, in O(m^2) memory.  The tail left
+    after A_k is below ||A_k||_F^2 ||X||, so the loop stops once ||A_k||_F^2
+    <= eps; NumericError if 64 doublings (2^64 terms) do not get there."""
+    Ak = np.asarray(A, dtype=float)
+    X = np.asarray(Q, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            X = X + Ak @ X @ Ak.T
+            Ak = Ak @ Ak
+            if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Ak))):
+                break
+            if float(np.sum(Ak * Ak)) <= np.finfo(float).eps:
+                return 0.5 * (X + X.T)
+    raise NumericError("solve_discrete_lyapunov: doubling did not converge")
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along `axis` without overflow; -inf entries add 0."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    total = np.sum(np.exp(a - shift), axis=axis)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + np.squeeze(shift, axis=axis)
 
 
 def bisect_monotone(f, lo, hi, tol, max_iter=200):

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nardf
 from nardf.bsms import rate_loss_bound, rna_bsms
 from nardf.cli import DEFAULT_SEED, main
 from nardf.modelfile import ModelFormatError, load_model, parse_model_text
@@ -139,6 +143,30 @@ def test_domain_error_exit_4(capsys):
     code, _, err = run(capsys, ["bsms-curve", "--p", "1.5", "--d", "0.1"])
     assert code == 4
     assert "domain error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss-rate", "--d", "nan"],
+        ["jscc-sim", "--mode", "vector", "--d", "nan", "--steps", "100"],
+    ],
+)
+def test_nan_distortion_exit_4(capsys, model_file, argv):
+    code, _, err = run(capsys, argv + ["--model", model_file])
+    assert code == 4
+    assert "domain error" in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing the CLI must not pull it in
+    src = os.path.dirname(os.path.dirname(nardf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, nardf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ gauss-rate

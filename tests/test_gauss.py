@@ -62,6 +62,20 @@ def test_waterfill_saturation_and_domain():
         reverse_waterfill([4.0, -1.0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda D: reverse_waterfill([4.0, 1.0], D),
+        lambda D: solve_realization(TEST_MODEL, D),
+        lambda D: solve_realization(GaussModel.scalar(0.5, 1.0, 1.0, 0.5), D),
+    ],
+    ids=["waterfill", "vector", "scalar"],
+)
+def test_nan_distortion_is_domain_error(solve):
+    with pytest.raises(DomainError):
+        solve(math.nan)
+
+
 def test_waterfill_kkt_against_grid_oracle():
     rng = np.random.default_rng(21)
     for _ in range(40):

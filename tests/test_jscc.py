@@ -49,6 +49,13 @@ def test_capacity_waterfill_examples():
         capacity_waterfill([0.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("noise", [[1.0], [1.0, 2.0]])
+@pytest.mark.parametrize("P", [math.nan, math.inf])
+def test_capacity_waterfill_non_finite_power(noise, P):
+    with pytest.raises(DomainError):
+        capacity_waterfill(noise, P)
+
+
 def test_capacity_waterfill_is_optimal():
     rng = np.random.default_rng(13)
     for _ in range(30):

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nardf.errors import DomainError, NumericError
+from nardf.gauss import reverse_waterfill
+from nardf.jscc import capacity_waterfill
 from nardf.numerics import (
     BITS_PER_NAT,
     RngStream,
     binary_entropy,
     bisect_monotone,
     cubic_positive_root,
+    logsumexp,
     maximize_concave_1d,
     perron_eigenvalue,
+    solve_discrete_lyapunov,
     sym_eig,
+    water_level,
 )
 
 
@@ -144,3 +151,136 @@ def test_rng_stream_reproducible_and_disjoint():
         a.shard(3).shard(2).generator().standard_normal(4),
         RngStream(123).shard(3).shard(2).generator().standard_normal(4),
     )
+
+
+# ---------------------------------------------------------------- water level
+
+
+def _bisected_level(values, total, steps=100):
+    # reference: bisection on the nondecreasing sum_i min(L, v_i), as both
+    # water-fillings located their level before the exact routine
+    v = np.asarray(values, dtype=float)
+    lo, hi = min(total / v.size, float(v.min())), float(v.max())
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if float(np.minimum(mid, v).sum()) < total:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _bisected_reverse_waterfill(lam, D):
+    lam = np.asarray(lam, dtype=float)
+    hi = _bisected_level(lam, D)
+    active = lam > hi
+    n_active = int(active.sum())
+    xi = (D - float(lam[~active].sum())) / n_active if n_active else hi
+    return xi, np.minimum(xi, lam)
+
+
+def _bisected_capacity_waterfill(q, P):
+    q = np.asarray(q, dtype=float)
+    hi = -_bisected_level(-q, -(P + float(q.sum())))
+    active = q < hi
+    nu = (P + float(q[active].sum())) / int(active.sum())
+    return np.maximum(0.0, nu - q)
+
+
+# ties and zeros come from the sampled values.  Spectra stay above 1e-3: on
+# subnormal ones the 1e-12 * total allocation check underflows, and the
+# bisected and exact water-fillings both raise NumericError.
+_spectra = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.floats(1e-3, 10.0)),
+    min_size=1,
+    max_size=8,
+)
+_noise = st.lists(
+    st.one_of(st.sampled_from([0.25, 1.0, 3.0]), st.floats(0.01, 10.0)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def test_water_level_examples():
+    assert water_level([4.0, 1.0], 2.0) == 1.0
+    assert water_level([4.0, 1.0], 0.5) == 0.25
+    assert water_level([4.0, 1.0], 5.0) == 4.0  # total = sum: max(v)
+    assert water_level([4.0, 1.0], 5.5) == 4.5  # last piece extended
+    assert water_level([-1.0, -2.0], -5.0) == -2.5  # every value active
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=_spectra, frac=st.floats(0.001, 1.0))
+def test_water_level_matches_bisection(values, frac):
+    v = np.array(values)
+    total = frac * float(v.sum())
+    assume(total > 0.0)
+    level = water_level(v, total)
+    assert level == pytest.approx(_bisected_level(v, total), rel=1e-12, abs=1e-12)
+    assert float(np.minimum(level, v).sum()) == pytest.approx(total, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=_spectra, frac=st.floats(0.001, 1.0))
+def test_reverse_waterfill_matches_bisection(values, frac):
+    lam = np.array(values)
+    D = frac * float(lam.sum())
+    assume(D > 0.0)
+    w = reverse_waterfill(lam, D)
+    xi, delta = _bisected_reverse_waterfill(lam, D)
+    tol = 1e-12 * float(lam.sum())
+    assert w.xi == pytest.approx(xi, abs=tol)
+    assert np.allclose(w.delta, delta, rtol=0.0, atol=tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(noise=_noise, P=st.floats(1e-3, 50.0))
+def test_capacity_waterfill_matches_bisection(noise, P):
+    q = np.array(noise)
+    _, alloc = capacity_waterfill(q, P)
+    if q.size > 1:
+        ref = _bisected_capacity_waterfill(q, P)
+        assert np.allclose(alloc, ref, rtol=0.0, atol=1e-12 * (P + float(q.sum())))
+    assert float(alloc.sum()) == pytest.approx(P, rel=1e-12)
+
+
+# ---------------------------------------------------------------- Lyapunov
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.999])
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_lyapunov_matches_scipy(m, rho):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(100 * m + int(1000 * rho))
+    A = rng.normal(size=(m, m))
+    A *= rho / float(np.max(np.abs(np.linalg.eigvals(A))))
+    B = rng.normal(size=(m, m))
+    Q = B @ B.T
+    X = solve_discrete_lyapunov(A, Q)
+    ref = scipy_linalg.solve_discrete_lyapunov(A, Q)
+    scale = float(np.max(np.abs(ref)))
+    assert np.array_equal(X, X.T)
+    assert float(np.max(np.abs(X - ref))) <= 1e-9 * scale
+    assert float(np.max(np.abs(A @ X @ A.T + Q - X))) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("A", [np.eye(2), np.array([[1.5, 0.0], [1.0, 0.2]])])
+def test_lyapunov_unstable_raises(A):
+    with pytest.raises(NumericError):
+        solve_discrete_lyapunov(A, np.eye(2))
+
+
+# ---------------------------------------------------------------- logsumexp
+
+
+def test_logsumexp_large_and_neg_inf_entries():
+    assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
+    assert logsumexp([-1000.0, -1000.0]) == pytest.approx(-1000.0 + math.log(2.0), abs=1e-12)
+    assert logsumexp([-math.inf, 0.0]) == 0.0
+    assert logsumexp([-math.inf, -math.inf]) == -math.inf
+    a = np.array([[0.1, 2.0, -math.inf], [710.0, 709.0, 3.0]])
+    out = logsumexp(a, axis=1)
+    assert out.shape == (2,)
+    assert out[0] == pytest.approx(math.log(math.exp(0.1) + math.exp(2.0)), abs=1e-12)
+    assert out[1] == pytest.approx(710.0 + math.log1p(math.exp(-1.0)), abs=1e-12)
