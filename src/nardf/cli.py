@@ -35,6 +35,7 @@ from .numerics import BITS_PER_NAT, RngStream
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "NARDF_SEED"
+MAX_GRID_POINTS = 10**6
 
 
 class UsageError(Exception):
@@ -140,8 +141,10 @@ def _parse_grid(spec, flag):
         raise UsageError(f"{flag}: step must be positive")
     if hi < lo:
         raise UsageError(f"{flag}: empty grid (hi < lo)")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9  # may be inf; the grid has floor(span) + 1 points
+    if span >= MAX_GRID_POINTS:
+        raise UsageError(f"{flag}: grid exceeds {MAX_GRID_POINTS} points")
+    return [lo + i * step for i in range(int(span) + 1)]
 
 
 def _parse_int_grid(spec, flag):
@@ -344,7 +347,7 @@ def _cmd_excess(args):
             for t, v, ls in zip(curve.thetas, curve.values, curve.lambda_star)
         ]
         meta = {"p": p, "D": D}
-        return _table(header, rows, meta, "nardf/excess-rate-function/v1", args.format)
+        return _table(header, rows, meta, "nardf/excess-rate-function/v2", args.format)
 
     gamma = _require(args.gamma, "--gamma (or --theta-grid)")
     if gamma <= 0.0:
@@ -379,7 +382,7 @@ def _cmd_excess(args):
         "hoeffding_threshold_n": 2.0 / (lam * gamma) if lam > 0.0 else None,
         "lumped_lambda_2": excess.second_eigenvalue(lumped),
     }
-    return _table(header, rows, meta, "nardf/excess-bounds/v1", args.format)
+    return _table(header, rows, meta, "nardf/excess-bounds/v2", args.format)
 
 
 def _cmd_rate_loss(args):

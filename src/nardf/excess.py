@@ -2,7 +2,8 @@
 
 For the BSMS joint chain: Hoeffding-type and reversible-chain concentration
 bounds, the Markov large-deviations rate function (Perron root of the tilted
-chain), and empirical exceedance simulation of the uncoded transmission.
+chain), and empirical exceedance simulation of the uncoded transmission on
+the two-state lumped chain.
 
 For the Gaussian realization: the steady-state reproduction-error recursion
 and a Monte Carlo Chernoff exponent for P(S_n/n >= d).
@@ -136,16 +137,14 @@ def _log_perron_tilted(chain: JointChain, lam):
     return math.log(perron_eigenvalue(chain.pi_matrix * tilt[:, None]))
 
 
-def rate_function(chain: JointChain, theta, lam_window=50.0, tol=1e-9):
+def rate_function(chain: JointChain, theta):
     """Large-deviations rate I(theta) = sup_lam {lam*theta - log rho(Pi_lam)}
-    in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}.  Returns (I, lam*)."""
+    in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}, lam in [-50, 50] to
+    1e-9.  Returns (I, lam*)."""
     if not 0.0 <= theta <= 1.0:
         raise DomainError("rate_function: theta must lie in [0, 1]")
     lam_star, val = maximize_concave_1d(
-        lambda lam: lam * theta - _log_perron_tilted(chain, lam),
-        -lam_window,
-        lam_window,
-        tol=tol,
+        lambda lam: lam * theta - _log_perron_tilted(chain, lam), -50.0, 50.0, tol=1e-9
     )
     return max(val, 0.0), lam_star
 
@@ -175,42 +174,34 @@ def rate_function_curve(chain: JointChain, thetas) -> RateFunctionCurve:
     return RateFunctionCurve(thetas=thetas, values=vals, lambda_star=lams)
 
 
-def _sample_states(cum, u):
-    # 4-state chain indices; cum holds cumsums over states, per column or shared
-    return (
-        (u > cum[0]).astype(np.int8)
-        + (u > cum[1]).astype(np.int8)
-        + (u > cum[2]).astype(np.int8)
-    )
+_BLOCKS = 16
 
 
-def _trial_blocks(rng: RngStream, trials, blocks):
+def _trial_blocks(rng: RngStream, trials):
     """(generator, size) per block: trials split as evenly as possible over
-    at most `blocks` blocks, block i drawing from rng.shard(i)."""
-    blocks = max(1, min(blocks, trials))
+    at most _BLOCKS blocks, block i drawing from rng.shard(i)."""
+    blocks = min(_BLOCKS, trials)
     for i in range(blocks):
         yield rng.shard(i).generator(), trials // blocks + (1 if i < trials % blocks else 0)
 
 
-def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream, blocks=16):
-    """Empirical P(S_n/n >= d) for the uncoded BSMS transmission: the joint
-    chain is sampled from its stationary distribution and the Hamming
-    distortions are summed over n steps."""
+def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream):
+    """Empirical P(S_n/n >= d) for the uncoded BSMS transmission.  S_n sees
+    the joint chain only through the Hamming indicator, so the two-state
+    lumped chain is sampled from its stationary distribution and its visits
+    to the mismatch state are counted over n steps."""
     if n < 1 or trials < 1:
         raise DomainError("simulate_excess_bsms: n >= 1 and trials >= 1 required")
-    design = optimal_reproduction(p, D)
-    chain = joint_chain(design)
-    cum = np.cumsum(chain.pi_matrix, axis=0)
-    cum_pi = np.cumsum(chain.stationary)
-    f = chain.f
+    lump = lumped_distortion_chain(joint_chain(optimal_reproduction(p, D)))
+    to_one = lump.pi_matrix[1]  # P(next in the mismatch class | current class)
     exceed = 0
     threshold = n * d - 1e-9
-    for g, size in _trial_blocks(rng, trials, blocks):
-        state = _sample_states(cum_pi, g.random(size))
-        S = f[state].copy()
+    for g, size in _trial_blocks(rng, trials):
+        state = (g.random(size) < lump.stationary[1]).astype(np.intp)
+        S = state.copy()
         for _ in range(n - 1):
-            state = _sample_states(cum[:, state], g.random(size))
-            S += f[state]
+            state = (g.random(size) < to_one[state]).astype(np.intp)
+            S += state
         exceed += int(np.count_nonzero(S >= threshold))
     return exceed / trials
 
@@ -279,7 +270,7 @@ class ChernoffEstimate(NamedTuple):
     stream_id: int
 
 
-def _simulate_distortion_sums(model, solution, rec, n, trials, rng, blocks=16):
+def _simulate_distortion_sums(model, solution, rec, n, trials, rng):
     m, k, p, d = model.dims
     C, N = model.C, model.N
     E, eta, b_inf = solution.E_inf, solution.eta, solution.b_inf
@@ -288,7 +279,7 @@ def _simulate_distortion_sums(model, solution, rec, n, trials, rng, blocks=16):
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
     out = []
-    for g, size in _trial_blocks(rng, trials, blocks):
+    for g, size in _trial_blocks(rng, trials):
         e = chol @ g.standard_normal((m, size))
         S = np.zeros(size)
         for _ in range(n):

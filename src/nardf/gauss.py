@@ -319,12 +319,12 @@ def solve_realization(
 def rna_scalar_fully_observed(alpha, sigma_W, D):
     """Nonanticipative RDF 0.5 log2(alpha^2 + sigma_W^2/D) of the scalar
     fully observed Gauss-Markov source, evaluated as written (no clamping)."""
-    if D <= 0.0:
-        raise DomainError("distortion must be positive")
-    if abs(alpha) > 1.0:
+    if not 0.0 < D < math.inf:
+        raise DomainError("distortion must be positive and finite")
+    if not abs(alpha) <= 1.0:
         raise DomainError("requires |alpha| <= 1")
-    if sigma_W <= 0.0:
-        raise DomainError("sigma_W must be positive")
+    if not 0.0 < sigma_W < math.inf:
+        raise DomainError("sigma_W must be positive and finite")
     return 0.5 * math.log2(alpha * alpha + sigma_W * sigma_W / D)
 
 

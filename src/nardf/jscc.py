@@ -121,19 +121,20 @@ class JsccScalarDesign:
     input_var: float  # variance of the encoder input at steady state
 
 
-def _check_scalar_params(alpha, sigma_W, sigma_Vc, P, strict_alpha):
-    if strict_alpha and not abs(alpha) < 1.0:
+def _check_scalar_params(alpha, sigma_W, sigma_Vc, P):
+    # each test passes only on valid input; NaN fails every comparison
+    if not abs(alpha) < 1.0:
         raise DomainError("requires |alpha| < 1")
-    if sigma_W <= 0.0 or sigma_Vc <= 0.0:
-        raise DomainError("sigma_W and sigma_Vc must be positive")
-    if P < 0.0:
-        raise DomainError("power must be nonnegative")
+    if not (0.0 < sigma_W < math.inf and 0.0 < sigma_Vc < math.inf):
+        raise DomainError("sigma_W and sigma_Vc must be positive and finite")
+    if not 0.0 <= P < math.inf:
+        raise DomainError("power must be nonnegative and finite")
 
 
 def design_feedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     """Feedback design: the innovation X_t - E[X_t | B^{t-1}] is scaled onto
     the channel; achieves D_min = sW^2 sVc^2 / ((1-a^2) sVc^2 + P)."""
-    _check_scalar_params(alpha, sigma_W, sigma_Vc, P, strict_alpha=True)
+    _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
     a2 = alpha * alpha
     sW2 = sigma_W * sigma_W
     q = sigma_Vc * sigma_Vc
@@ -169,7 +170,7 @@ def design_nofeedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     0.5 log2(sigma_X^2 / D) with sigma_X^2 = sW^2/(1-a^2), which equals the
     channel capacity at D_min.
     """
-    _check_scalar_params(alpha, sigma_W, sigma_Vc, P, strict_alpha=True)
+    _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
     a2 = alpha * alpha
     sW2 = sigma_W * sigma_W
     q = sigma_Vc * sigma_Vc
@@ -420,8 +421,8 @@ def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) 
     """Schalkwijk-Kailath transmission of a single Gaussian value with
     feedback: MSE contracts by sigma_Vc^2/(P + sigma_Vc^2) per channel use,
     so every use carries exactly the capacity 0.5 log2(1 + P/sigma_Vc^2)."""
-    if sigma_X <= 0.0 or sigma_Vc <= 0.0 or P <= 0.0 or n < 1:
-        raise DomainError("schalkwijk_kailath: positive parameters and n >= 1 required")
+    if not all(0.0 < v < math.inf for v in (sigma_X, sigma_Vc, P)) or n < 1:
+        raise DomainError("schalkwijk_kailath: positive finite parameters and n >= 1 required")
     q = sigma_Vc * sigma_Vc
     contraction = q / (P + q)
     lam = sigma_X * sigma_X * contraction ** np.arange(n + 1)

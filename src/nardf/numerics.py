@@ -1,6 +1,6 @@
 """Numerical kernel: entropy, deterministic eigensolves, the exact water
-level, the discrete Lyapunov equation, log-sum-exp, root finders,
-Perron-Frobenius power iteration, 1-d concave maximization, RNG streams.
+level, the discrete Lyapunov equation, log-sum-exp, root finders, the
+Perron root, 1-d concave maximization, RNG streams.
 
 All rates in this package are in bits (base-2 logs).  Large-deviations
 exponents are natural-log objects; BITS_PER_NAT converts for display.
@@ -190,35 +190,22 @@ def _reachable_everywhere(mask):
     return bool(reach.all())
 
 
-def perron_eigenvalue(M, tol=1e-12, max_iter=10**6):
-    """Spectral radius of an irreducible nonnegative matrix by power iteration.
-
-    A diagonal shift keeps the iteration convergent for periodic matrices
-    (rho(M + cI) = rho(M) + c for nonnegative M).
-    """
+def perron_eigenvalue(M):
+    """Spectral radius of an irreducible nonnegative matrix: the largest real
+    part of its spectrum, which Perron-Frobenius makes equal to rho(M)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("perron_eigenvalue: square matrix required")
     if np.any(M < 0.0) or not np.all(np.isfinite(M)):
         raise DomainError("perron_eigenvalue: nonnegative finite matrix required")
-    scale = float(M.max())
-    if scale <= 0.0:
+    if float(M.max()) <= 0.0:
         raise DomainError("perron_eigenvalue: zero matrix")
     if not _reachable_everywhere(M > 0.0):
         raise DomainError("perron_eigenvalue: matrix is reducible")
-    n = M.shape[0]
-    shift = scale
-    v = np.full(n, 1.0 / n)
-    est = 0.0
-    for _ in range(int(max_iter)):
-        w = M @ v + shift * v
-        s = float(w.sum())  # 1-norm; v stays nonnegative throughout
-        v = w / s
-        new_est = s - shift
-        if abs(new_est - est) <= tol * max(abs(new_est), 1e-300):
-            return new_est
-        est = new_est
-    raise NumericError("perron_eigenvalue: power iteration did not converge")
+    try:
+        return float(np.max(np.linalg.eigvals(M).real))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"perron_eigenvalue: eigensolve failed ({exc})") from None
 
 
 def maximize_concave_1d(g, lo, hi, tol=1e-10):

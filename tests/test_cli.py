@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import nardf
 from nardf.bsms import rate_loss_bound, rna_bsms
-from nardf.cli import DEFAULT_SEED, main
+from nardf.cli import DEFAULT_SEED, UsageError, _parse_grid, main
 from nardf.modelfile import ModelFormatError, load_model, parse_model_text
 from nardf.numerics import BITS_PER_NAT
 
@@ -327,6 +328,34 @@ def test_jscc_sim_domain_error(capsys):
 # --------------------------------------------------------------------- excess
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "iid", "--power", "inf"],
+        ["--mode", "nfb", "--alpha", "0.5", "--power", "inf"],
+        ["--mode", "fb", "--alpha", "0.5", "--power", "nan"],
+        ["--mode", "fb", "--alpha", "0.5", "--sigma-w", "nan"],
+        ["--mode", "sk", "--power", "nan"],
+    ],
+)
+def test_jscc_sim_non_finite_input_exit_4(capsys, argv):
+    code, out, err = run(capsys, ["jscc-sim", *argv, "--steps", "100"])
+    assert code == 4
+    assert out == ""
+    assert "domain error" in err
+
+
+def test_grid_cap_is_a_usage_error(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["bsms-curve", "--p", "0.3", "--d-grid", "0:0.5:1e-12"])
+    assert code == 2
+    assert out == "" and "exceeds" in err
+    assert time.perf_counter() - t0 < 1.0  # refused before any list is built
+    assert len(_parse_grid("0:0.999999:1e-6", "--d-grid")) == 10**6
+    with pytest.raises(UsageError):
+        _parse_grid("0:1:1e-6", "--d-grid")  # 10^6 + 1 points
+
+
 def test_excess_theta_grid(capsys):
     argv = [
         "excess", "--p", "0.3", "--d", "0.1", "--theta-grid", "0.1:0.3:0.1",
@@ -350,7 +379,7 @@ def test_excess_bounds(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/excess-bounds/v1"
+    assert payload["schema"] == "nardf/excess-bounds/v2"
     assert payload["hoeffding_threshold_n"] == pytest.approx(1466.666666, abs=1e-4)
     assert payload["lumped_lambda_2"] == pytest.approx(0.06417112299465248, abs=1e-12)
     rows = payload["rows"]

@@ -209,6 +209,27 @@ def test_simulate_excess_reproducible():
     assert a == b
 
 
+def _exact_tail(p, D, n, d):
+    # forward DP over (state, count) on the lumped chain, O(n^2):
+    # a[s, k] = P(class s now, k mismatches so far); P(S_n >= n d) exactly
+    lump = lumped_distortion_chain(joint_chain(optimal_reproduction(p, D)))
+    a = np.zeros((2, n + 1))
+    a[0, 0], a[1, 1] = lump.stationary
+    for _ in range(n - 1):
+        a = lump.pi_matrix @ a
+        a[1] = np.concatenate(([0.0], a[1, :-1]))  # entering class 1 counts
+    return float(a[:, math.ceil(n * d - 1e-9):].sum())
+
+
+@pytest.mark.parametrize("n,exact", [(50, 0.13584), (200, 0.02292)])
+def test_simulate_excess_matches_exact_tail(n, exact):
+    tail = _exact_tail(0.3, 0.1, n, 0.15)
+    assert tail == pytest.approx(exact, abs=5e-6)
+    trials = 40_000
+    emp = simulate_excess_bsms(0.3, 0.1, n, 0.15, trials, RngStream(15))
+    assert abs(emp - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / trials)
+
+
 def test_empirical_decay_tracks_rate_function():
     # -(1/n) log P(S_n/n >= d) should approach I(d) from below as n grows;
     # the two-point slope cancels the polynomial prefactor

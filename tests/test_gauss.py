@@ -128,6 +128,16 @@ def test_scalar_fully_observed():
         rna_scalar_fully_observed(1.2, 1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(math.nan, 1.0, 0.5), (0.5, math.nan, 0.5), (0.5, math.inf, 0.5),
+     (0.5, 1.0, math.nan), (0.5, 1.0, math.inf)],
+)
+def test_scalar_fully_observed_non_finite_is_domain_error(args):
+    with pytest.raises(DomainError):
+        rna_scalar_fully_observed(*args)
+
+
 def test_solver_matches_fully_observed_closed_form():
     for alpha in (0.0, 0.3, 0.7, 0.95):
         for sw in (0.5, 1.0, 2.0):

@@ -115,6 +115,29 @@ def test_match_power_scalar_always_matched():
 # -------------------------------------------------------------- scalar designs
 
 
+@pytest.mark.parametrize(
+    "make,args",
+    [
+        (design_feedback_scalar, (0.5, 1.0, 1.0, math.nan)),
+        (design_feedback_scalar, (0.5, 1.0, 1.0, math.inf)),
+        (design_feedback_scalar, (math.nan, 1.0, 1.0, 1.0)),
+        (design_feedback_scalar, (0.5, math.nan, 1.0, 1.0)),
+        (design_feedback_scalar, (0.5, 1.0, math.inf, 1.0)),
+        (design_nofeedback_scalar, (0.5, 1.0, 1.0, math.inf)),
+        (design_nofeedback_scalar, (0.5, 1.0, math.nan, 1.0)),
+        (design_iid_scalar, (1.0, 1.0, math.inf)),
+        (design_iid_scalar, (math.inf, 1.0, 1.0)),
+        (schalkwijk_kailath, (1.0, 1.0, math.nan, 4, RngStream(1))),
+        (schalkwijk_kailath, (1.0, 1.0, math.inf, 4, RngStream(1))),
+        (schalkwijk_kailath, (math.nan, 1.0, 1.0, 4, RngStream(1))),
+        (schalkwijk_kailath, (1.0, math.inf, 1.0, 4, RngStream(1))),
+    ],
+)
+def test_scalar_non_finite_parameters_are_domain_errors(make, args):
+    with pytest.raises(DomainError):
+        make(*args)
+
+
 def test_feedback_design_values():
     d = design_feedback_scalar(0.5, 1.0, 1.0, 1.0)
     assert d.D_min == pytest.approx(4.0 / 7.0, abs=1e-12)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nardf.bsms import joint_chain, optimal_reproduction
 from nardf.errors import DomainError, NumericError
+from nardf.excess import lumped_distortion_chain
 from nardf.gauss import reverse_waterfill
 from nardf.jscc import capacity_waterfill
 from nardf.numerics import (
@@ -114,14 +116,63 @@ def test_perron_eigenvalue():
         perron_eigenvalue(np.array([[1.0, 0.0], [0.0, 2.0]]))  # reducible
 
 
-def test_perron_matches_numpy_on_random_positive():
+def test_perron_eigensolve_failure_is_numeric_error(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(NumericError):
+        perron_eigenvalue(np.ones((2, 2)))
+
+
+def _power_iteration_perron(M, tol=1e-12, max_iter=10**6):
+    # reference: shifted power iteration, as perron_eigenvalue located the
+    # root before the eigensolve; the diagonal shift (rho(M + cI) = rho(M) + c)
+    # keeps it convergent on periodic matrices
+    shift = float(M.max())
+    v = np.full(M.shape[0], 1.0 / M.shape[0])
+    est = 0.0
+    for _ in range(max_iter):
+        w = M @ v + shift * v
+        s = float(w.sum())  # 1-norm; v stays nonnegative throughout
+        v = w / s
+        if abs(s - shift - est) <= tol * abs(s - shift):
+            return s - shift
+        est = s - shift
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _perron_2x2(M):
+    tr, det = M[0, 0] + M[1, 1], M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
+
+
+def test_perron_matches_power_iteration_on_random_positive():
     rng = np.random.default_rng(8)
     for _ in range(25):
         n = rng.integers(2, 6)
         M = rng.uniform(0.01, 1.0, size=(n, n))
-        lam = perron_eigenvalue(M)
-        ref = np.max(np.real(np.linalg.eigvals(M)))
-        assert lam == pytest.approx(ref, rel=1e-9)
+        assert perron_eigenvalue(M) == pytest.approx(_power_iteration_perron(M), rel=1e-9)
+        if n == 2:
+            assert perron_eigenvalue(M) == pytest.approx(_perron_2x2(M), rel=1e-12)
+
+
+def test_perron_of_periodic_matrix():
+    # a 3-cycle: spectrum {1, exp(+-2 pi i / 3)}, so the complex pair must lose
+    assert perron_eigenvalue(np.roll(np.eye(3), 1, axis=0)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [-50.0, -5.0, 5.0, 50.0])
+@pytest.mark.parametrize("p,D", [(0.3, 0.1), (0.1, 0.05), (0.45, 0.3)])
+def test_perron_on_tilted_bsms_chains(p, D, lam):
+    chain = joint_chain(optimal_reproduction(p, D))
+    M4, M2 = (c.pi_matrix * np.exp(lam * c.f)[:, None]
+              for c in (chain, lumped_distortion_chain(chain)))
+    for M in (M4, M2):
+        assert perron_eigenvalue(M) == pytest.approx(_power_iteration_perron(M), rel=1e-9)
+    assert perron_eigenvalue(M2) == pytest.approx(_perron_2x2(M2), rel=1e-12)
+    # lumping keeps the tilted Perron root
+    assert perron_eigenvalue(M4) == pytest.approx(perron_eigenvalue(M2), rel=1e-9)
 
 
 def test_maximize_concave_1d():
