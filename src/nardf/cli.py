@@ -245,6 +245,13 @@ def _scalar_report_payload(report):
     }
 
 
+def _note_single_shard(design, steps):
+    need = jscc.min_steps_with_se(design)
+    if steps < need:
+        print(f"nardf: note: --steps {steps} runs one shard, so the standard errors are "
+              f"null; --steps {need} or more gives two shards", file=sys.stderr)
+
+
 def _cmd_jscc_sim(args):
     mode = args.mode
     seed = _resolve_seed(args)
@@ -263,6 +270,7 @@ def _cmd_jscc_sim(args):
         make = jscc.design_feedback_scalar if mode == "fb" else jscc.design_nofeedback_scalar
         design = make(alpha, args.sigma_w, args.sigma_vc, args.power)
         report = jscc.simulate_scalar(design, steps, rng)
+        _note_single_shard(design, steps)
         payload["parameters"] = {
             "alpha": alpha, "sigma_w": args.sigma_w, "sigma_vc": args.sigma_vc,
             "power": args.power, "steps": steps,
@@ -272,6 +280,7 @@ def _cmd_jscc_sim(args):
     elif mode == "iid":
         design = jscc.design_iid_scalar(args.sigma_x, args.sigma_vc, args.power)
         report = jscc.simulate_scalar(design, steps, rng)
+        _note_single_shard(design, steps)
         payload["parameters"] = {
             "sigma_x": args.sigma_x, "sigma_vc": args.sigma_vc,
             "power": args.power, "steps": steps,

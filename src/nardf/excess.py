@@ -133,20 +133,27 @@ def lumped_distortion_chain(chain: JointChain, tol=1e-12) -> JointChain:
 
 
 def _log_perron_tilted(chain: JointChain, lam):
-    tilt = np.exp(lam * chain.f)
-    return math.log(perron_eigenvalue(chain.pi_matrix * tilt[:, None]))
+    # log rho(Pi_lam) for an array of tilts, one stacked eigensolve; the log
+    # is math.log per root, whose rounding does not depend on the array size
+    tilt = np.exp(np.asarray(lam)[..., None] * chain.f)
+    rho = perron_eigenvalue(chain.pi_matrix * tilt[..., :, None])
+    return np.reshape([math.log(r) for r in np.ravel(rho)], np.shape(rho))
 
 
 def rate_function(chain: JointChain, theta):
     """Large-deviations rate I(theta) = sup_lam {lam*theta - log rho(Pi_lam)}
     in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}, lam in [-50, 50] to
-    1e-9.  Returns (I, lam*)."""
-    if not 0.0 <= theta <= 1.0:
+    1e-9.  Returns (I, lam*): floats for a scalar theta, arrays shaped like
+    theta otherwise (every theta in one golden section)."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta >= 0.0) & (theta <= 1.0)):
         raise DomainError("rate_function: theta must lie in [0, 1]")
     lam_star, val = maximize_concave_1d(
-        lambda lam: lam * theta - _log_perron_tilted(chain, lam), -50.0, 50.0, tol=1e-9
+        lambda lam: lam * theta - _log_perron_tilted(chain, lam),
+        np.full(theta.shape, -50.0), 50.0, tol=1e-9,
     )
-    return max(val, 0.0), lam_star
+    val = np.where(val < 0.0, 0.0, val)
+    return (float(val), lam_star) if theta.ndim == 0 else (val, lam_star)
 
 
 def exceedance_exponent(chain: JointChain, d):
@@ -167,14 +174,12 @@ class RateFunctionCurve:
 
 def rate_function_curve(chain: JointChain, thetas) -> RateFunctionCurve:
     thetas = np.asarray(thetas, dtype=float)
-    vals = np.empty_like(thetas)
-    lams = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        vals[i], lams[i] = rate_function(chain, float(th))
+    vals, lams = rate_function(chain, thetas)
     return RateFunctionCurve(thetas=thetas, values=vals, lambda_star=lams)
 
 
 _BLOCKS = 16
+_CHUNK_BYTES = 1 << 20  # one _lockstep_draws chunk, all blocks together
 
 
 def _trial_blocks(rng: RngStream, trials):
@@ -185,25 +190,50 @@ def _trial_blocks(rng: RngStream, trials):
         yield rng.shard(i).generator(), trials // blocks + (1 if i < trials % blocks else 0)
 
 
+def _lockstep_draws(rng: RngStream, trials, n, draw, rows=(), first=None):
+    """The _trial_blocks streams drawn in lockstep, joined on the trial
+    (last) axis: draw(g, first + (size,)) once if `first` is given, then n
+    arrays of shape rows + (trials,), one per step.
+
+    Each block draws a chunk of c steps in one call, into a (c,) + rows +
+    (size,) buffer, which consumes its stream in the order of c single-step
+    draws, so every trial sees the draws of the block-at-a-time loop.  A
+    chunk of all blocks holds about _CHUNK_BYTES, whatever n is.  The
+    buffers are reused from chunk to chunk (fresh ones per chunk cost a page
+    fault per 4 KiB at large trial counts), so a step's array is only valid
+    until the next one is asked for."""
+    blocks = list(_trial_blocks(rng, trials))
+    if first is not None:
+        yield np.concatenate([draw(g, first + (size,)) for g, size in blocks], axis=-1)
+    chunk = min(n, max(1, _CHUNK_BYTES // (8 * trials * math.prod(rows))))
+    parts = [np.empty((chunk,) + rows + (size,)) for _, size in blocks]
+    joined = np.empty((chunk,) + rows + (trials,))
+    for start in range(0, n, chunk):
+        c = min(chunk, n - start)
+        for (g, _), part in zip(blocks, parts):
+            draw(g, out=part[:c])
+        yield from np.concatenate([part[:c] for part in parts], axis=-1, out=joined[:c])
+
+
 def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream):
     """Empirical P(S_n/n >= d) for the uncoded BSMS transmission.  S_n sees
     the joint chain only through the Hamming indicator, so the two-state
     lumped chain is sampled from its stationary distribution and its visits
-    to the mismatch state are counted over n steps."""
+    to the mismatch state are counted over n steps, all trials in lockstep."""
     if n < 1 or trials < 1:
         raise DomainError("simulate_excess_bsms: n >= 1 and trials >= 1 required")
     lump = lumped_distortion_chain(joint_chain(optimal_reproduction(p, D)))
     to_one = lump.pi_matrix[1]  # P(next in the mismatch class | current class)
-    exceed = 0
-    threshold = n * d - 1e-9
-    for g, size in _trial_blocks(rng, trials):
-        state = (g.random(size) < lump.stationary[1]).astype(np.intp)
-        S = state.copy()
-        for _ in range(n - 1):
-            state = (g.random(size) < to_one[state]).astype(np.intp)
-            S += state
-        exceed += int(np.count_nonzero(S >= threshold))
-    return exceed / trials
+    lo, hi = sorted(to_one)
+    hi_state = bool(to_one[1] >= to_one[0])  # the state whose threshold is hi
+    uniforms = _lockstep_draws(rng, trials, n, np.random.Generator.random)
+    state = next(uniforms) < lump.stationary[1]
+    S = state.astype(np.intp)
+    for u in uniforms:
+        # u < to_one[state] as boolean array ops, no gather over the trials
+        state = (u < lo) | ((state == hi_state) & (u < hi))
+        S += state
+    return int(np.count_nonzero(S >= n * d - 1e-9)) / trials
 
 
 @dataclass(frozen=True)
@@ -278,20 +308,19 @@ def _simulate_distortion_sums(model, solution, rec, n, trials, rng):
     sq = np.sqrt(solution.q)
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
-    out = []
-    for g, size in _trial_blocks(rng, trials):
-        e = chol @ g.standard_normal((m, size))
-        S = np.zeros(size)
-        for _ in range(n):
-            W = g.standard_normal((k, size))
-            V = g.standard_normal((d, size))
-            Vc = sq[:, None] * g.standard_normal((p, size))
-            K = C @ e + (N @ V if d else 0.0)
-            err = shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
-            S += np.sum(err * err, axis=0)
-            e = A_t @ e + B1 @ W - (B2 @ V if d else 0.0) - B3 @ Vc
-        out.append(S)
-    return np.concatenate(out)
+    # per step, in stream order: W (k rows), V (d rows), Vc (p rows)
+    normals = _lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
+                              rows=(k + d + p,), first=(m,))
+    e = chol @ next(normals)
+    S = np.zeros(trials)
+    for z in normals:
+        W, V = z[:k], z[k:k + d]
+        Vc = sq[:, None] * z[k + d:]
+        K = C @ e + (N @ V if d else 0.0)
+        err = shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
+        S += np.sum(err * err, axis=0)
+        e = A_t @ e + B1 @ W - (B2 @ V if d else 0.0) - B3 @ Vc
+    return S
 
 
 def gaussian_chernoff_exponent(

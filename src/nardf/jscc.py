@@ -27,6 +27,7 @@ __all__ = [
     "design_feedback_scalar",
     "design_nofeedback_scalar",
     "design_iid_scalar",
+    "min_steps_with_se",
     "simulate_scalar",
     "simulate_vector",
     "schalkwijk_kailath",
@@ -263,14 +264,22 @@ def _scalar_burn_in(design: JsccScalarDesign):
     return max(50, int(math.ceil(-10.0 / math.log(rho))) if rho < 1.0 else 10_000)
 
 
+def min_steps_with_se(design: JsccScalarDesign) -> int:
+    """Smallest n at which simulate_scalar runs two shards, so that its
+    standard errors are finite: 2 max(200, burn-in)."""
+    return 2 * max(200, _scalar_burn_in(design))
+
+
 def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=False):
     """Simulate the scalar design for (at least) n retained steps.
 
     Feedback mode runs the closed loop: the encoder maintains the one-step
     predictor from past channel outputs (the same filter the decoder runs);
     other modes scale X_t directly.  Runs as parallel shards on independent
-    substreams; statistics use shard means.  With return_series=True a
-    single shard is run and (report, series dict) is returned.
+    substreams; statistics use shard means.  Below min_steps_with_se(design)
+    steps there is one shard and both standard errors are NaN.  With
+    return_series=True a single shard is run and (report, series dict) is
+    returned.
     """
     burn = _scalar_burn_in(design)
     shards, per_shard = (1, n) if return_series else _shard_layout(n, burn)
@@ -332,6 +341,8 @@ def simulate_vector(
     Source -> innovation K_t -> decorrelate (E_inf) -> per-channel scaling
     sqrt(Q Delta^{-1} H) -> AWGN(Q) -> decoder scaling B_inf -> rotate back
     -> add predictor; encoder and decoder share the modified Kalman filter.
+    Below 2 max(200, burn-in) steps there is one shard and every standard
+    error is NaN.
     """
     if solution.closed_loop_radius >= 1.0:
         raise NumericError("simulate_vector: closed-loop filter is unstable")
@@ -426,9 +437,13 @@ def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) 
     q = sigma_Vc * sigma_Vc
     contraction = q / (P + q)
     lam = sigma_X * sigma_X * contraction ** np.arange(n + 1)
+    if not (lam[-1] > 0.0 and lam[0] < math.inf):
+        raise NumericError("schalkwijk_kailath: analytic MSE leaves the float range within n uses")
     cap = 0.5 * math.log2(1.0 + P / q)
-    per_use = 0.5 * np.log2(lam[:-1] / lam[1:])
-    if float(np.max(np.abs(per_use - cap))) > 1e-12 * max(cap, 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN fail the check below
+        per_use = 0.5 * np.log2(lam[:-1] / lam[1:])
+        err = float(np.max(np.abs(per_use - cap)))
+    if not err <= 1e-12 * max(cap, 1.0):
         raise NumericError("schalkwijk_kailath: per-use rate != capacity")
 
     g = rng.generator()

@@ -182,55 +182,72 @@ def cubic_positive_root(c3, c2, c1, c0):
 
 
 def _reachable_everywhere(mask):
-    # boolean reachability closure by repeated squaring; matrices here are tiny
-    n = mask.shape[0]
+    # per-matrix reachability closure of a (..., n, n) boolean stack by
+    # repeated squaring; matrices here are tiny
+    n = mask.shape[-1]
     reach = mask | np.eye(n, dtype=bool)
     for _ in range(max(1, int(math.ceil(math.log2(max(n, 2)))))):
         reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-    return bool(reach.all())
+    return reach.all(axis=(-2, -1))
 
 
 def perron_eigenvalue(M):
     """Spectral radius of an irreducible nonnegative matrix: the largest real
-    part of its spectrum, which Perron-Frobenius makes equal to rho(M)."""
+    part of its spectrum, which Perron-Frobenius makes equal to rho(M).
+
+    M may be a (..., n, n) stack: every matrix is checked, the stack is
+    solved in one eigvals call, and the roots come back in an array of
+    shape M.shape[:-2] (a float for one matrix)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise DomainError("perron_eigenvalue: square matrix required")
     if np.any(M < 0.0) or not np.all(np.isfinite(M)):
         raise DomainError("perron_eigenvalue: nonnegative finite matrix required")
-    if float(M.max()) <= 0.0:
+    positive = M > 0.0
+    if not np.all(np.any(positive, axis=(-2, -1))):
         raise DomainError("perron_eigenvalue: zero matrix")
-    if not _reachable_everywhere(M > 0.0):
+    if not np.all(_reachable_everywhere(positive)):
         raise DomainError("perron_eigenvalue: matrix is reducible")
     try:
-        return float(np.max(np.linalg.eigvals(M).real))
+        rho = np.max(np.linalg.eigvals(M).real, axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"perron_eigenvalue: eigensolve failed ({exc})") from None
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def maximize_concave_1d(g, lo, hi, tol=1e-10):
     """Golden-section maximization of a concave function on [lo, hi].
 
-    Returns (argmax, g(argmax)); the argmax is within tol of the true
-    maximizer (boundary maxima included).
+    Runs elementwise over the broadcast lo, hi: g maps an array of points
+    to the array of their values, and each entry follows the scalar iterate
+    sequence until its own bracket is within tol (entries may stop an
+    iteration apart; a stopped entry's value is no longer read).  Returns
+    (argmax, g(argmax)), floats for scalar bounds; the argmax is within tol
+    of the true maximizer (boundary maxima included).
     """
-    if not lo < hi:
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not np.all(a < b):
         raise DomainError("maximize_concave_1d: need lo < hi")
-    a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
-    while (b - a) > tol:
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLDEN * (b - a)
-            gd = g(d)
+    active = (b - a) > tol
+    while np.any(active):
+        keep_lower = gc >= gd
+        move_b = active & keep_lower  # b, d, gd = d, c, gc; new c
+        move_a = active & ~keep_lower  # a, c, gc = c, d, gd; new d
+        a, b = np.where(move_a, c, a), np.where(move_b, d, b)
+        c, d = (np.where(move_b, b - _GOLDEN * (b - a), np.where(move_a, d, c)),
+                np.where(move_a, a + _GOLDEN * (b - a), np.where(move_b, c, d)))
+        gc, gd = np.where(move_a, gd, gc), np.where(move_b, gc, gd)
+        gx = g(np.where(move_b, c, d))
+        gc, gd = np.where(move_b, gx, gc), np.where(move_a, gx, gd)
+        active = (b - a) > tol
     x = 0.5 * (a + b)
-    return x, g(x)
+    gx = g(x)
+    if x.ndim == 0:
+        return float(x), float(gx)
+    return x, gx
 
 
 _SHARD_FANOUT = 2**20

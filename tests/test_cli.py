@@ -345,6 +345,32 @@ def test_jscc_sim_non_finite_input_exit_4(capsys, argv):
     assert "domain error" in err
 
 
+def test_jscc_sim_sk_underflowing_mse_exit_3(capsys):
+    # lambda_t underflows to 0 from the second use on; a NaN per-use rate
+    # must not pass as "equal to capacity"
+    for steps in ("2", "4"):
+        code, out, err = run(capsys, ["jscc-sim", "--mode", "sk", "--power", "1e308",
+                                      "--steps", steps])
+        assert code == 3
+        assert out == ""
+        assert "numeric error" in err
+
+
+@pytest.mark.parametrize("mode", ["fb", "nfb", "iid"])
+def test_jscc_sim_single_shard_note(capsys, mode):
+    argv = ["jscc-sim", "--mode", mode, "--alpha", "0.5", "--seed", "3"]
+    code, out, err = run(capsys, argv + ["--steps", "100"])
+    assert code == 0
+    emp = json.loads(out)["empirical"]
+    assert emp["distortion_se"] is None and emp["power_se"] is None
+    assert err.count("\n") == 1
+    assert "one shard" in err and "--steps 400 " in err
+    code, out, err = run(capsys, argv + ["--steps", "1000"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["empirical"]["distortion_se"] > 0.0
+
+
 def test_grid_cap_is_a_usage_error(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["bsms-curve", "--p", "0.3", "--d-grid", "0:0.5:1e-12"])

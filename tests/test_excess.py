@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nardf import excess
 from nardf.bsms import JointChain, joint_chain, optimal_reproduction
 from nardf.errors import DomainError, NumericError
 from nardf.excess import (
@@ -20,7 +21,7 @@ from nardf.excess import (
     simulate_excess_bsms,
 )
 from nardf.gauss import GaussModel, solve_realization
-from nardf.numerics import BITS_PER_NAT, RngStream
+from nardf.numerics import BITS_PER_NAT, RngStream, perron_eigenvalue
 
 DESIGN = optimal_reproduction(0.3, 0.1)
 CHAIN = joint_chain(DESIGN)
@@ -179,6 +180,39 @@ def test_rate_function_shape_and_lump_agreement():
         assert rate_function(lump, float(th))[0] == pytest.approx(v, abs=1e-9)
 
 
+@pytest.mark.parametrize("p,D", [(0.3, 0.1), (0.1, 0.05), (0.45, 0.3)])
+def test_rate_function_curve_is_pointwise_rate_function(p, D):
+    # one lockstep golden section over all theta gives, bit for bit, what
+    # one golden section per theta gives
+    full = joint_chain(optimal_reproduction(p, D))
+    thetas = np.concatenate(([0.0, full.mean_distortion, 1.0], np.linspace(D, 0.95, 9)))
+    for chain in (full, lumped_distortion_chain(full)):
+        curve = rate_function_curve(chain, thetas)
+        points = [rate_function(chain, float(th)) for th in thetas]
+        assert all(isinstance(v, float) and isinstance(ls, float) for v, ls in points)
+        assert curve.values.tobytes() == np.array([v for v, _ in points]).tobytes()
+        assert curve.lambda_star.tobytes() == np.array([ls for _, ls in points]).tobytes()
+        vals, lams = rate_function(chain, thetas.reshape(3, 4))
+        assert vals.shape == lams.shape == (3, 4)
+        assert vals.tobytes() == curve.values.tobytes()
+    with pytest.raises(DomainError):
+        rate_function(full, np.array([0.2, math.nan]))
+    with pytest.raises(DomainError):
+        rate_function_curve(full, [0.2, -0.1])
+
+
+def test_log_perron_tilted_is_the_per_tilt_log_perron_root():
+    # the stacked path must round like the one-tilt expression it replaced;
+    # np.log on an array differs from math.log in the last bit for ~2% of
+    # arguments near 1, which moved lambda* by up to ~1e-7
+    lams = np.concatenate((np.linspace(-1.0, 1.0, 301), np.linspace(-50.0, 50.0, 101)))
+    for chain in (CHAIN, lumped_distortion_chain(CHAIN)):
+        got = excess._log_perron_tilted(chain, lams)
+        ref = [math.log(perron_eigenvalue(chain.pi_matrix * np.exp(lam * chain.f)[:, None]))
+               for lam in lams]
+        assert got.tobytes() == np.array(ref).tobytes()
+
+
 def test_exceedance_exponent():
     assert exceedance_exponent(CHAIN, 0.05) == 0.0
     assert exceedance_exponent(CHAIN, 0.1) <= 1e-9  # at the mean itself
@@ -207,6 +241,72 @@ def test_simulate_excess_reproducible():
     a = simulate_excess_bsms(0.3, 0.1, 200, 0.12, 2000, RngStream(6))
     b = simulate_excess_bsms(0.3, 0.1, 200, 0.12, 2000, RngStream(6))
     assert a == b
+
+
+def _blockwise_excess_bsms(p, D, n, d, trials, rng):
+    # reference: the block-at-a-time loop the lockstep simulator replaced,
+    # one Python loop over n per _trial_blocks block
+    lump = excess.lumped_distortion_chain(joint_chain(optimal_reproduction(p, D)))
+    to_one = lump.pi_matrix[1]
+    exceed = 0
+    for g, size in excess._trial_blocks(rng, trials):
+        state = (g.random(size) < lump.stationary[1]).astype(np.intp)
+        S = state.copy()
+        for _ in range(n - 1):
+            state = (g.random(size) < to_one[state]).astype(np.intp)
+            S += state
+        exceed += int(np.count_nonzero(S >= n * d - 1e-9))
+    return exceed / trials
+
+
+def _chunk_steps(trials, rows):
+    return excess._CHUNK_BYTES // (8 * trials * rows)
+
+
+@pytest.mark.parametrize("trials", [1, 15, 16, 17, 2500])
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_lockstep_excess_matches_block_loop(trials, n):
+    for d, stream in [(0.12, RngStream(21)), (0.2, RngStream(22).shard(3))]:
+        got = simulate_excess_bsms(0.3, 0.1, n, d, trials, stream)
+        assert got == _blockwise_excess_bsms(0.3, 0.1, n, d, trials, stream)
+
+
+def test_lockstep_excess_short_last_chunk(monkeypatch):
+    n = 2 * _chunk_steps(2500, 1) + 1  # two full chunks, then one step
+    for d in (0.11, 0.13):
+        assert simulate_excess_bsms(0.3, 0.1, n, d, 2500, RngStream(23)) == \
+            _blockwise_excess_bsms(0.3, 0.1, n, d, 2500, RngStream(23))
+    monkeypatch.setattr(excess, "_CHUNK_BYTES", 3 * 8 * 17)  # 3-step chunks
+    for n in (6, 7, 8):
+        assert simulate_excess_bsms(0.3, 0.1, n, 0.15, 17, RngStream(24)) == \
+            _blockwise_excess_bsms(0.3, 0.1, n, 0.15, 17, RngStream(24))
+
+
+def test_lockstep_excess_on_an_anticorrelated_chain(monkeypatch):
+    # optimal BSMS lumps have to_one[1] >= to_one[0]; the sampler's boolean
+    # form of u < to_one[state] must not rely on that order
+    T = np.array([[0.4, 0.9], [0.6, 0.1]])  # to_one = [0.6, 0.1]
+    anti = JointChain(states=((0, 0), (0, 1)), pi_matrix=T,
+                      stationary=np.array([0.6, 0.4]), f=np.array([0.0, 1.0]))
+    monkeypatch.setattr(excess, "lumped_distortion_chain", lambda chain: anti)
+    for trials in (17, 2500):
+        for d in (0.4, 0.45):
+            assert simulate_excess_bsms(0.3, 0.1, 60, d, trials, RngStream(29)) == \
+                _blockwise_excess_bsms(0.3, 0.1, 60, d, trials, RngStream(29))
+
+
+@pytest.mark.parametrize("trials,blocks", [(5, 5), (16, 16), (2500, 16)])
+def test_lockstep_excess_keeps_one_generator_per_block(monkeypatch, trials, blocks):
+    made = []
+    original = RngStream.generator
+
+    def counting(self):
+        made.append(self.stream_id)
+        return original(self)
+
+    monkeypatch.setattr(RngStream, "generator", counting)
+    simulate_excess_bsms(0.3, 0.1, 120, 0.12, trials, RngStream(25))
+    assert made == [RngStream(25).shard(i).stream_id for i in range(blocks)]
 
 
 def _exact_tail(p, D, n, d):
@@ -310,6 +410,78 @@ def test_chernoff_exponent_monotone_in_d():
     assert vals[0] < vals[1] < vals[2]
     # bits conversion stays consistent with the nats value
     assert vals[0] * BITS_PER_NAT == pytest.approx(vals[0] / math.log(2.0), rel=1e-12)
+
+
+def _blockwise_distortion_sums(model, solution, rec, n, trials, rng):
+    # reference: the block-at-a-time loop the lockstep sums replaced
+    m, k, p, d = model.dims
+    C, N = model.C, model.N
+    E, eta, b_inf = solution.E_inf, solution.eta, solution.b_inf
+    shrink = eta - 1.0
+    sq = np.sqrt(solution.q)
+    chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
+    A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
+    out = []
+    for g, size in excess._trial_blocks(rng, trials):
+        e = chol @ g.standard_normal((m, size))
+        S = np.zeros(size)
+        for _ in range(n):
+            W = g.standard_normal((k, size))
+            V = g.standard_normal((d, size))
+            Vc = sq[:, None] * g.standard_normal((p, size))
+            K = C @ e + (N @ V if d else 0.0)
+            err = shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
+            S += np.sum(err * err, axis=0)
+            e = A_t @ e + B1 @ W - (B2 @ V if d else 0.0) - B3 @ Vc
+        out.append(S)
+    return np.concatenate(out)
+
+
+ACCEPTANCE_2X2 = GaussModel(
+    A=np.array([[0.6, 0.2], [0.0, 0.5]]),
+    B=np.eye(2),
+    C=np.array([[1.0, 0.0], [0.3, 0.9]]),
+    N=0.4 * np.eye(2),
+)
+
+
+def _sums_pair(model, D, n, trials, seed):
+    sol = solve_realization(model, D)
+    rec = gaussian_error_recursion(model, sol)
+    got = excess._simulate_distortion_sums(model, sol, rec, n, trials, RngStream(seed))
+    ref = _blockwise_distortion_sums(model, sol, rec, n, trials, RngStream(seed))
+    return got, ref
+
+
+@pytest.mark.parametrize("trials", [1, 15, 16, 17, 2500])
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("name", ["scalar", "scalar-observed", "2x2"])
+def test_lockstep_distortion_sums_match_block_loop(name, n, trials):
+    model, D = {
+        "scalar": (GaussModel.scalar(0.5, 1.0), 0.5),
+        "scalar-observed": (GaussModel.scalar(0.5, 1.0, 1.0, 0.5), 0.5),
+        "2x2": (ACCEPTANCE_2X2, 1.2),
+    }[name]
+    got, ref = _sums_pair(model, D, n, trials, 26)
+    assert got.shape == (trials,)
+    if name == "2x2" and 1 < trials < 2 * excess._BLOCKS:
+        # the reference's one-trial blocks take numpy's matrix-vector
+        # product, whose rounding differs from the matrix-matrix product
+        # in the last bit; every block of two or more trials agrees exactly
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    else:
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_lockstep_distortion_sums_short_last_chunk(monkeypatch):
+    for model, D, rows in ((GaussModel.scalar(0.5, 1.0), 0.5, 2), (ACCEPTANCE_2X2, 1.2, 6)):
+        n = 2 * _chunk_steps(2500, rows) + 1
+        got, ref = _sums_pair(model, D, n, 2500, 27)
+        assert got.tobytes() == ref.tobytes()
+    monkeypatch.setattr(excess, "_CHUNK_BYTES", 3 * 8 * 6 * 48)  # 3-step chunks
+    for n in (6, 7, 8):
+        got, ref = _sums_pair(ACCEPTANCE_2X2, 1.2, n, 48, 28)
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_chernoff_guards():

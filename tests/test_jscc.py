@@ -12,6 +12,7 @@ from nardf.jscc import (
     design_nofeedback_scalar,
     match_power,
     matched_channel_noise,
+    min_steps_with_se,
     schalkwijk_kailath,
     simulate_scalar,
     simulate_vector,
@@ -278,6 +279,34 @@ def test_simulate_vector_unstable_source_rejected():
 
 
 # ---------------------------------------------------------- Schalkwijk-Kailath
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 1.0, 1e308, 4),  # lambda_t underflows to 0 (a NaN per-use rate before)
+    (1.0, 1e-170, 1.0, 3),  # sigma_Vc^2 underflows: contraction 0
+    (1e200, 1.0, 1.0, 3),  # sigma_X^2 overflows: lambda_t = inf
+])
+def test_schalkwijk_kailath_mse_out_of_float_range_is_numeric_error(args):
+    with pytest.raises(NumericError, match="float range"):
+        schalkwijk_kailath(*args, RngStream(1), trials=10)
+
+
+def test_schalkwijk_kailath_overflowing_rate_is_numeric_error():
+    # P / sigma_Vc^2 overflows: capacity and per-use rate are both inf, and
+    # their NaN difference must not pass as "equal"
+    with pytest.raises(NumericError, match="per-use rate"):
+        schalkwijk_kailath(1.0, 1e-150, 1e10, 1, RngStream(1), trials=10)
+
+
+def test_min_steps_with_se_is_the_two_shard_threshold():
+    for design in (design_feedback_scalar(0.5, 1.0, 1.0, 1.0),
+                   design_nofeedback_scalar(0.99, 1.0, 1.0, 1.0),  # burn-in 995
+                   design_iid_scalar(1.0, 1.0, 2.0)):
+        need = min_steps_with_se(design)
+        assert need >= 400
+        assert math.isnan(simulate_scalar(design, need - 1, RngStream(2)).distortion_se)
+        report = simulate_scalar(design, need, RngStream(2))
+        assert math.isfinite(report.distortion_se) and math.isfinite(report.power_se)
 
 
 def test_schalkwijk_kailath():

@@ -183,6 +183,102 @@ def test_maximize_concave_1d():
         maximize_concave_1d(lambda t: t, 1.0, 0.0)
 
 
+def _tilted_stack(seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for p, D in ((0.3, 0.1), (0.1, 0.05), (0.45, 0.3)):
+        chain = joint_chain(optimal_reproduction(p, D))
+        for c in (chain, lumped_distortion_chain(chain)):
+            lams = rng.uniform(-50.0, 50.0, size=7)
+            mats.append(c.pi_matrix * np.exp(lams[:, None] * c.f)[:, :, None])
+    return mats
+
+
+def test_stacked_perron_equals_per_matrix_calls():
+    for stack in _tilted_stack(3) + [np.random.default_rng(4).uniform(0.01, 1.0, (8, 3, 3))]:
+        got = perron_eigenvalue(stack)
+        assert got.shape == stack.shape[:-2]
+        assert got.tobytes() == np.array([perron_eigenvalue(M) for M in stack]).tobytes()
+        grid = perron_eigenvalue(stack[:6].reshape(2, 3, *stack.shape[1:]))
+        assert grid.shape == (2, 3) and grid.tobytes() == got[:6].tobytes()
+    assert isinstance(perron_eigenvalue(np.ones((2, 2))), float)
+    assert perron_eigenvalue(np.ones((0, 2, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.0], [0.0, 2.0]]),  # reducible
+    np.zeros((2, 2)),
+    np.array([[0.5, -0.1], [0.5, 0.5]]),
+    np.array([[0.5, np.inf], [0.5, 0.5]]),
+    np.array([[0.5, np.nan], [0.5, 0.5]]),
+])
+def test_stack_with_one_bad_matrix_is_a_domain_error(bad):
+    stack = np.stack([np.ones((2, 2)), bad, np.full((2, 2), 0.5)])
+    with pytest.raises(DomainError):
+        perron_eigenvalue(stack)
+    with pytest.raises(DomainError):
+        perron_eigenvalue(stack[1])
+    with pytest.raises(DomainError):
+        perron_eigenvalue(np.ones((3, 2, 3)))  # not square
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_scalar(g, lo, hi, tol):
+    # reference: the one-problem golden section the elementwise one replaced
+    a, b = float(lo), float(hi)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    gc, gd = g(c), g(d)
+    while (b - a) > tol:
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - _GOLDEN * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + _GOLDEN * (b - a)
+            gd = g(d)
+    x = 0.5 * (a + b)
+    return x, g(x)
+
+
+def _concave(x, t, w):
+    # a quadratic cap around t with a flat top of half-width w (ties in gc >= gd)
+    u = np.maximum(np.abs(x - t) - w, 0.0)
+    return 0.5 - u * u - 0.25 * np.abs(x - t)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_elementwise_golden_section_equals_scalar_runs(tol):
+    rng = np.random.default_rng(9)
+    t = rng.uniform(-60.0, 60.0, size=(4, 6))  # some maxima outside [lo, hi]
+    w = np.where(rng.uniform(size=t.shape) < 0.3, rng.uniform(0.0, 2.0, size=t.shape), 0.0)
+    lo = rng.uniform(-50.0, -1.0, size=(4, 1))
+    hi = np.array([1.0, 3.5, 50.0, 0.25, 7.0, 20.0])
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return _concave(x, t, w)
+
+    x, gx = maximize_concave_1d(g, lo, hi, tol=tol)
+    assert x.shape == gx.shape == t.shape and set(calls) == {t.shape}
+    for idx in np.ndindex(t.shape):
+        ref = _golden_section_scalar(lambda v: float(_concave(v, t[idx], w[idx])),
+                                     lo[idx[0], 0], hi[idx[1]], tol)
+        assert (x[idx], gx[idx]) == ref
+    # scalar bounds give floats, equal to the reference run
+    got = maximize_concave_1d(lambda v: _concave(v, 0.3, 0.0), -1.0, 1.0, tol=tol)
+    assert all(isinstance(v, float) for v in got)
+    assert got == _golden_section_scalar(lambda v: float(_concave(v, 0.3, 0.0)), -1.0, 1.0, tol)
+    with pytest.raises(DomainError):
+        maximize_concave_1d(g, lo, np.full(6, -60.0))
+    with pytest.raises(DomainError):
+        maximize_concave_1d(g, np.nan, 1.0)
+
+
 def test_bits_per_nat():
     assert BITS_PER_NAT == pytest.approx(1.4426950408889634, abs=1e-15)
 
