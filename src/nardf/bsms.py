@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import binary_entropy, bisect_monotone
+from .numerics import binary_entropy, maximize_concave_1d
 
 __all__ = [
     "BsmsDesign",
@@ -211,50 +211,19 @@ def rate_loss_bound(p, D):
     return binary_entropy(m) - binary_entropy(D)
 
 
-def _rl_grid(step=1e-3):
-    g = np.arange(0.0, 0.5 + 0.5 * step, step)
-    P, Dg = np.meshgrid(g, g, indexing="ij")
-    M = 1.0 - P - Dg + 2.0 * P * Dg
-    hm = binary_entropy(M)
-    val = np.where(Dg <= P, hm - binary_entropy(P), hm - binary_entropy(Dg))
-    return g, val
-
-
 def max_rate_loss():
     """Maximizer (p*, D*) and value of rate_loss_bound over [0, 1/2]^2.
 
-    Coarse 1e-3 grid, then coordinate refinement: bisection on the central
-    difference of each coordinate slice until both coordinates move < 1e-4.
-    Works across the D = p crease, where the slice derivative jumps sign.
+    With m = 1 - p - D + 2pD = 1/2 + (1 - 2p)(1 - 2D)/2 >= 1/2, m falls and
+    H(m) rises as p grows on p <= D, or as D grows on D <= p.  So the bound
+    rises toward the crease D = p from both sides, and its maximum lies on
+    the crease, where RL(p, p) = H(1 - 2p + 2p^2) - H(p) is concave on
+    [0, 1/4] (it turns convex near p = 0.275) and is maximized by golden
+    section.
     """
-    g, val = _rl_grid()
-    flat = int(np.argmax(val))  # row-major argmax = lexicographic tie-break
-    i, j = divmod(flat, g.size)
-    p, D = float(g[i]), float(g[j])
-
-    h = 1e-7
-    half = 2.5e-3  # bracket of +-2.5 grid steps around the current point
-
-    def refine(x, slice_fn):
-        lo = max(x - half, 0.0) + h
-        hi = min(x + half, 0.5) - h
-
-        def diff(t):
-            return slice_fn(t + h) - slice_fn(t - h)
-
-        try:
-            return bisect_monotone(diff, lo, hi, tol=1e-7)
-        except DomainError:  # no sign change: slice max sits at a bracket end
-            return lo if slice_fn(lo) >= slice_fn(hi) else hi
-
-    for _ in range(50):
-        new_p = refine(p, lambda t: rate_loss_bound(t, D))
-        new_D = refine(D, lambda t: rate_loss_bound(new_p, t))
-        moved = max(abs(new_p - p), abs(new_D - D))
-        p, D = new_p, new_D
-        if moved < 1e-4:
-            break
-    return p, D, rate_loss_bound(p, D)
+    p, value = maximize_concave_1d(
+        lambda t: binary_entropy(1.0 - t - t + 2.0 * t * t) - binary_entropy(t), 0.0, 0.25)
+    return p, p, value
 
 
 def dmax_bsms(p):

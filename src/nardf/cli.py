@@ -245,8 +245,7 @@ def _scalar_report_payload(report):
     }
 
 
-def _note_single_shard(design, steps):
-    need = jscc.min_steps_with_se(design)
+def _note_single_shard(steps, need):
     if steps < need:
         print(f"nardf: note: --steps {steps} runs one shard, so the standard errors are "
               f"null; --steps {need} or more gives two shards", file=sys.stderr)
@@ -260,7 +259,7 @@ def _cmd_jscc_sim(args):
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     payload = {
-        "schema": "nardf/jscc-sim/v1",
+        "schema": "nardf/jscc-sim/v2",
         "mode": mode,
         "seed": seed,
     }
@@ -270,7 +269,7 @@ def _cmd_jscc_sim(args):
         make = jscc.design_feedback_scalar if mode == "fb" else jscc.design_nofeedback_scalar
         design = make(alpha, args.sigma_w, args.sigma_vc, args.power)
         report = jscc.simulate_scalar(design, steps, rng)
-        _note_single_shard(design, steps)
+        _note_single_shard(steps, jscc.min_steps_with_se(design))
         payload["parameters"] = {
             "alpha": alpha, "sigma_w": args.sigma_w, "sigma_vc": args.sigma_vc,
             "power": args.power, "steps": steps,
@@ -280,7 +279,7 @@ def _cmd_jscc_sim(args):
     elif mode == "iid":
         design = jscc.design_iid_scalar(args.sigma_x, args.sigma_vc, args.power)
         report = jscc.simulate_scalar(design, steps, rng)
-        _note_single_shard(design, steps)
+        _note_single_shard(steps, jscc.min_steps_with_se(design))
         payload["parameters"] = {
             "sigma_x": args.sigma_x, "sigma_vc": args.sigma_vc,
             "power": args.power, "steps": steps,
@@ -314,6 +313,7 @@ def _cmd_jscc_sim(args):
         sol = gauss.solve_realization(model, D)
         pm = jscc.match_power(sol)
         report = jscc.simulate_vector(model, sol, steps, rng)
+        _note_single_shard(steps, jscc.min_steps_with_se(model, sol))
         payload["parameters"] = {"model": path, "D": D, "steps": steps}
         payload["analytic"] = {
             "distortion": sol.D,
@@ -400,7 +400,7 @@ def _cmd_rate_loss(args):
         header = ("p", "D", "rate_loss_bound")
         rows = [(p_star, d_star, value)]
         meta = {"maximizer": True}
-        return _table(header, rows, meta, "nardf/rate-loss/v1", args.format)
+        return _table(header, rows, meta, "nardf/rate-loss/v2", args.format)
     p = _require(args.p, "--p")
     ds = _distortion_grid(args)
     header = ("p", "D", "rate_loss_bound")

@@ -6,15 +6,16 @@ realization, the Schalkwijk-Kailath scheme, and Monte Carlo verification.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
-from .numerics import RngStream, solve_discrete_lyapunov, water_level
+from .numerics import RngStream, _lockstep_draws, solve_discrete_lyapunov, water_level
 
 __all__ = [
     "PowerMatch",
@@ -123,22 +124,38 @@ class JsccScalarDesign:
 
 
 def _check_scalar_params(alpha, sigma_W, sigma_Vc, P):
-    # each test passes only on valid input; NaN fails every comparison
+    # (alpha^2, sigma_W^2, sigma_Vc^2) of a valid input; each test passes
+    # only on valid input, and NaN fails every comparison
     if not abs(alpha) < 1.0:
         raise DomainError("requires |alpha| < 1")
-    if not (0.0 < sigma_W < math.inf and 0.0 < sigma_Vc < math.inf):
-        raise DomainError("sigma_W and sigma_Vc must be positive and finite")
+    sW2, q = sigma_W * sigma_W, sigma_Vc * sigma_Vc
+    if not (0.0 < sW2 < math.inf and 0.0 < q < math.inf):
+        raise DomainError("sigma_W^2 and sigma_Vc^2 must be positive and finite")
     if not 0.0 <= P < math.inf:
         raise DomainError("power must be nonnegative and finite")
+    return alpha * alpha, sW2, q
 
 
+def _float_range_is_domain(design_fn):
+    # checked inputs whose products underflow still reach a zero divisor or
+    # the log of 0: the parameters are out of range, like a non-finite field
+    @functools.wraps(design_fn)
+    def design(*args, **kwargs):
+        try:
+            return design_fn(*args, **kwargs)
+        except DomainError:
+            raise
+        except (ZeroDivisionError, ValueError):
+            raise DomainError(
+                f"{design_fn.__name__}: the parameters leave the float range") from None
+    return design
+
+
+@_float_range_is_domain
 def design_feedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     """Feedback design: the innovation X_t - E[X_t | B^{t-1}] is scaled onto
     the channel; achieves D_min = sW^2 sVc^2 / ((1-a^2) sVc^2 + P)."""
-    _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
-    a2 = alpha * alpha
-    sW2 = sigma_W * sigma_W
-    q = sigma_Vc * sigma_Vc
+    a2, sW2, q = _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
     D_min = sW2 * q / ((1.0 - a2) * q + P)
     enc = math.sqrt(P * ((1.0 - a2) * q + P) / (sW2 * (q + P))) if P > 0.0 else 0.0
     dec = math.sqrt(sW2 * P / (((1.0 - a2) * q + P) * (q + P))) if P > 0.0 else 0.0
@@ -159,10 +176,10 @@ def design_feedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
         source_var=sW2 / (1.0 - a2),
         input_var=input_var,
     )
-    _assert_matched(design)
-    return design
+    return _checked(design)
 
 
+@_float_range_is_domain
 def design_nofeedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     """Memoryless design: X_t itself is scaled onto the channel; achieves
     D_min = sW^2 sVc^2 / ((1-a^2)(P + sVc^2)).
@@ -171,10 +188,7 @@ def design_nofeedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     0.5 log2(sigma_X^2 / D) with sigma_X^2 = sW^2/(1-a^2), which equals the
     channel capacity at D_min.
     """
-    _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
-    a2 = alpha * alpha
-    sW2 = sigma_W * sigma_W
-    q = sigma_Vc * sigma_Vc
+    a2, sW2, q = _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
     source_var = sW2 / (1.0 - a2)
     D_min = sW2 * q / ((1.0 - a2) * (P + q))
     enc = math.sqrt((1.0 - a2) * P / sW2)
@@ -195,8 +209,7 @@ def design_nofeedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
         source_var=source_var,
         input_var=source_var,
     )
-    _assert_matched(design)
-    return design
+    return _checked(design)
 
 
 def design_iid_scalar(sigma_X, sigma_Vc, P) -> JsccScalarDesign:
@@ -205,12 +218,19 @@ def design_iid_scalar(sigma_X, sigma_Vc, P) -> JsccScalarDesign:
     return replace(base, mode="iid")
 
 
-def _assert_matched(design: JsccScalarDesign):
+def _checked(design: JsccScalarDesign):
+    # a design whose fields left the float range is a domain error; one
+    # whose rate or power misses its target is a numeric failure
+    values = [getattr(design, f.name) for f in fields(design) if f.name != "mode"]
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError("scalar design: the parameters put a design field out of the float range")
     if design.P > 0.0:
         if abs(design.matched_rate - design.capacity) > 1e-12 * max(design.capacity, 1.0):
             raise NumericError("scalar design: rate at D_min does not equal capacity")
-        if abs(design.encoder_gain**2 * design.input_var - design.P) > 1e-12 * max(design.P, 1.0):
+        enc = design.encoder_gain
+        if abs(enc * enc * design.input_var - design.P) > 1e-12 * max(design.P, 1.0):
             raise NumericError("scalar design: encoder input power does not equal P")
+    return design
 
 
 @dataclass(frozen=True)
@@ -237,12 +257,17 @@ class SimulationReport:
     cov_K_se: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _shard_layout(n, burn, max_shards=64):
+_MAX_SHARDS = 1024  # each lockstep step's width: at 64, long runs were bound by per-step overhead
+_MIN_SHARD = 200  # shortest shard that a standard error is taken over
+
+
+def _shard_layout(n, burn):
+    """(shards, steps kept per shard): at most _MAX_SHARDS independent chains
+    of at least max(_MIN_SHARD, burn) kept steps, together >= n steps."""
     if n < 1:
         raise DomainError("simulation length must be >= 1")
-    shards = min(max_shards, max(1, n // max(200, burn)))
-    per_shard = -(-n // shards)  # ceil
-    return shards, per_shard
+    shards = min(_MAX_SHARDS, max(1, n // max(_MIN_SHARD, burn)))
+    return shards, -(-n // shards)  # ceil
 
 
 def _mean_and_se(shard_means):
@@ -256,18 +281,32 @@ def _mean_and_se(shard_means):
     return m, se
 
 
+def _burn_in(rho):
+    # steps until a contraction by rho per step has shrunk the start by e^-10
+    return max(50, math.ceil(-10.0 / math.log(rho))) if rho > 0.0 else 50
+
+
 def _scalar_burn_in(design: JsccScalarDesign):
     q = design.sigma_Vc**2
     rho = abs(design.alpha) * q / (design.P + q) if design.mode == "feedback" else abs(design.alpha)
-    if rho <= 0.0:
-        return 50
-    return max(50, int(math.ceil(-10.0 / math.log(rho))) if rho < 1.0 else 10_000)
+    return _burn_in(rho)
 
 
-def min_steps_with_se(design: JsccScalarDesign) -> int:
-    """Smallest n at which simulate_scalar runs two shards, so that its
-    standard errors are finite: 2 max(200, burn-in)."""
-    return 2 * max(200, _scalar_burn_in(design))
+def _vector_burn_in(model: GaussModel, solution: RealizationSolution):
+    if solution.closed_loop_radius >= 1.0:
+        raise NumericError("simulate_vector: closed-loop filter is unstable")
+    rho_A = float(np.max(np.abs(np.linalg.eigvals(model.A))))
+    if rho_A >= 1.0:
+        raise NumericError("simulate_vector: source state matrix is unstable")
+    return _burn_in(max(rho_A, solution.closed_loop_radius))
+
+
+def min_steps_with_se(source, solution=None) -> int:
+    """Smallest n at which simulate_scalar(source, n, ...) -- or, given a
+    solution, simulate_vector(source, solution, n, ...) -- runs two shards,
+    so that its standard errors are finite: 2 max(200, burn-in)."""
+    burn = _scalar_burn_in(source) if solution is None else _vector_burn_in(source, solution)
+    return 2 * max(_MIN_SHARD, burn)
 
 
 def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=False):
@@ -275,50 +314,47 @@ def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=F
 
     Feedback mode runs the closed loop: the encoder maintains the one-step
     predictor from past channel outputs (the same filter the decoder runs);
-    other modes scale X_t directly.  Runs as parallel shards on independent
-    substreams; statistics use shard means.  Below min_steps_with_se(design)
-    steps there is one shard and both standard errors are NaN.  With
-    return_series=True a single shard is run and (report, series dict) is
-    returned.
+    other modes scale X_t directly.  Runs as shards (independent chains) in
+    lockstep, drawn through the numerics block layout; statistics use shard
+    means.  Below min_steps_with_se(design) steps there is one shard and
+    both standard errors are NaN.  With return_series=True a single shard is
+    run and (report, series dict) is returned.  NumericError if the simulated
+    sums leave the float range.
     """
     burn = _scalar_burn_in(design)
     shards, per_shard = (1, n) if return_series else _shard_layout(n, burn)
-    steps = per_shard + burn
-    W = np.empty((steps, shards))
-    Vc = np.empty((steps, shards))
-    X0 = np.empty(shards)
-    for i in range(shards):
-        g = rng.shard(i).generator()
-        W[:, i] = g.standard_normal(steps)
-        Vc[:, i] = g.standard_normal(steps)
-        X0[i] = g.standard_normal()
-    W *= design.sigma_W
-    Vc *= design.sigma_Vc
+    # per step, in stream order: W, Vc; the initial state first
+    normals = _lockstep_draws(rng, shards, per_shard + burn,
+                              np.random.Generator.standard_normal, rows=(2,), first=())
 
     feedback = design.mode == "feedback"
     alpha, enc, dec = design.alpha, design.encoder_gain, design.decoder_gain
-    X = X0 * math.sqrt(design.source_var)
+    sW, sVc = design.sigma_W, design.sigma_Vc
+    X = next(normals) * math.sqrt(design.source_var)
     Xhat = np.zeros(shards)
     d_sum = np.zeros(shards)
     p_sum = np.zeros(shards)
     series = {"K": [], "B": []} if return_series else None
-    for t in range(steps):
-        K = X - Xhat if feedback else X
-        A_t = enc * K
-        B_t = A_t + Vc[t]
-        Ktil = dec * B_t
-        Y = Ktil + Xhat if feedback else Ktil
-        if t >= burn:
-            d_sum += (X - Y) ** 2
-            p_sum += A_t**2
-            if return_series:
-                series["K"].append(float(K[0]))
-                series["B"].append(float(B_t[0]))
-        if feedback:
-            Xhat = alpha * Y
-        X = alpha * X + W[t]
-    dist, dist_se = _mean_and_se(d_sum / per_shard)
-    power, power_se = _mean_and_se(p_sum / per_shard)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
+        for t, z in enumerate(normals):
+            K = X - Xhat if feedback else X
+            A_t = enc * K
+            B_t = A_t + sVc * z[1]
+            Ktil = dec * B_t
+            Y = Ktil + Xhat if feedback else Ktil
+            if t >= burn:
+                d_sum += (X - Y) ** 2
+                p_sum += A_t**2
+                if return_series:
+                    series["K"].append(float(K[0]))
+                    series["B"].append(float(B_t[0]))
+            if feedback:
+                Xhat = alpha * Y
+            X = alpha * X + sW * z[0]
+        dist, dist_se = _mean_and_se(d_sum / per_shard)
+        power, power_se = _mean_and_se(p_sum / per_shard)
+    if not np.all(np.isfinite([dist, power] if shards == 1 else [dist, power, dist_se, power_se])):
+        raise NumericError("simulate_scalar: the simulated sums leave the float range")
     report = SimulationReport(
         samples=shards * per_shard,
         distortion=float(dist),
@@ -341,16 +377,13 @@ def simulate_vector(
     Source -> innovation K_t -> decorrelate (E_inf) -> per-channel scaling
     sqrt(Q Delta^{-1} H) -> AWGN(Q) -> decoder scaling B_inf -> rotate back
     -> add predictor; encoder and decoder share the modified Kalman filter.
-    Below 2 max(200, burn-in) steps there is one shard and every standard
-    error is NaN.
+    Runs as shards in lockstep, like simulate_scalar.  Below
+    min_steps_with_se(model, solution) steps there is one shard and every
+    standard error is NaN.
     """
-    if solution.closed_loop_radius >= 1.0:
-        raise NumericError("simulate_vector: closed-loop filter is unstable")
+    burn = _vector_burn_in(model, solution)
     A, B, C, N = model.A, model.B, model.C, model.N
     m, k, p, d = model.dims
-    rho_A = float(np.max(np.abs(np.linalg.eigvals(A))))
-    if rho_A >= 1.0:
-        raise NumericError("simulate_vector: source state matrix is unstable")
     Pz = solve_discrete_lyapunov(A, B @ B.T)
     Pz_half = np.linalg.cholesky(Pz + 1e-15 * np.eye(m))
 
@@ -360,33 +393,22 @@ def simulate_vector(
     gain = solution.gain
     sq = np.sqrt(q)
 
-    rho = max(rho_A, solution.closed_loop_radius)
-    burn = max(50, int(math.ceil(-10.0 / math.log(rho))) if rho > 0.0 else 50)
     shards, per_shard = _shard_layout(n, burn)
-    steps = per_shard + burn
-
-    W = np.empty((steps, k, shards))
-    V = np.empty((steps, d, shards))
-    Vc = np.empty((steps, p, shards))
-    Z = np.empty((m, shards))
-    for i in range(shards):
-        g = rng.shard(i).generator()
-        W[:, :, i] = g.standard_normal((steps, k))
-        V[:, :, i] = g.standard_normal((steps, d))
-        Vc[:, :, i] = g.standard_normal((steps, p))
-        Z[:, i] = Pz_half @ g.standard_normal(m)
-    Vc *= sq[None, :, None]
-
+    # per step, in stream order: W (k rows), V (d rows), Vc (p rows); Z_0 first
+    normals = _lockstep_draws(rng, shards, per_shard + burn,
+                              np.random.Generator.standard_normal, rows=(k + d + p,), first=(m,))
+    Z = Pz_half @ next(normals)
     zhat = np.zeros((m, shards))
     d_sum = np.zeros((p, shards))
     p_sum = np.zeros((p, shards))
     covK = np.zeros((p, p, shards))
-    for t in range(steps):
-        X = C @ Z + (N @ V[t] if d else 0.0)
+    for t, z in enumerate(normals):
+        W, V, Vc = z[:k], z[k:k + d], sq[:, None] * z[k + d:]
+        X = C @ Z + (N @ V if d else 0.0)
         K = X - C @ zhat
         Gam = E @ K
         ch_in = a_inf[:, None] * Gam
-        ch_out = ch_in + Vc[t]
+        ch_out = ch_in + Vc
         Gam_til = b_inf[:, None] * ch_out
         Ktil = E.T @ Gam_til
         if t >= burn:
@@ -394,7 +416,7 @@ def simulate_vector(
             p_sum += ch_in**2
             covK += np.einsum("is,js->ijs", K, K)
         zhat = A @ zhat + gain @ Ktil
-        Z = A @ Z + B @ W[t]
+        Z = A @ Z + B @ W
 
     per_dist, per_dist_se = _mean_and_se((d_sum / per_shard).T)
     per_pow, per_pow_se = _mean_and_se((p_sum / per_shard).T)
@@ -431,9 +453,11 @@ class SkResult(NamedTuple):
 def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) -> SkResult:
     """Schalkwijk-Kailath transmission of a single Gaussian value with
     feedback: MSE contracts by sigma_Vc^2/(P + sigma_Vc^2) per channel use,
-    so every use carries exactly the capacity 0.5 log2(1 + P/sigma_Vc^2)."""
-    if not all(0.0 < v < math.inf for v in (sigma_X, sigma_Vc, P)) or n < 1:
-        raise DomainError("schalkwijk_kailath: positive finite parameters and n >= 1 required")
+    so every use carries exactly the capacity 0.5 log2(1 + P/sigma_Vc^2).
+    The trials run in lockstep, drawn through the numerics block layout."""
+    if not all(0.0 < v < math.inf for v in (sigma_X, sigma_Vc, P)) or n < 1 or trials < 2:
+        raise DomainError(
+            "schalkwijk_kailath: positive finite parameters, n >= 1 and trials >= 2 required")
     q = sigma_Vc * sigma_Vc
     contraction = q / (P + q)
     lam = sigma_X * sigma_X * contraction ** np.arange(n + 1)
@@ -446,9 +470,8 @@ def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) 
     if not err <= 1e-12 * max(cap, 1.0):
         raise NumericError("schalkwijk_kailath: per-use rate != capacity")
 
-    g = rng.generator()
-    X = g.standard_normal(trials) * sigma_X
-    noise = g.standard_normal((n, trials)) * sigma_Vc
+    normals = _lockstep_draws(rng, trials, n, np.random.Generator.standard_normal, first=())
+    X = next(normals) * sigma_X
     Xhat = np.zeros(trials)
     emp = np.empty(n + 1)
     se = np.empty(n + 1)
@@ -458,7 +481,7 @@ def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) 
         se[t] = float(np.std(err2, ddof=1) / math.sqrt(trials))
         if t == n:
             break
-        B_t = math.sqrt(P / lam[t]) * (X - Xhat) + noise[t]
+        B_t = math.sqrt(P / lam[t]) * (X - Xhat) + next(normals) * sigma_Vc
         Xhat = Xhat + math.sqrt(P * lam[t]) / (P + q) * B_t
     return SkResult(
         analytic_mse=lam,

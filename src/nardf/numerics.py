@@ -1,10 +1,11 @@
 """Numerical kernel: entropy, deterministic eigensolves, the exact water
 level, the discrete Lyapunov equation, log-sum-exp, root finders, the
-Perron root, 1-d concave maximization, RNG streams.
+Perron root, 1-d concave maximization, RNG streams, and the one block
+layout through which every Monte Carlo simulator draws (_lockstep_draws).
 
 All rates in this package are in bits (base-2 logs).  Large-deviations
 exponents are natural-log objects; BITS_PER_NAT converts for display.
-Every function here is pure.
+Every public function here is pure.
 """
 
 from __future__ import annotations
@@ -269,3 +270,40 @@ class RngStream:
         if not 0 <= index < _SHARD_FANOUT - 1:
             raise DomainError("RngStream.shard: index out of range")
         return RngStream(self.seed, self.stream_id * _SHARD_FANOUT + 1 + index)
+
+
+_BLOCKS = 16
+_CHUNK_BYTES = 1 << 20  # one _lockstep_draws chunk, all blocks together
+
+
+def _trial_blocks(rng: RngStream, trials):
+    """(generator, size) per block: trials split as evenly as possible over
+    at most _BLOCKS blocks, block i drawing from rng.shard(i)."""
+    blocks = min(_BLOCKS, trials)
+    for i in range(blocks):
+        yield rng.shard(i).generator(), trials // blocks + (1 if i < trials % blocks else 0)
+
+
+def _lockstep_draws(rng: RngStream, trials, n, draw, rows=(), first=None):
+    """The _trial_blocks streams drawn in lockstep, joined on the trial
+    (last) axis: draw(g, first + (size,)) once if `first` is given, then n
+    arrays of shape rows + (trials,), one per step.
+
+    Each block draws a chunk of c steps in one call, into a (c,) + rows +
+    (size,) buffer, which consumes its stream in the order of c single-step
+    draws, so every trial sees the draws of the block-at-a-time loop.  A
+    chunk of all blocks holds about _CHUNK_BYTES, whatever n is.  The
+    buffers are reused from chunk to chunk (fresh ones per chunk cost a page
+    fault per 4 KiB at large trial counts), so a step's array is only valid
+    until the next one is asked for."""
+    blocks = list(_trial_blocks(rng, trials))
+    if first is not None:
+        yield np.concatenate([draw(g, first + (size,)) for g, size in blocks], axis=-1)
+    chunk = min(n, max(1, _CHUNK_BYTES // (8 * trials * math.prod(rows))))
+    parts = [np.empty((chunk,) + rows + (size,)) for _, size in blocks]
+    joined = np.empty((chunk,) + rows + (trials,))
+    for start in range(0, n, chunk):
+        c = min(chunk, n - start)
+        for (g, _), part in zip(blocks, parts):
+            draw(g, out=part[:c])
+        yield from np.concatenate([part[:c] for part in parts], axis=-1, out=joined[:c])

@@ -175,6 +175,43 @@ def test_rate_loss_bounds_the_true_gap():
         assert gap <= rate_loss_bound(p, D) + 1e-12
 
 
+def _rate_loss_grid(points):
+    # rate_loss_bound over a (p, D) grid on [0, 1/2]^2, as arrays
+    g = np.linspace(0.0, 0.5, points)
+    P, D = np.meshgrid(g, g, indexing="ij")
+    hm = binary_entropy(1.0 - P - D + 2.0 * P * D)
+    return g, np.where(D <= P, hm - binary_entropy(P), hm - binary_entropy(D))
+
+
+def test_rate_loss_grid_formula_is_rate_loss_bound():
+    g, val = _rate_loss_grid(11)
+    for i, j in [(0, 0), (2, 1), (1, 2), (3, 3), (10, 4), (4, 10), (10, 10)]:
+        assert val[i, j] == pytest.approx(rate_loss_bound(g[i], g[j]), abs=1e-15)
+
+
+def test_max_rate_loss_matches_brute_force_grid():
+    p, D, val = max_rate_loss()
+    g, grid = _rate_loss_grid(1501)  # step 1/3000, the crease on the grid
+    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    assert float(grid.max()) <= val + 1e-12
+    assert val - float(grid.max()) <= 1e-6
+    assert abs(g[i] - p) <= 1.5 / 3000 and abs(g[j] - D) <= 1.5 / 3000
+    assert (p, D, val) == pytest.approx((0.1210913, 0.1210913, 0.2144176144), abs=1e-7)
+
+
+def test_rate_loss_rises_toward_the_crease():
+    # m = 1 - p - D + 2pD >= 1/2 falls as p rises on p <= D and as D rises
+    # on D <= p, so H(m) rises: the maximum lies on the crease D = p
+    g, val = _rate_loss_grid(301)
+    P, D = np.meshgrid(g, g, indexing="ij")
+    up_in_p = np.diff(val, axis=0)[(P[1:] <= D[1:])]
+    up_in_D = np.diff(val, axis=1)[(D[:, 1:] <= P[:, 1:])]
+    assert up_in_p.min() >= -1e-15 and up_in_D.min() >= -1e-15
+    # RL(p, p) is concave on [0, 1/4], where max_rate_loss maximizes it
+    crease = np.diagonal(val)[g <= 0.25]
+    assert np.diff(crease, 2).max() <= 1e-15
+
+
 def test_max_rate_loss():
     p, D, val = max_rate_loss()
     assert val == pytest.approx(0.2144176, abs=2e-6)

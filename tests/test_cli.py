@@ -227,7 +227,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v1"
+    assert payload["schema"] == "nardf/jscc-sim/v2"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]
@@ -371,6 +371,51 @@ def test_jscc_sim_single_shard_note(capsys, mode):
     assert json.loads(out)["empirical"]["distortion_se"] > 0.0
 
 
+def test_jscc_sim_vector_single_shard_note(capsys, model_file):
+    argv = ["jscc-sim", "--mode", "vector", "--model", model_file, "--d", "1.2", "--seed", "3"]
+    code, out, err = run(capsys, argv + ["--steps", "100"])
+    assert code == 0
+    emp = json.loads(out)["empirical"]
+    assert emp["distortion_se"] is None
+    assert all(v is None for v in emp["per_coordinate_distortion_se"])
+    assert err.count("\n") == 1
+    assert "one shard" in err and "--steps 400 " in err
+    code, out, err = run(capsys, argv + ["--steps", "400"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["empirical"]["distortion_se"] > 0.0
+
+
+def _non_finite_paths(obj, path=""):
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _non_finite_paths(v, f"{path}.{k}")]
+    if isinstance(obj, list):
+        return [p for v in obj for p in _non_finite_paths(v, path)]
+    if obj is None or (isinstance(obj, float) and not math.isfinite(obj)):
+        return [path]
+    return []
+
+
+@pytest.mark.parametrize("value", ["1e-320", "1e-300", "1e-160", "1e160", "1e300", "1e308"])
+@pytest.mark.parametrize("param", ["source", "--sigma-vc", "--power"])
+@pytest.mark.parametrize("mode", ["fb", "nfb", "iid", "sk"])
+def test_jscc_sim_scalar_extremes_end_in_an_exit_code(capsys, mode, param, value):
+    # parameters whose squares, ratios or simulated sums under- or overflow
+    # exit 0, 3 or 4; on exit 0 only the documented one-shard SEs may be null
+    source = "--sigma-w" if mode in ("fb", "nfb") else "--sigma-x"
+    extra = {"fb": ["--alpha", "0.5"], "nfb": ["--alpha", "0.5"], "iid": [],
+             "sk": ["--trials", "2000"]}[mode]
+    flag = source if param == "source" else param
+    code, out, err = run(capsys, ["jscc-sim", "--mode", mode, *extra, flag, value,
+                                  "--steps", "500"])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        allowed = {".empirical.distortion_se", ".empirical.power_se"} if "one shard" in err else set()
+        assert set(_non_finite_paths(json.loads(out))) <= allowed
+    else:
+        assert out == ""
+
+
 def test_grid_cap_is_a_usage_error(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, ["bsms-curve", "--p", "0.3", "--d-grid", "0:0.5:1e-12"])
@@ -466,7 +511,7 @@ def test_rate_loss_maximizer(capsys):
     code, out, _ = run(capsys, ["rate-loss", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/rate-loss/v1"
+    assert payload["schema"] == "nardf/rate-loss/v2"
     assert payload["maximizer"] is True
     row = payload["rows"][0]
     assert row["rate_loss_bound"] == pytest.approx(0.2144176, abs=2e-6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nardf import excess
+from nardf import excess, numerics
 from nardf.bsms import JointChain, joint_chain, optimal_reproduction
 from nardf.errors import DomainError, NumericError
 from nardf.excess import (
@@ -249,7 +249,7 @@ def _blockwise_excess_bsms(p, D, n, d, trials, rng):
     lump = excess.lumped_distortion_chain(joint_chain(optimal_reproduction(p, D)))
     to_one = lump.pi_matrix[1]
     exceed = 0
-    for g, size in excess._trial_blocks(rng, trials):
+    for g, size in numerics._trial_blocks(rng, trials):
         state = (g.random(size) < lump.stationary[1]).astype(np.intp)
         S = state.copy()
         for _ in range(n - 1):
@@ -260,7 +260,7 @@ def _blockwise_excess_bsms(p, D, n, d, trials, rng):
 
 
 def _chunk_steps(trials, rows):
-    return excess._CHUNK_BYTES // (8 * trials * rows)
+    return numerics._CHUNK_BYTES // (8 * trials * rows)
 
 
 @pytest.mark.parametrize("trials", [1, 15, 16, 17, 2500])
@@ -276,7 +276,7 @@ def test_lockstep_excess_short_last_chunk(monkeypatch):
     for d in (0.11, 0.13):
         assert simulate_excess_bsms(0.3, 0.1, n, d, 2500, RngStream(23)) == \
             _blockwise_excess_bsms(0.3, 0.1, n, d, 2500, RngStream(23))
-    monkeypatch.setattr(excess, "_CHUNK_BYTES", 3 * 8 * 17)  # 3-step chunks
+    monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 17)  # 3-step chunks
     for n in (6, 7, 8):
         assert simulate_excess_bsms(0.3, 0.1, n, 0.15, 17, RngStream(24)) == \
             _blockwise_excess_bsms(0.3, 0.1, n, 0.15, 17, RngStream(24))
@@ -422,7 +422,7 @@ def _blockwise_distortion_sums(model, solution, rec, n, trials, rng):
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
     out = []
-    for g, size in excess._trial_blocks(rng, trials):
+    for g, size in numerics._trial_blocks(rng, trials):
         e = chol @ g.standard_normal((m, size))
         S = np.zeros(size)
         for _ in range(n):
@@ -464,7 +464,7 @@ def test_lockstep_distortion_sums_match_block_loop(name, n, trials):
     }[name]
     got, ref = _sums_pair(model, D, n, trials, 26)
     assert got.shape == (trials,)
-    if name == "2x2" and 1 < trials < 2 * excess._BLOCKS:
+    if name == "2x2" and 1 < trials < 2 * numerics._BLOCKS:
         # the reference's one-trial blocks take numpy's matrix-vector
         # product, whose rounding differs from the matrix-matrix product
         # in the last bit; every block of two or more trials agrees exactly
@@ -478,7 +478,7 @@ def test_lockstep_distortion_sums_short_last_chunk(monkeypatch):
         n = 2 * _chunk_steps(2500, rows) + 1
         got, ref = _sums_pair(model, D, n, 2500, 27)
         assert got.tobytes() == ref.tobytes()
-    monkeypatch.setattr(excess, "_CHUNK_BYTES", 3 * 8 * 6 * 48)  # 3-step chunks
+    monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 6 * 48)  # 3-step chunks
     for n in (6, 7, 8):
         got, ref = _sums_pair(ACCEPTANCE_2X2, 1.2, n, 48, 28)
         assert got.tobytes() == ref.tobytes()

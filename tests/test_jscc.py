@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nardf import jscc, numerics
 from nardf.errors import DomainError, NumericError
 from nardf.gauss import GaussModel, rna_scalar_fully_observed, solve_realization
 from nardf.jscc import (
@@ -132,6 +135,14 @@ def test_match_power_scalar_always_matched():
         (schalkwijk_kailath, (1.0, 1.0, math.inf, 4, RngStream(1))),
         (schalkwijk_kailath, (math.nan, 1.0, 1.0, 4, RngStream(1))),
         (schalkwijk_kailath, (1.0, math.inf, 1.0, 4, RngStream(1))),
+        (schalkwijk_kailath, (1.0, 1.0, 1.0, 4, RngStream(1), 1)),  # one trial: no SE
+        # finite inputs whose squares, ratios or products leave the float range
+        (design_feedback_scalar, (0.5, 1e-170, 1.0, 1.0)),  # sigma_W^2 underflows
+        (design_nofeedback_scalar, (0.5, 1.0, 1e160, 1.0)),  # sigma_Vc^2 overflows
+        (design_iid_scalar, (1.0, 1e-160, 1.0)),  # P / sigma_Vc^2 overflows
+        (design_nofeedback_scalar, (0.5, 1.0, 1.0, 1e-320)),  # infinite decoder gain
+        (design_nofeedback_scalar, (0.99999999, 1e100, 1e100, 1e-320)),  # zero divisor
+        (design_iid_scalar, (1e100, 1e100, 1e308)),  # D_min overflows: log2(0)
     ],
 )
 def test_scalar_non_finite_parameters_are_domain_errors(make, args):
@@ -298,6 +309,33 @@ def test_schalkwijk_kailath_overflowing_rate_is_numeric_error():
         schalkwijk_kailath(1.0, 1e-150, 1e10, 1, RngStream(1), trials=10)
 
 
+@pytest.mark.parametrize("make", [design_feedback_scalar, design_nofeedback_scalar])
+def test_simulated_sums_out_of_float_range_are_numeric_errors(make):
+    design = make(0.5, 1e153, 1.0, 1.0)  # a valid design whose squared errors overflow
+    with pytest.raises(NumericError, match="float range"):
+        simulate_scalar(design, 500, RngStream(1))
+
+
+def test_scalar_designs_at_extreme_parameters_are_finite_or_raise():
+    # every pairing of extreme magnitudes: a design with finite fields and
+    # positive variances, or DomainError / NumericError, never another error
+    values = (1e-320, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e308)
+    made = 0
+    for alpha, sw, sv, P in itertools.product((0.0, 0.5, -0.9, 0.99999999), values, values,
+                                              (0.0,) + values):
+        for make in (design_feedback_scalar, design_nofeedback_scalar):
+            try:
+                d = make(alpha, sw, sv, P)
+            except (DomainError, NumericError):
+                continue
+            made += 1
+            fields = (d.D_min, d.capacity, d.matched_rate, d.encoder_gain, d.decoder_gain,
+                      d.source_var, d.input_var)
+            assert all(math.isfinite(v) for v in fields)
+            assert min(d.D_min, d.source_var, d.input_var) > 0.0
+    assert made > 100
+
+
 def test_min_steps_with_se_is_the_two_shard_threshold():
     for design in (design_feedback_scalar(0.5, 1.0, 1.0, 1.0),
                    design_nofeedback_scalar(0.99, 1.0, 1.0, 1.0),  # burn-in 995
@@ -324,3 +362,234 @@ def test_schalkwijk_kailath():
         schalkwijk_kailath(1.0, 1.0, 0.0, 6, RngStream(1))
     with pytest.raises(DomainError):
         schalkwijk_kailath(1.0, 1.0, 1.0, 0, RngStream(1))
+
+
+def test_min_steps_with_se_is_the_two_shard_threshold_for_vector_runs():
+    sol = solve_realization(TEST_MODEL, 1.2)
+    need = min_steps_with_se(TEST_MODEL, sol)
+    assert need >= 400
+    assert math.isnan(simulate_vector(TEST_MODEL, sol, need - 1, RngStream(2)).distortion_se)
+    report = simulate_vector(TEST_MODEL, sol, need, RngStream(2))
+    assert np.all(np.isfinite(report.per_coordinate_distortion_se))
+    assert np.all(np.isfinite(report.cov_K_se))
+
+
+# ------------------------------------------------------- lockstep block layout
+#
+# The references below run each numerics._trial_blocks block on its own, step
+# by step, with one draw call per step; the simulators draw chunks of steps
+# for all blocks together.  Shards of the same block must see the same draws.
+
+
+def _blockwise_scalar(design, n, rng):
+    burn = jscc._scalar_burn_in(design)
+    shards, per_shard = jscc._shard_layout(n, burn)
+    feedback = design.mode == "feedback"
+    alpha, enc, dec = design.alpha, design.encoder_gain, design.decoder_gain
+    d_sums, p_sums = [], []
+    for g, size in numerics._trial_blocks(rng, shards):
+        X = g.standard_normal(size) * math.sqrt(design.source_var)
+        Xhat = np.zeros(size)
+        d_sum = np.zeros(size)
+        p_sum = np.zeros(size)
+        for t in range(per_shard + burn):
+            W, Vc = g.standard_normal((2, size))
+            K = X - Xhat if feedback else X
+            A_t = enc * K
+            B_t = A_t + design.sigma_Vc * Vc
+            Ktil = dec * B_t
+            Y = Ktil + Xhat if feedback else Ktil
+            if t >= burn:
+                d_sum += (X - Y) ** 2
+                p_sum += A_t**2
+            if feedback:
+                Xhat = alpha * Y
+            X = alpha * X + design.sigma_W * W
+        d_sums.append(d_sum)
+        p_sums.append(p_sum)
+    dist = jscc._mean_and_se(np.concatenate(d_sums) / per_shard)
+    power = jscc._mean_and_se(np.concatenate(p_sums) / per_shard)
+    return shards * per_shard, dist, power
+
+
+def _blockwise_vector(model, sol, n, rng):
+    burn = jscc._vector_burn_in(model, sol)
+    shards, per_shard = jscc._shard_layout(n, burn)
+    A, B, C, N = model.A, model.B, model.C, model.N
+    m, k, p, d = model.dims
+    Pz_half = np.linalg.cholesky(numerics.solve_discrete_lyapunov(A, B @ B.T) + 1e-15 * np.eye(m))
+    E, delta, q = sol.E_inf, sol.delta, sol.q
+    a_inf = np.sqrt(np.where(delta > 0.0, q * sol.eta / np.where(delta > 0.0, delta, 1.0), 0.0))
+    sums = []
+    for g, size in numerics._trial_blocks(rng, shards):
+        Z = Pz_half @ g.standard_normal((m, size))
+        zhat = np.zeros((m, size))
+        d_sum = np.zeros((p, size))
+        p_sum = np.zeros((p, size))
+        covK = np.zeros((p, p, size))
+        for t in range(per_shard + burn):
+            W = g.standard_normal((k, size))
+            V = g.standard_normal((d, size))
+            Vc = np.sqrt(q)[:, None] * g.standard_normal((p, size))
+            K = C @ Z + (N @ V if d else 0.0) - C @ zhat
+            Gam = E @ K
+            ch_in = a_inf[:, None] * Gam
+            Gam_til = sol.b_inf[:, None] * (ch_in + Vc)
+            if t >= burn:
+                d_sum += (Gam - Gam_til) ** 2
+                p_sum += ch_in**2
+                covK += np.einsum("is,js->ijs", K, K)
+            zhat = A @ zhat + sol.gain @ (E.T @ Gam_til)
+            Z = A @ Z + B @ W
+        sums.append((d_sum, p_sum, covK))
+    d_sum, p_sum, covK = (np.concatenate(parts, axis=-1) / per_shard for parts in zip(*sums))
+    return (jscc._mean_and_se(d_sum.sum(axis=0)), jscc._mean_and_se(p_sum.T),
+            jscc._mean_and_se(np.moveaxis(covK, 2, 0)))
+
+
+def _blockwise_sk(sigma_X, sigma_Vc, P, n, rng, trials):
+    q = sigma_Vc * sigma_Vc
+    lam = sigma_X * sigma_X * (q / (P + q)) ** np.arange(n + 1)
+    errors = []  # (n + 1, size) per block
+    for g, size in numerics._trial_blocks(rng, trials):
+        X = g.standard_normal(size) * sigma_X
+        Xhat = np.zeros(size)
+        rows = [X - Xhat]
+        for t in range(n):
+            B_t = math.sqrt(P / lam[t]) * (X - Xhat) + g.standard_normal(size) * sigma_Vc
+            Xhat = Xhat + math.sqrt(P * lam[t]) / (P + q) * B_t
+            rows.append(X - Xhat)
+        errors.append(np.array(rows))
+    err2 = np.concatenate(errors, axis=1) ** 2
+    emp = np.array([float(np.mean(row)) for row in err2])
+    se = np.array([float(np.std(row, ddof=1) / math.sqrt(trials)) for row in err2])
+    return emp, se
+
+
+def _scalar_matches_blocks(design, n, seed):
+    report = simulate_scalar(design, n, RngStream(seed))
+    samples, (dist, dist_se), (power, power_se) = _blockwise_scalar(design, n, RngStream(seed))
+    assert report.samples == samples
+    got = (report.distortion, report.distortion_se, report.power, report.power_se)
+    ref = tuple(float(v) for v in (dist, dist_se, power, power_se))
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+LOCKSTEP_DESIGNS = {
+    "fb": design_feedback_scalar(0.5, 1.2, 0.8, 1.5),
+    "nfb": design_nofeedback_scalar(-0.6, 1.2, 0.8, 1.5),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 15, 16, 17, 64])
+@pytest.mark.parametrize("mode", ["fb", "nfb"])
+def test_lockstep_scalar_matches_block_loop(mode, shards):
+    design = LOCKSTEP_DESIGNS[mode]
+    n = shards * 200  # burn-in 50: `shards` shards of 200 kept steps
+    assert jscc._shard_layout(n, jscc._scalar_burn_in(design)) == (shards, 200)
+    _scalar_matches_blocks(design, n, 31)
+
+
+def test_lockstep_scalar_short_last_chunk(monkeypatch):
+    # 64 shards draw 1024-step chunks; 1000 kept + 50 burn-in steps end in a
+    # 26-step chunk
+    assert numerics._CHUNK_BYTES // (8 * 64 * 2) == 1024
+    _scalar_matches_blocks(LOCKSTEP_DESIGNS["fb"], 64_000, 32)
+    monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 2 * 17)  # 3-step chunks
+    for design in LOCKSTEP_DESIGNS.values():
+        _scalar_matches_blocks(design, 17 * 200, 33)  # 250 steps: a one-step last chunk
+
+
+def _vector_matches_blocks(shards, seed):
+    sol = solve_realization(TEST_MODEL, 1.2)
+    n = shards * 200
+    assert jscc._shard_layout(n, jscc._vector_burn_in(TEST_MODEL, sol)) == (shards, 200)
+    report = simulate_vector(TEST_MODEL, sol, n, RngStream(seed))
+    total, power, cov = _blockwise_vector(TEST_MODEL, sol, n, RngStream(seed))
+    got = [report.distortion, report.distortion_se, report.per_channel_power,
+           report.per_channel_power_se, report.cov_K, report.cov_K_se]
+    for a, b in zip(got, [*total, *power, *cov]):
+        if shards == 1:
+            assert np.array_equal(a, b, equal_nan=True)
+        else:
+            # the rounding of numpy's matrix products depends on the number
+            # of columns (matrix-vector for one, and BLAS blocks narrow
+            # matrices differently), so blocks differ in the last bits
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shards", [1, 15, 16, 17, 64])
+def test_lockstep_vector_matches_block_loop(shards):
+    _vector_matches_blocks(shards, 34)
+
+
+def test_lockstep_vector_short_last_chunk(monkeypatch):
+    monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 6 * 17)  # 3-step chunks
+    _vector_matches_blocks(17, 35)  # 250 steps: a one-step last chunk
+
+
+def _sk_matches_blocks(P, n, seed, trials):
+    res = schalkwijk_kailath(1.3, 0.9, P, n, RngStream(seed), trials=trials)
+    emp, se = _blockwise_sk(1.3, 0.9, P, n, RngStream(seed), trials)
+    assert res.empirical_mse.tobytes() == emp.tobytes()
+    assert res.empirical_se.tobytes() == se.tobytes()
+
+
+@pytest.mark.parametrize("trials", [2, 15, 16, 17, 64])
+def test_lockstep_sk_matches_block_loop(trials):
+    _sk_matches_blocks(1.1, 7, 36, trials)
+
+
+def test_lockstep_sk_short_last_chunk(monkeypatch):
+    assert numerics._CHUNK_BYTES // (8 * 2000) == 65
+    _sk_matches_blocks(0.05, 100, 37, 2000)  # 65-step chunks, then a 35-step one
+    monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 17)  # 3-step chunks
+    _sk_matches_blocks(1.1, 7, 38, 17)
+
+
+@pytest.mark.parametrize("width,blocks", [(5, 5), (16, 16), (1000, 16)])
+def test_lockstep_keeps_one_generator_per_block(monkeypatch, width, blocks):
+    made = []
+    original = RngStream.generator
+
+    def counting(self):
+        made.append(self.stream_id)
+        return original(self)
+
+    monkeypatch.setattr(RngStream, "generator", counting)
+    expect = [RngStream(39).shard(i).stream_id for i in range(blocks)]
+    sol = solve_realization(TEST_MODEL, 1.2)
+    for run in (lambda: simulate_scalar(LOCKSTEP_DESIGNS["fb"], 200 * width, RngStream(39)),
+                lambda: simulate_vector(TEST_MODEL, sol, 200 * width, RngStream(39)),
+                lambda: schalkwijk_kailath(1.0, 1.0, 1.0, 3, RngStream(39), trials=width)):
+        made.clear()
+        run()
+        assert made == expect
+
+
+# --------------------------------------------------------------- bounded memory
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scalar_memory_does_not_grow_with_steps():
+    design = design_feedback_scalar(0.5, 1.0, 1.0, 1.0)
+    small, large = (_traced_peak(lambda: simulate_scalar(design, n, RngStream(40)))
+                    for n in (200_000, 8_000_000))
+    assert abs(large - small) < 2**20
+
+
+def test_sk_memory_does_not_grow_with_uses():
+    # P = 0.01: the analytic MSE stays in range over 4000 uses.  All uses'
+    # noise at once would take 8 n trials bytes, 62 MiB more at n = 4000.
+    small, large = (
+        _traced_peak(lambda: schalkwijk_kailath(1.0, 1.0, 0.01, n, RngStream(41), trials=2000))
+        for n in (100, 4000))
+    assert abs(large - small) < 2**20
