@@ -26,7 +26,6 @@ __all__ = [
     "classical_gray",
     "rate_loss_bound",
     "max_rate_loss",
-    "dmax_bsms",
 ]
 
 
@@ -224,9 +223,3 @@ def max_rate_loss():
     p, value = maximize_concave_1d(
         lambda t: binary_entropy(1.0 - t - t + 2.0 * t * t) - binary_entropy(t), 0.0, 0.25)
     return p, p, value
-
-
-def dmax_bsms(p):
-    """Distortion above which the nonanticipative RDF is zero."""
-    _check_p(p)
-    return 0.5

@@ -220,7 +220,7 @@ def _cmd_gauss_rate(args):
             + [float(v) for v in sol.delta]
         )
     meta = {"model": path, "dims": dict(zip(("m", "k", "p", "d"), model.dims))}
-    return _table(header, rows, meta, "nardf/gauss-rate/v1", args.format)
+    return _table(header, rows, meta, "nardf/gauss-rate/v2", args.format)
 
 
 def _scalar_design_payload(design):
@@ -259,7 +259,7 @@ def _cmd_jscc_sim(args):
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     payload = {
-        "schema": "nardf/jscc-sim/v2",
+        "schema": "nardf/jscc-sim/v3",
         "mode": mode,
         "seed": seed,
     }

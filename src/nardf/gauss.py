@@ -1,9 +1,10 @@
 """Nonanticipative RDF of partially observed stationary Gauss-Markov sources.
 
 Solves the coupled fixed point of the modified Kalman-Riccati equation,
-eigendecomposition and reverse water-filling, plus the scalar closed forms
-(fully observed, partially observed via the cubic) and the classical
-references for the alpha = 1 autoregressive source.
+eigendecomposition and reverse water-filling by one undamped Picard loop
+from Sigma = BB' + I, plus the scalar closed forms (fully observed,
+partially observed via the cubic) and the classical references for the
+alpha = 1 autoregressive source.
 
 State model:  Z_{t+1} = A Z_t + B W_t,  X_t = C Z_t + N V_t,
 with W, V unit-covariance IID Gaussians.
@@ -173,6 +174,8 @@ def _as_noise_diagonal(Q, p):
 
 
 _DIVERGENCE_CAP = 1e12
+_TOL = 1e-11
+_MAX_ITER = 100_000
 
 
 def _check_divergence(Sigma, context):
@@ -183,25 +186,8 @@ def _check_divergence(Sigma, context):
         )
 
 
-def _riccati_init(A, BBt, C, NNt, n_iter=500, tol=1e-12):
-    # standard Kalman filter Riccati (full observation weight H = I)
-    Sigma = BBt + np.eye(A.shape[0])
-    for _ in range(n_iter):
-        Lam = C @ Sigma @ C.T + NNt
-        lam, E = sym_eig(0.5 * (Lam + Lam.T))
-        inv = np.where(lam > 1e-12 * max(lam.max(), 1.0), 1.0 / np.maximum(lam, 1e-300), 0.0)
-        S = C.T @ E.T @ (inv[:, None] * E) @ C
-        new = A @ Sigma @ A.T - A @ Sigma @ S @ Sigma @ A.T + BBt
-        new = 0.5 * (new + new.T)
-        _check_divergence(new, "solve_realization (init)")
-        if float(np.max(np.abs(new - Sigma))) < tol:
-            return new
-        Sigma = new
-    return Sigma
-
-
 def _modified_step(A, BBt, C, NNt, Sigma, D):
-    """One Picard substep: water-filled observation weight, then Riccati."""
+    """One Picard sweep: water-filled observation weight, then Riccati."""
     Lam = C @ Sigma @ C.T + NNt
     Lam = 0.5 * (Lam + Lam.T)
     lam, E = sym_eig(Lam)
@@ -219,20 +205,15 @@ def _modified_step(A, BBt, C, NNt, Sigma, D):
     return 0.5 * (new + new.T), (Lam, lam, E, alloc, delta, eta)
 
 
-def solve_realization(
-    model: GaussModel,
-    D,
-    Q=None,
-    tol=1e-11,
-    max_iter=100_000,
-) -> RealizationSolution:
+def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     """Joint fixed point of the modified Riccati equation and reverse
-    water-filling (damped Picard iteration on Sigma_inf).
+    water-filling (undamped Picard iteration on Sigma_inf from BB' + I).
 
     Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
-    the Riccati step; Sigma is relaxed halfway toward the update until the
-    change drops below tol.
+    the Riccati step, which replaces Sigma until the change drops below
+    1e-11.  An overflow leaves non-finite entries that sym_eig rejects with
+    DomainError; growth past _DIVERGENCE_CAP raises NumericError.
     """
     if not D > 0.0:
         raise DomainError("solve_realization: distortion must be positive")
@@ -242,44 +223,20 @@ def solve_realization(
     BBt = B @ B.T
     NNt = N @ N.T if N.shape[1] else np.zeros((p, p))
 
-    Sigma = _riccati_init(A, BBt, C, NNt)
-    change = math.inf
-    iterations = 0
-    if m == 1 and p == 1:
-        # scalar path: identical update map, damping and tolerance, no
-        # array overhead inside the loop
-        a2 = float(A[0, 0]) ** 2
-        cc = float(C[0, 0]) ** 2
-        bb = float(BBt[0, 0])
-        nn = float(NNt[0, 0])
-        s = float(Sigma[0, 0])
-        for iterations in range(1, int(max_iter) + 1):
-            lam1 = cc * s + nn
-            delta1 = D if D < lam1 else lam1
-            eta1 = 1.0 - delta1 / lam1 if lam1 > 0.0 else 0.0
-            new1 = a2 * s - a2 * cc * s * s * eta1 / lam1 + bb if lam1 > 0.0 else a2 * s + bb
-            damped1 = 0.5 * (s + new1)
-            if not abs(damped1) <= _DIVERGENCE_CAP:  # NaN fails this test too
-                _check_divergence(damped1, "solve_realization")
-            change = abs(damped1 - s)
-            s = damped1
-            if change < tol:
-                break
-        Sigma = np.array([[s]])
-    else:
-        for iterations in range(1, int(max_iter) + 1):
+    Sigma = BBt + np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, _MAX_ITER + 1):
             new, _ = _modified_step(A, BBt, C, NNt, Sigma, D)
-            damped = 0.5 * (Sigma + new)
-            _check_divergence(damped, "solve_realization")
-            change = float(np.max(np.abs(damped - Sigma)))
-            Sigma = damped
-            if change < tol:
+            _check_divergence(new, "solve_realization")
+            change = float(np.max(np.abs(new - Sigma)))
+            Sigma = new
+            if change < _TOL:
                 break
-    if not change < tol:
-        raise NumericError(
-            f"solve_realization: no convergence in {int(max_iter)} iterations "
-            f"(last change {change:.3e})"
-        )
+        else:
+            raise NumericError(
+                f"solve_realization: no convergence in {_MAX_ITER} iterations "
+                f"(last change {change:.3e})"
+            )
 
     full, (Lam, lam, E, alloc, delta, eta) = _modified_step(A, BBt, C, NNt, Sigma, D)
     residual = float(np.max(np.abs(full - Sigma)))

@@ -281,9 +281,18 @@ def _mean_and_se(shard_means):
     return m, se
 
 
+_MAX_BURN_IN = 1_000_000  # a longer warm-up would dwarf any simulation run
+
+
 def _burn_in(rho):
     # steps until a contraction by rho per step has shrunk the start by e^-10
-    return max(50, math.ceil(-10.0 / math.log(rho))) if rho > 0.0 else 50
+    burn = max(50, math.ceil(-10.0 / math.log(rho))) if rho > 0.0 else 50
+    if burn > _MAX_BURN_IN:
+        raise DomainError(
+            f"burn-in of {burn} steps exceeds {_MAX_BURN_IN}: the chain contracts "
+            f"by {rho!r} per step, too close to 1 to simulate"
+        )
+    return burn
 
 
 def _scalar_burn_in(design: JsccScalarDesign):

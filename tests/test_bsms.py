@@ -6,7 +6,6 @@ import pytest
 from nardf.bsms import (
     classical_gray,
     directed_info_rate,
-    dmax_bsms,
     gray_critical_distortion,
     joint_chain,
     max_rate_loss,
@@ -28,7 +27,6 @@ def test_rna_values():
     assert rna_bsms(0.25, 0.0) == pytest.approx(binary_entropy(0.25), abs=1e-12)
     # beyond D_max = 1/2 the rate is zero
     assert rna_bsms(0.3, 0.51) == 0.0
-    assert dmax_bsms(0.3) == 0.5
 
 
 def test_rna_domain():

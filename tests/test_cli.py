@@ -179,7 +179,7 @@ def test_gauss_rate_json(capsys, model_file):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/gauss-rate/v1"
+    assert payload["schema"] == "nardf/gauss-rate/v2"
     assert payload["dims"] == {"m": 2, "k": 2, "p": 2, "d": 2}
     row = payload["rows"][0]
     assert row["rate"] == pytest.approx(1.0556672772317302, abs=1e-9)
@@ -219,6 +219,23 @@ def test_gauss_rate_errors(capsys, tmp_path, model_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss-rate", "--d", "1.2"],
+        ["jscc-sim", "--mode", "vector", "--d", "1.2", "--steps", "100"],
+    ],
+)
+def test_overflowing_model_exit_4_with_one_line(capsys, tmp_path, argv):
+    # BB' = 1e308 overflows in the first sweep: one error line, no RuntimeWarning
+    huge = tmp_path / "huge.txt"
+    huge.write_text(MODEL_TEXT.replace("B  1 0", "B  1e154 0"))
+    code, out, err = run(capsys, argv + ["--model", str(huge)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("nardf: domain error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- jscc-sim
 
 
@@ -227,7 +244,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v2"
+    assert payload["schema"] == "nardf/jscc-sim/v3"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]
@@ -323,6 +340,23 @@ def test_jscc_sim_domain_error(capsys):
     argv = ["jscc-sim", "--mode", "fb", "--alpha", "1.0", "--steps", "100"]
     code, _, _ = run(capsys, argv)
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "nfb", "--alpha", "0.99999999", "--steps", "10"],
+        ["--mode", "fb", "--alpha", "0.99999999", "--power", "1e-12", "--steps", "10"],
+    ],
+)
+def test_jscc_sim_overlong_burn_in_exit_4(capsys, argv):
+    # a burn-in of ~10^9 steps is refused up front instead of simulated
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["jscc-sim", *argv])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4
+    assert out == ""
+    assert "domain error" in err and "burn-in" in err
 
 
 # --------------------------------------------------------------------- excess

@@ -14,6 +14,7 @@ from nardf.gauss import (
     rna_scalar_partially_observed,
     solve_realization,
 )
+from nardf.numerics import solve_discrete_lyapunov
 
 
 def _random_model(rng, m, p, radius=0.85):
@@ -301,6 +302,150 @@ def test_divergence_guard():
     )
     with pytest.raises(NumericError):
         solve_realization(bad, 0.5)
+
+
+# ------------------------------------------------ damped reference fixed point
+
+
+def _reference_solve(model, D, tol=1e-11, max_iter=100_000):
+    """The loop solve_realization ran before its undamped sweep: a standard
+    Kalman-Riccati warm start (observation weight H = I, up to 500 sweeps),
+    then Picard relaxed halfway toward each update.  Returns (Sigma, damped
+    sweeps); NumericError where the covariance leaves [-1e12, 1e12]."""
+    A, B, C, N = model.A, model.B, model.C, model.N
+    p = C.shape[0]
+    BBt = B @ B.T
+    NNt = N @ N.T if N.shape[1] else np.zeros((p, p))
+
+    def riccati(Sigma, weights):
+        Lam = C @ Sigma @ C.T + NNt
+        lam, V = np.linalg.eigh(0.5 * (Lam + Lam.T))
+        S = C.T @ V @ (weights(np.maximum(lam, 0.0))[:, None] * V.T) @ C
+        new = A @ Sigma @ A.T - A @ Sigma @ S @ Sigma @ A.T + BBt
+        return 0.5 * (new + new.T)
+
+    def checked(Sigma):
+        if not np.all(np.isfinite(Sigma)) or float(np.max(np.abs(Sigma))) > 1e12:
+            raise NumericError("reference: iteration diverged")
+        return Sigma
+
+    def inverse(lam):
+        keep = lam > 1e-12 * max(float(lam.max()), 1.0)
+        return np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+
+    def water_filled(lam):
+        if not float(lam.sum()) > 0.0:
+            return np.zeros_like(lam)
+        delta = reverse_waterfill(lam, D).delta
+        pos = lam > 0.0
+        eta = np.clip(np.where(pos, 1.0 - delta / np.where(pos, lam, 1.0), 0.0), 0.0, 1.0)
+        return np.where(pos, eta / np.where(pos, lam, 1.0), 0.0)
+
+    Sigma = BBt + np.eye(A.shape[0])
+    for _ in range(500):
+        new = checked(riccati(Sigma, inverse))
+        done = float(np.max(np.abs(new - Sigma))) < 1e-12
+        Sigma = new
+        if done:
+            break
+    for sweeps in range(1, max_iter + 1):
+        new = checked(0.5 * (Sigma + riccati(Sigma, water_filled)))
+        change = float(np.max(np.abs(new - Sigma)))
+        Sigma = new
+        if change < tol:
+            return Sigma, sweeps
+    raise NumericError("reference: no convergence")
+
+
+def _stationary_observation_trace(model):
+    # trace(C P C' + NN'), P the stationary state covariance: D at which Lambda saturates
+    P = solve_discrete_lyapunov(model.A, model.B @ model.B.T)
+    return float(np.trace(model.C @ P @ model.C.T + model.N @ model.N.T))
+
+
+def _rotation(radius, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return radius * np.array([[c, -s], [s, c]])
+
+
+_REF_RNG = np.random.default_rng(41)
+_A2 = TEST_MODEL.A
+# (model, D scale): stable models saturate at 1.5 x the stationary trace of
+# Lambda; unstable ones never saturate, so their largest D is merely large.
+_REFERENCE_CASES = {
+    "acceptance-2x2": (TEST_MODEL, None),
+    "random-m3": (_random_model(_REF_RNG, 3, 2), None),
+    "random-m4": (_random_model(_REF_RNG, 4, 3), None),
+    "scalar-po": (GaussModel.scalar(0.5, 1.0, 1.0, 0.5), None),
+    "scalar-po-negative": (GaussModel.scalar(-0.8, 1.5, 0.7, 1.2), None),
+    "near-unstable-0.99": (GaussModel.scalar(0.99, 1.0, 1.0, 0.5), None),
+    "unit-root": (GaussModel.scalar(1.0, 1.0, 1.0, 0.5), 5.0),
+    "unstable-1.5": (GaussModel.scalar(1.5, 1.0, 1.0, 0.5), 5.0),
+    "unstable-minus-1.5": (GaussModel.scalar(-1.5, 1.0, 1.0, 0.5), 5.0),
+    "noiseless-scalar": (GaussModel.scalar(0.8, 1.0), None),
+    "noiseless-2x2": (GaussModel(A=_A2, B=np.eye(2), C=np.eye(2), N=np.empty((2, 0))), None),
+    "rank-deficient-B": (
+        GaussModel(A=_A2, B=np.array([[1.0], [0.5]]), C=TEST_MODEL.C, N=TEST_MODEL.N), None),
+    "rank-deficient-C": (
+        GaussModel(A=_A2, B=np.eye(2), C=np.ones((2, 2)), N=TEST_MODEL.N), None),
+    "near-unstable-rotation": (
+        GaussModel(A=_rotation(0.99, 0.3), B=np.eye(2), C=np.array([[1.0, 0.0]]),
+                   N=np.array([[0.5]])), None),
+}
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.4, 1.5], ids=["small", "mid", "saturated"])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_undamped_sweep_matches_damped_reference(case, fraction):
+    model, scale = _REFERENCE_CASES[case]
+    D = fraction * (scale or _stationary_observation_trace(model))
+    ref, _ = _reference_solve(model, D)
+    sol = solve_realization(model, D)
+    tol = 1e-9 * float(np.max(np.abs(ref)))
+    assert np.max(np.abs(sol.Sigma_inf - ref)) <= tol
+    C, N = model.C, model.N
+    lam = np.maximum(np.linalg.eigvalsh(C @ ref @ C.T + N @ N.T)[::-1], 0.0)
+    alloc = reverse_waterfill(lam, D)
+    assert sol.rate == pytest.approx(alloc.rate, abs=tol)
+    assert sol.delta == pytest.approx(alloc.delta, abs=tol)
+    assert sol.saturated == (scale is None and fraction > 1.0)
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.4], ids=["small", "mid"])
+def test_near_unit_root_matches_damped_reference(fraction):
+    # a = 0.999 below saturation only: saturated, both loops contract by just
+    # a^2 per sweep (10^4+ sweeps), so that D is left to the a = 0.99 case
+    model = GaussModel.scalar(0.999, 1.0, 1.0, 0.5)
+    D = fraction * _stationary_observation_trace(model)
+    ref, _ = _reference_solve(model, D)
+    sol = solve_realization(model, D)
+    assert np.max(np.abs(sol.Sigma_inf - ref)) <= 1e-9 * float(np.max(np.abs(ref)))
+    assert not sol.saturated
+
+
+def test_undetectable_unstable_model_raises_like_reference():
+    bad = GaussModel(A=np.diag([1.2, 0.5]), B=np.eye(2), C=np.array([[0.0, 1.0]]),
+                     N=np.array([[0.3]]))
+    for D in (0.05, 0.5, 5.0):
+        with pytest.raises(NumericError):
+            _reference_solve(bad, D)
+        with pytest.raises(NumericError):
+            solve_realization(bad, D)
+
+
+def test_undamped_sweep_needs_fewer_sweeps_than_reference():
+    _, damped = _reference_solve(TEST_MODEL, 0.4)
+    sol = solve_realization(TEST_MODEL, 0.4)
+    assert sol.iterations < damped
+
+
+def test_overflowing_model_is_domain_error_without_warning():
+    # BB' = 1e308 is finite, but C Sigma C' + (C Sigma C')' overflows; the
+    # non-finite check turns that into DomainError (RuntimeWarning is an error here)
+    huge = GaussModel(A=TEST_MODEL.A, B=np.array([[1e154, 0.0], [0.0, 1.0]]),
+                      C=TEST_MODEL.C, N=TEST_MODEL.N)
+    with pytest.raises(DomainError):
+        solve_realization(huge, 1.2)
 
 
 def test_model_validation():

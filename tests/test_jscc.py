@@ -347,6 +347,17 @@ def test_min_steps_with_se_is_the_two_shard_threshold():
         assert math.isfinite(report.distortion_se) and math.isfinite(report.power_se)
 
 
+def test_burn_in_beyond_the_cap_is_a_domain_error():
+    assert jscc._burn_in(0.99999) == 999_995
+    with pytest.raises(DomainError):
+        jscc._burn_in(0.999999)  # 9,999,995 steps
+    design = design_nofeedback_scalar(0.99999999, 1.0, 1.0, 1.0)  # still built
+    with pytest.raises(DomainError):
+        min_steps_with_se(design)
+    with pytest.raises(DomainError):
+        simulate_scalar(design, 10, RngStream(2))
+
+
 def test_schalkwijk_kailath():
     res = schalkwijk_kailath(1.0, 1.0, 1.0, 6, RngStream(11), trials=100_000)
     assert res.capacity == pytest.approx(0.5, abs=1e-12)
