@@ -104,7 +104,10 @@ def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
     saturates every coordinate (rate 0, flagged) instead of raising.
     """
     lam = np.asarray(spectrum, dtype=float).reshape(-1)
-    if lam.size == 0 or np.any(lam < -1e-12 * max(1.0, float(np.max(np.abs(lam))))):
+    scale = float(np.max(np.abs(lam), initial=0.0))  # NaN propagates
+    if lam.size == 0 or not math.isfinite(scale):
+        raise DomainError("reverse_waterfill: spectrum must be nonempty and finite")
+    if np.any(lam < -1e-12 * max(1.0, scale)):
         raise DomainError("reverse_waterfill: spectrum must be nonnegative")
     lam = np.maximum(lam, 0.0)
     if not D > 0.0:
@@ -118,6 +121,8 @@ def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
     active = lam > level
     n_active = int(active.sum())
     xi = (D - float(lam[~active].sum())) / n_active if n_active else level
+    if xi > 0.0 and scale / xi == math.inf:  # scale / xi bounds every lam_i / delta_i
+        raise DomainError("reverse_waterfill: D too small for a finite rate")
     delta = np.minimum(xi, lam)
     if abs(float(delta.sum()) - D) > 1e-12 * total:
         raise NumericError("reverse_waterfill: allocation does not meet D")
@@ -273,6 +278,14 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     )
 
 
+def _half_log2(x, context):
+    # 0.5 log2(x) of a closed form's argument, which must stay positive and
+    # finite: an underflow to 0 or overflow to inf leaves the float range
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{context}: log argument leaves the float range")
+    return 0.5 * math.log2(x)
+
+
 def rna_scalar_fully_observed(alpha, sigma_W, D):
     """Nonanticipative RDF 0.5 log2(alpha^2 + sigma_W^2/D) of the scalar
     fully observed Gauss-Markov source, evaluated as written (no clamping)."""
@@ -282,7 +295,7 @@ def rna_scalar_fully_observed(alpha, sigma_W, D):
         raise DomainError("requires |alpha| <= 1")
     if not 0.0 < sigma_W < math.inf:
         raise DomainError("sigma_W must be positive and finite")
-    return 0.5 * math.log2(alpha * alpha + sigma_W * sigma_W / D)
+    return _half_log2(alpha * alpha + sigma_W * sigma_W / D, "rna_scalar_fully_observed")
 
 
 def partially_observed_sigma(alpha, c, sigma_W, sigma_V, D):
@@ -298,12 +311,12 @@ def partially_observed_sigma(alpha, c, sigma_W, sigma_V, D):
     (S - sW^2)(S + sV^2/c^2)^2 = 0 with root sW^2; sV = 0 recovers the
     fully observed S = a^2 D + sW^2.)
     """
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise DomainError("requires |alpha| < 1")
-    if c <= 0.0 or sigma_W <= 0.0 or sigma_V < 0.0:
-        raise DomainError("requires c > 0, sigma_W > 0, sigma_V >= 0")
-    if D <= 0.0:
-        raise DomainError("distortion must be positive")
+    if not (0.0 < c < math.inf and 0.0 < sigma_W < math.inf and 0.0 <= sigma_V < math.inf):
+        raise DomainError("requires finite c > 0, sigma_W > 0, sigma_V >= 0")
+    if not 0.0 < D < math.inf:
+        raise DomainError("distortion must be positive and finite")
     cc = c * c
     sV2 = sigma_V * sigma_V
     sW2 = sigma_W * sigma_W
@@ -323,17 +336,11 @@ def rna_scalar_partially_observed(alpha, c, sigma_W, sigma_V, D):
     bits/sample: 0.5 log2((c^2 Sigma_inf + sigma_V^2)/D) with Sigma_inf the
     largest positive root of the steady-state cubic; 0 once D reaches the
     innovation variance lambda_1 = c^2 Sigma_inf + sigma_V^2."""
-    if D <= 0.0:
-        raise DomainError("distortion must be positive")
-    if abs(alpha) >= 1.0:
-        raise DomainError("requires |alpha| < 1")
-    if c <= 0.0 or sigma_W <= 0.0 or sigma_V < 0.0:
-        raise DomainError("requires c > 0, sigma_W > 0, sigma_V >= 0")
     sigma = partially_observed_sigma(alpha, c, sigma_W, sigma_V, D)
     lam1 = c * c * sigma + sigma_V * sigma_V
     if D >= lam1:
         return 0.0
-    return 0.5 * math.log2(lam1 / D)
+    return _half_log2(lam1 / D, "rna_scalar_partially_observed")
 
 
 def classical_alpha1(sigma_W, D):
@@ -343,7 +350,7 @@ def classical_alpha1(sigma_W, D):
         raise DomainError("sigma_W must be positive")
     if not 0.0 < D <= sigma_W * sigma_W / 4.0:
         raise DomainError("classical_alpha1 valid only for 0 < D <= sigma_W^2/4")
-    return 0.5 * math.log2(sigma_W * sigma_W / D)
+    return _half_log2(sigma_W * sigma_W / D, "classical_alpha1")
 
 
 def rate_loss_alpha1(sigma_W, D):
@@ -353,4 +360,4 @@ def rate_loss_alpha1(sigma_W, D):
         raise DomainError("sigma_W must be positive")
     if not 0.0 < D <= sigma_W * sigma_W / 4.0:
         raise DomainError("rate_loss_alpha1 valid only for 0 < D <= sigma_W^2/4")
-    return 0.5 * math.log2(1.0 + D / (sigma_W * sigma_W))
+    return _half_log2(1.0 + D / (sigma_W * sigma_W), "rate_loss_alpha1")

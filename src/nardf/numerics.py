@@ -24,18 +24,28 @@ NATS_PER_BIT = LN2
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _entropy_inner(q):
+    return -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
+
+
 def binary_entropy(q):
-    """Binary entropy H(q) in bits, elementwise, with 0*log2(0) = 0."""
+    """Binary entropy H(q) in bits, elementwise, with 0*log2(0) = 0.
+
+    A 0-d argument (Python or NumPy scalar, 0-d array) skips the array
+    machinery and returns a float; it keeps np.log2, which rounds as the
+    array path does where math.log2 can differ in the last bit."""
+    if isinstance(q, (float, int)) or getattr(q, "ndim", None) == 0:
+        x = float(q)
+        if not 0.0 <= x <= 1.0:
+            raise DomainError("binary_entropy: argument must lie in [0, 1]")
+        return 0.0 if x == 0.0 or x == 1.0 else float(_entropy_inner(x))
     arr = np.asarray(q, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError("binary_entropy: argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     inner = (arr > 0.0) & (arr < 1.0)
-    qi = arr[inner]
-    out[inner] = -(qi * np.log2(qi) + (1.0 - qi) * np.log2(1.0 - qi))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out[inner] = _entropy_inner(arr[inner])
+    return out if out.ndim else float(out)
 
 
 def sym_eig(M, sym_tol=1e-12):
@@ -50,8 +60,8 @@ def sym_eig(M, sym_tol=1e-12):
     positive, so repeated calls (and platforms) agree.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("sym_eig: square matrix required")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise DomainError("sym_eig: nonempty square matrix required")
     n = M.shape[0]
     if n == 1:
         if not np.isfinite(M[0, 0]):
@@ -157,9 +167,15 @@ def cubic_positive_root(c3, c2, c1, c0):
     Residual is guaranteed <= 1e-9 * max|c_i| (Newton-polished); the caller
     asserts positivity when the root must be positive.
     """
+    if not all(math.isfinite(c) for c in (c3, c2, c1, c0)):
+        raise DomainError("cubic_positive_root: coefficients must be finite")
     if c3 == 0.0:
         raise DomainError("cubic_positive_root: leading coefficient is zero")
-    roots = np.roots([c3, c2, c1, c0])
+    try:
+        with np.errstate(over="ignore"):
+            roots = np.roots([c3, c2, c1, c0])
+    except np.linalg.LinAlgError:  # a companion row that overflows
+        raise NumericError("cubic_positive_root: companion matrix overflows") from None
     real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))]
     if real.size == 0:
         raise NumericError("cubic_positive_root: no real root found")

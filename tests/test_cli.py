@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -568,6 +569,37 @@ def test_rate_loss_points(capsys):
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 6
+
+
+# Seeded stdout of the BSMS closed forms, recorded before binary_entropy
+# gained its 0-d path: 713 grid points at two p, csv and json, and the
+# maximiser.  A scalar entropy that rounds differently (math.log2 in place
+# of np.log2) moves the printed digits and fails this test.
+BSMS_GRID = "0.0005:0.4995:0.0007"
+BSMS_GOLDEN_SHA256 = {
+    ("bsms-curve", "0.1", "csv"): "313ec45b2b9235eee914aa72a5f9d3976be47ad1b57377bdb68fda0137622566",
+    ("bsms-curve", "0.1", "json"): "33b9abdb288ba0b75e15673852108fa207a428d5f260b5c14e0d2bbea9ebbdc8",
+    ("bsms-curve", "0.3333", "csv"): "543be6e8e7a41528fdf3799dcb9c18b752c044e5983bb8cf1b923ed708c9317e",
+    ("bsms-curve", "0.3333", "json"): "fb5faa4597905c7a0763bae354ebfdec3ff3116764405f674a7bffad6f3e4156",
+    ("rate-loss", "0.1", "csv"): "8b5a7b25aa7a6ff5834526513c6b00d60d97af0d8df3e21dae5dd8538a1a2137",
+    ("rate-loss", "0.1", "json"): "86cc2487ed42eff9586015090ab3d8abf484de6a72a59ce9e3e14cf07e9cac8f",
+    ("rate-loss", "0.3333", "csv"): "10fb611fd6eb3affbc204f9c5da5eb696b6c58f666f550f4ea040fa2fbcf70db",
+    ("rate-loss", "0.3333", "json"): "0ce2469266fbc8836ebd38020ac5deb697ff625971c75a218cd118609f4ddc68",
+    ("rate-loss", None, "csv"): "066553d547285f5d792cb36495b98e7f79bb6f1a15b5a78e3586ac09df02afae",
+    ("rate-loss", None, "json"): "1f3c6e31d21be6f306fcbcf13f7ca3dfe7f472afb43e78e5b2af6c522a657260",
+}
+
+
+@pytest.mark.parametrize("key", list(BSMS_GOLDEN_SHA256),
+                         ids=lambda key: "-".join(str(part) for part in key))
+def test_bsms_outputs_match_golden_bytes(capsys, key):
+    command, p, fmt = key
+    argv = [command, "--format", fmt]
+    if p is not None:
+        argv += ["--p", p, "--d-grid", BSMS_GRID]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BSMS_GOLDEN_SHA256[key]
 
 
 # ------------------------------------------------------------------ output file

@@ -47,6 +47,34 @@ def test_binary_entropy_vectorized_and_domain():
         binary_entropy(np.array([0.2, 1.1]))
 
 
+def test_scalar_binary_entropy_equals_array_path_bit_for_bit():
+    # a dense grid, seeded draws, subnormals, and the neighbours of 0, 1/2, 1
+    q = np.concatenate([
+        np.linspace(0.0, 1.0, 10_001),
+        np.random.default_rng(20240901).random(100_000),
+        [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300],
+        np.nextafter([0.0, 0.5, 0.5, 1.0], [1.0, 0.0, 1.0, 0.0]),
+    ])
+    by_array = binary_entropy(q)
+    by_scalar = np.array([binary_entropy(x) for x in q.tolist()])
+    assert np.array_equal(by_scalar.view(np.int64), by_array.view(np.int64))
+
+
+@pytest.mark.parametrize("q", [0.3, 1, 0, True, np.float64(0.3), np.float32(0.3),
+                               np.int64(1), np.array(0.3), np.array(0.3, dtype=np.float32)])
+def test_scalar_binary_entropy_returns_float(q):
+    h = binary_entropy(q)
+    assert type(h) is float
+    assert h == float(binary_entropy(np.array([float(q)]))[0])
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, -1e-300, np.nextafter(1.0, 2.0),
+                               np.float64(math.nan), np.array(-0.5), np.float32(1.5)])
+def test_scalar_binary_entropy_domain(q):
+    with pytest.raises(DomainError):
+        binary_entropy(q)
+
+
 def test_sym_eig_ordering_and_reconstruction():
     rng = np.random.default_rng(0)
     for n in (1, 2, 3, 5):
