@@ -24,8 +24,9 @@ import numpy as np
 from .bsms import BsmsDesign, JointChain, joint_chain, optimal_reproduction
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution
-from .numerics import (RngStream, _lockstep_draws, logsumexp, maximize_concave_1d,
-                       perron_eigenvalue, solve_discrete_lyapunov, sym_eig)
+from .numerics import (RngStream, _lockstep_draws, _perron_roots, logsumexp,
+                       maximize_concave_1d, perron_eigenvalue, solve_discrete_lyapunov,
+                       sym_eig)
 
 __all__ = [
     "hoeffding_constants",
@@ -134,9 +135,14 @@ def lumped_distortion_chain(chain: JointChain, tol=1e-12) -> JointChain:
 
 def _log_perron_tilted(chain: JointChain, lam):
     # log rho(Pi_lam) for an array of tilts, one stacked eigensolve; the log
-    # is math.log per root, whose rounding does not depend on the array size
+    # is math.log per root, whose rounding does not depend on the array size.
+    # The chain passed perron_eigenvalue's checks in rate_function, and a
+    # positive finite tilt keeps its zero pattern, so only finiteness is left.
     tilt = np.exp(np.asarray(lam)[..., None] * chain.f)
-    rho = perron_eigenvalue(chain.pi_matrix * tilt[..., :, None])
+    tilted = chain.pi_matrix * tilt[..., :, None]
+    if not np.isfinite(tilted).all():
+        raise DomainError("rate_function: tilted chain is not finite")
+    rho = _perron_roots(tilted)
     return np.reshape([math.log(r) for r in np.ravel(rho)], np.shape(rho))
 
 
@@ -144,10 +150,13 @@ def rate_function(chain: JointChain, theta):
     """Large-deviations rate I(theta) = sup_lam {lam*theta - log rho(Pi_lam)}
     in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}, lam in [-50, 50] to
     1e-9.  Returns (I, lam*): floats for a scalar theta, arrays shaped like
-    theta otherwise (every theta in one golden section)."""
+    theta otherwise (every theta in one golden section).  The chain is
+    checked once (nonnegative, finite, irreducible: DomainError otherwise);
+    each golden-section step checks only that the tilted chain is finite."""
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= 1.0)):
         raise DomainError("rate_function: theta must lie in [0, 1]")
+    perron_eigenvalue(chain.pi_matrix)  # the chain's checks, once; the root is unused
     lam_star, val = maximize_concave_1d(
         lambda lam: lam * theta - _log_perron_tilted(chain, lam),
         np.full(theta.shape, -50.0), 50.0, tol=1e-9,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import cubic_positive_root, sym_eig, water_level
+from .numerics import _eig_desc, _level, _sum, cubic_positive_root
 
 __all__ = [
     "GaussModel",
@@ -112,23 +112,32 @@ def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
     lam = np.maximum(lam, 0.0)
     if not D > 0.0:
         raise DomainError("reverse_waterfill: distortion must be positive")
-    total = float(lam.sum())
-    if D >= total:
-        return WaterfillAllocation(
-            xi=float(lam.max()), delta=lam.copy(), rate=0.0, saturated=D > total
-        )
-    level = water_level(lam, D)
-    active = lam > level
-    n_active = int(active.sum())
-    xi = (D - float(lam[~active].sum())) / n_active if n_active else level
-    if xi > 0.0 and scale / xi == math.inf:  # scale / xi bounds every lam_i / delta_i
-        raise DomainError("reverse_waterfill: D too small for a finite rate")
-    delta = np.minimum(xi, lam)
-    if abs(float(delta.sum()) - D) > 1e-12 * total:
-        raise NumericError("reverse_waterfill: allocation does not meet D")
+    xi, delta, saturated = _waterfill(lam.tolist(), D)
+    delta = np.array(delta)
+    # a saturated delta equals lam, whose rate terms are log2(1) = 0 exactly
     return WaterfillAllocation(
-        xi=float(xi), delta=delta, rate=_waterfill_rate(lam, delta), saturated=False
+        xi=float(xi), delta=delta, rate=_waterfill_rate(lam, delta), saturated=saturated
     )
+
+
+def _waterfill(lam, D):
+    # reverse_waterfill of a nonnegative finite list at D > 0, unchecked and
+    # without the rate: (xi, delta list, saturated).  The sums run in numpy's
+    # order, so every value is the one the array expressions give.
+    total = _sum(lam)
+    if D >= total:
+        return max(lam), list(lam), D > total
+    level = _level(sorted(lam), D)
+    inactive = [x for x in lam if not x > level]
+    n_active = len(lam) - len(inactive)
+    xi = (D - _sum(inactive)) / n_active if n_active else level
+    # max(lam) / xi bounds every lam_i / delta_i; xi underflows to 0 first
+    if not xi > 0.0 or max(lam) / xi == math.inf:
+        raise DomainError("reverse_waterfill: D too small for a finite rate")
+    delta = [xi if xi < x else x for x in lam]  # np.minimum(xi, lam)
+    if abs(_sum(delta) - D) > 1e-12 * total:
+        raise NumericError("reverse_waterfill: allocation does not meet D")
+    return xi, delta, False
 
 
 @dataclass(frozen=True)
@@ -183,31 +192,30 @@ _TOL = 1e-11
 _MAX_ITER = 100_000
 
 
-def _check_divergence(Sigma, context):
-    if not np.all(np.isfinite(Sigma)) or float(np.max(np.abs(Sigma))) > _DIVERGENCE_CAP:
-        raise NumericError(
-            f"{context}: iteration diverged "
-            "(model may violate detectability/stabilizability)"
-        )
+def _sweep(A, BBt, C, NNt, Sigma, D):
+    """One Picard sweep: water-filled observation weight, then Riccati.
 
-
-def _modified_step(A, BBt, C, NNt, Sigma, D):
-    """One Picard sweep: water-filled observation weight, then Riccati."""
+    Returns the new Sigma and (Lam, lam, E, xi, delta, eta, saturated),
+    with lam, delta and eta lists of floats equal to the array forms."""
     Lam = C @ Sigma @ C.T + NNt
     Lam = 0.5 * (Lam + Lam.T)
-    lam, E = sym_eig(Lam)
-    lam = np.maximum(lam, 0.0)
-    alloc = reverse_waterfill(lam, D) if float(lam.sum()) > 0.0 else None
-    if alloc is None:
-        delta = np.zeros_like(lam)
+    if not np.isfinite(Lam).all():
+        raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
+    w, E = _eig_desc(Lam)
+    lam = [x if x > 0.0 else 0.0 for x in w.tolist()]  # np.maximum(w, 0.0)
+    if _sum(lam) > 0.0:
+        xi, delta, saturated = _waterfill(lam, D)
     else:
-        delta = alloc.delta
-    eta = np.where(lam > 0.0, 1.0 - delta / np.where(lam > 0.0, lam, 1.0), 0.0)
-    eta = np.clip(eta, 0.0, 1.0)
-    ratio = np.where(lam > 0.0, eta / np.where(lam > 0.0, lam, 1.0), 0.0)
-    S = C.T @ E.T @ (ratio[:, None] * E) @ C
-    new = A @ Sigma @ A.T - A @ Sigma @ S @ Sigma @ A.T + BBt
-    return 0.5 * (new + new.T), (Lam, lam, E, alloc, delta, eta)
+        xi, delta, saturated = 0.0, [0.0] * len(lam), True
+    eta, ratio = [], []
+    for x, d in zip(lam, delta):
+        e = 1.0 - d / x if x > 0.0 else 0.0  # in [0, 1], as 0 <= delta_i <= lambda_i
+        eta.append(e)
+        ratio.append(e / x if x > 0.0 else 0.0)
+    S = C.T @ E.T @ (np.array(ratio)[:, None] * E) @ C
+    ASigma = A @ Sigma
+    new = ASigma @ A.T - ASigma @ S @ Sigma @ A.T + BBt
+    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
 
 
 def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
@@ -217,11 +225,20 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
     the Riccati step, which replaces Sigma until the change drops below
-    1e-11.  An overflow leaves non-finite entries that sym_eig rejects with
-    DomainError; growth past _DIVERGENCE_CAP raises NumericError.
+    1e-11.
+
+    D and Q are checked once, on entry (the model's matrices are finite by
+    construction).  The sweeps call the unchecked cores of sym_eig and
+    reverse_waterfill and keep only the checks that can fire mid-loop:
+    DomainError for a non-finite Lambda (the covariances overflow) or a D so
+    small that lambda_i/delta_i overflows; NumericError for an allocation
+    that misses D, a Sigma that is non-finite or exceeds _DIVERGENCE_CAP, or
+    no convergence in _MAX_ITER sweeps.  After the loop, a decoder scaling
+    or filter gain outside the float range raises DomainError.
     """
-    if not D > 0.0:
-        raise DomainError("solve_realization: distortion must be positive")
+    if not 0.0 < D < math.inf:
+        raise DomainError("solve_realization: distortion must be positive and finite")
+    D = float(D)
     m, _, p, _ = model.dims
     q = _as_noise_diagonal(Q, p)
     A, B, C, N = model.A, model.B, model.C, model.N
@@ -231,9 +248,14 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     Sigma = BBt + np.eye(m)
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
-            new, _ = _modified_step(A, BBt, C, NNt, Sigma, D)
-            _check_divergence(new, "solve_realization")
-            change = float(np.max(np.abs(new - Sigma)))
+            new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
+            # NaN fails this comparison, so it also rejects non-finite entries
+            if not float(abs(new).max()) <= _DIVERGENCE_CAP:
+                raise NumericError(
+                    "solve_realization: iteration diverged "
+                    "(model may violate detectability/stabilizability)"
+                )
+            change = float(abs(new - Sigma).max())
             Sigma = new
             if change < _TOL:
                 break
@@ -243,22 +265,27 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
                 f"(last change {change:.3e})"
             )
 
-    full, (Lam, lam, E, alloc, delta, eta) = _modified_step(A, BBt, C, NNt, Sigma, D)
+    full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
     residual = float(np.max(np.abs(full - Sigma)))
-    saturated = alloc is None or alloc.saturated or D >= float(lam.sum()) - 1e-15
-    rate = 0.0 if alloc is None else _waterfill_rate(lam, delta)
-    xi = float(lam.max(initial=0.0)) if alloc is None else alloc.xi
+    lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
+    saturated = saturated or D >= float(lam.sum()) - 1e-15
+    rate = _waterfill_rate(lam, delta)  # 0 when every delta_i is 0 or lambda_i
 
-    b_inf = np.sqrt(eta * delta / q)
-    M_inf = E.T @ ((eta * lam)[:, None] * E)
-    inv_active = np.where(eta > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
-    gain = A @ Sigma @ C.T @ E.T @ (inv_active[:, None] * E)
-    Ebar = E.T @ (eta[:, None] * E)
-    radius = float(np.max(np.abs(np.linalg.eigvals(A - gain @ Ebar @ C))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_inf = np.sqrt(eta * delta / q)
+        M_inf = E.T @ ((eta * lam)[:, None] * E)
+        inv_active = np.where(eta > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
+        gain = A @ Sigma @ C.T @ E.T @ (inv_active[:, None] * E)
+        Ebar = E.T @ (eta[:, None] * E)
+        closed_loop = A - gain @ Ebar @ C
+    if not all(np.isfinite(X).all() for X in (b_inf, M_inf, gain, closed_loop)):
+        raise DomainError("solve_realization: decoder or filter gain leaves the float range "
+                          "(channel noise Q or a lambda_i too small)")
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
 
     return RealizationSolution(
         model=model,
-        D=float(D),
+        D=D,
         q=q,
         Sigma_inf=Sigma,
         Lambda_inf=Lam,

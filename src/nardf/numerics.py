@@ -62,26 +62,44 @@ def sym_eig(M, sym_tol=1e-12):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise DomainError("sym_eig: nonempty square matrix required")
-    n = M.shape[0]
-    if n == 1:
-        if not np.isfinite(M[0, 0]):
-            raise DomainError("sym_eig: non-finite entry")
-        return np.array([M[0, 0]]), np.array([[1.0]])
-    scale = max(1.0, float(np.max(np.abs(M))))
     if not np.all(np.isfinite(M)):
         raise DomainError("sym_eig: non-finite entries")
+    if M.shape[0] == 1:
+        return _eig_desc(M)
+    scale = max(1.0, float(np.max(np.abs(M))))
     if float(np.max(np.abs(M - M.T))) > sym_tol * scale:
         raise DomainError("sym_eig: matrix is not symmetric")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    return _eig_desc(0.5 * (M + M.T))
+
+
+def _eig_desc(M):
+    # sym_eig of a finite, exactly symmetric M, unchecked: one stable sort
+    # of eigh's spectrum (ties keep eigh's order), then the sign convention
+    # by a Python scan of the rows
+    if M.shape[0] == 1:
+        return M[0].copy(), np.ones((1, 1))
+    w, V = np.linalg.eigh(M)
     order = np.argsort(-w, kind="stable")
-    w = w[order]
     E = V[:, order].T.copy()
-    for row in E:
-        mags = np.abs(row)
-        nz = np.nonzero(mags > 1e-12 * mags.max())[0]
-        if nz.size and row[nz[0]] < 0.0:
-            row *= -1.0
-    return w, E
+    signs = []
+    for row in E.tolist():
+        cut = 1e-12 * max(map(abs, row))
+        lead = next((x for x in row if abs(x) > cut), 0.0)
+        signs.append(-1.0 if lead < 0.0 else 1.0)
+    if -1.0 in signs:
+        E *= np.array(signs)[:, None]
+    return w[order], E
+
+
+def _sum(values):
+    # float64 sum of a list as numpy takes it: from 0.0 left to right below
+    # 8 terms, pairwise from 8 on
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def water_level(values, total):
@@ -93,11 +111,31 @@ def water_level(values, total):
     order still gives max(v) to rounding.  Reverse water-filling is
     (lambda, D); capacity water-filling is (-q, -(P + sum q)), level -nu.
     """
-    v = np.sort(np.asarray(values, dtype=float).reshape(-1))
-    below = np.concatenate(([0.0], np.cumsum(v[:-1])))  # sum of v_(i), i < j
-    above = v.size - np.arange(v.size)  # count of v_(i), i >= j
-    j = min(int(np.searchsorted(below + above * v, total)), v.size - 1)
-    return (total - float(below[j])) / int(above[j])
+    return _level(np.sort(np.asarray(values, dtype=float).reshape(-1)).tolist(), total)
+
+
+def _level(v, total):
+    # water_level of an ascending list of floats, rounded as the array form
+    # rounds it: below_j = v_0 + ... + v_(j-1) summed in turn (cumsum), the
+    # piece ends below_j + (p - j) v_j, and searchsorted's binary search for
+    # the first end >= total (NaN ordered last)
+    p = len(v)
+    below, ends = [], []
+    run = 0.0
+    for j, x in enumerate(v):
+        below.append(run)
+        ends.append(run + (p - j) * x)
+        run += x
+    lo, hi = 0, p
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        end = ends[mid]
+        if end < total or (total != total and end == end):
+            lo = mid + 1
+        else:
+            hi = mid
+    j = min(lo, p - 1)
+    return (total - below[j]) / (p - j)
 
 
 def solve_discrete_lyapunov(A, Q):
@@ -225,6 +263,11 @@ def perron_eigenvalue(M):
         raise DomainError("perron_eigenvalue: zero matrix")
     if not np.all(_reachable_everywhere(positive)):
         raise DomainError("perron_eigenvalue: matrix is reducible")
+    return _perron_roots(M)
+
+
+def _perron_roots(M):
+    # perron_eigenvalue of a float stack that passed its checks, unchecked
     try:
         rho = np.max(np.linalg.eigvals(M).real, axis=-1)
     except np.linalg.LinAlgError as exc:

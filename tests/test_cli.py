@@ -576,6 +576,18 @@ def test_rate_loss_points(capsys):
 # maximiser.  A scalar entropy that rounds differently (math.log2 in place
 # of np.log2) moves the printed digits and fails this test.
 BSMS_GRID = "0.0005:0.4995:0.0007"
+# Stdout of gauss-rate (a D grid that crosses saturation near 3.37) and of
+# excess (a theta grid, and the bounds without --trials), recorded before
+# the Picard sweep and the tilted-Perron search checked their invariants once
+# per call instead of once per iteration.  The model file is written to the
+# working directory, since its path is printed.
+GOLDEN_ARGV = {
+    ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
+    ("excess", "theta-grid"): ["excess", "--p", "0.25", "--d", "0.1",
+                               "--theta-grid", "0.05:0.95:0.05"],
+    ("excess", "bounds"): ["excess", "--p", "0.25", "--d", "0.1", "--gamma", "0.1",
+                           "--n-grid", "100:1000:100"],
+}
 BSMS_GOLDEN_SHA256 = {
     ("bsms-curve", "0.1", "csv"): "313ec45b2b9235eee914aa72a5f9d3976be47ad1b57377bdb68fda0137622566",
     ("bsms-curve", "0.1", "json"): "33b9abdb288ba0b75e15673852108fa207a428d5f260b5c14e0d2bbea9ebbdc8",
@@ -587,16 +599,27 @@ BSMS_GOLDEN_SHA256 = {
     ("rate-loss", "0.3333", "json"): "0ce2469266fbc8836ebd38020ac5deb697ff625971c75a218cd118609f4ddc68",
     ("rate-loss", None, "csv"): "066553d547285f5d792cb36495b98e7f79bb6f1a15b5a78e3586ac09df02afae",
     ("rate-loss", None, "json"): "1f3c6e31d21be6f306fcbcf13f7ca3dfe7f472afb43e78e5b2af6c522a657260",
+    ("gauss-rate", "model", "csv"): "5505180f3dd7c41f1991a0a079eec7cbbd8ebbf6136b7b28ca3e2bdf6b5f0aaf",
+    ("gauss-rate", "model", "json"): "3e3d1df898a7a0a329801a7acd2186b78a90c26b0a15371be8c3550310464ff4",
+    ("excess", "theta-grid", "csv"): "d336beadcb4439c5b9c55f9c2308e95794aa60e7460d194b8801d62d67bb3b1b",
+    ("excess", "theta-grid", "json"): "514cb5a9ea559f90972878e50105dff198d9d77f3b5068852799e6e9413901bb",
+    ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
+    ("excess", "bounds", "json"): "d7c74779a26803596fd76d48fa563267385056bf2a2e91c4e51dfbddb95c8d9b",
 }
 
 
 @pytest.mark.parametrize("key", list(BSMS_GOLDEN_SHA256),
                          ids=lambda key: "-".join(str(part) for part in key))
-def test_bsms_outputs_match_golden_bytes(capsys, key):
-    command, p, fmt = key
-    argv = [command, "--format", fmt]
-    if p is not None:
-        argv += ["--p", p, "--d-grid", BSMS_GRID]
+def test_bsms_outputs_match_golden_bytes(capsys, monkeypatch, tmp_path, key):
+    command, variant, fmt = key
+    if (command, variant) in GOLDEN_ARGV:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.txt").write_text(MODEL_TEXT)
+        argv = GOLDEN_ARGV[command, variant] + ["--format", fmt]
+    else:
+        argv = [command, "--format", fmt]
+        if variant is not None:
+            argv += ["--p", variant, "--d-grid", BSMS_GRID]
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BSMS_GOLDEN_SHA256[key]

@@ -2,21 +2,25 @@
 either gives a finite result or raises DomainError / NumericError.  Tier-1
 turns a RuntimeWarning into an error, so a warning fails here too."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from nardf import gauss
 from nardf.bsms import classical_gray, gray_critical_distortion, rate_loss_bound, rna_bsms
 from nardf.errors import DomainError, NumericError
 from nardf.gauss import (
+    GaussModel,
     classical_alpha1,
     partially_observed_sigma,
     rate_loss_alpha1,
     reverse_waterfill,
     rna_scalar_fully_observed,
     rna_scalar_partially_observed,
+    solve_realization,
 )
 from nardf.numerics import binary_entropy, cubic_positive_root, sym_eig
 
@@ -81,6 +85,7 @@ def test_edge_values_give_finite_result_or_documented_error(name):
     (rate_loss_alpha1, (math.inf, math.inf)),
     (cubic_positive_root, (1.0, math.nan, 0.0, -1.0)),
     (cubic_positive_root, (1.0, 0.0, math.inf, -1.0)),
+    (reverse_waterfill, ([4.0, 1.0], 5e-324)),  # the level underflows to xi = 0
 ])
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
@@ -90,3 +95,74 @@ def test_reported_edge_cases_are_domain_errors(fn, args):
 def test_cubic_whose_companion_row_overflows_is_a_numeric_error():
     with pytest.raises(NumericError):
         cubic_positive_root(5e-324, 1.0, 1.0, 1.0)
+
+
+# ------------------------------------------------------------ solve_realization
+#
+# D, Q and the model are checked once, on entry; the sweep keeps only the
+# checks that can fire mid-loop.  Each of those has a model below on which it
+# is the check that fires, so a sweep that drops one fails here.
+
+_A2 = np.array([[0.6, 0.2], [0.0, 0.5]])
+_C2 = np.array([[1.0, 0.0], [0.3, 0.9]])
+SOLVE_MODELS = {
+    "acceptance-2x2": GaussModel(A=_A2, B=np.eye(2), C=_C2, N=0.4 * np.eye(2)),
+    "scalar": GaussModel.scalar(0.5, 1.0, 1.0, 0.5),
+    # C Sigma C' overflows on the first sweep: a non-finite Lambda
+    "lambda-overflows": GaussModel(A=_A2, B=np.eye(2), C=1e200 * _C2, N=0.4 * np.eye(2)),
+    # the unstable mode is unobserved, so the Riccati recursion diverges
+    "riccati-diverges": GaussModel(A=np.diag([1.2, 0.5]), B=np.eye(2),
+                                   C=np.array([[0.0, 1.0]]), N=np.array([[0.3]])),
+    # a subnormal spectrum: the water-filled allocation cannot meet D
+    "subnormal-spectrum": GaussModel(A=np.diag([0.5, 0.3]), B=np.eye(2),
+                                     C=1e-160 * np.eye(2), N=np.empty((2, 0))),
+}
+SOLVE_D = (math.nan, math.inf, -math.inf, 0.0, -0.0, -0.3, 5e-324, 1e-320, 1.2e-320,
+           1e-300, 0.4, 1e300)
+SOLVE_Q = (None, math.nan, math.inf, 0.0, -1.0, 5e-324, 1e300)
+
+
+def _finite_solution(sol):
+    return all(_finite(getattr(sol, f.name)) for f in dataclasses.fields(sol)
+               if f.name != "model")
+
+
+@pytest.mark.parametrize("name", list(SOLVE_MODELS))
+def test_solve_realization_edge_values(name):
+    model = SOLVE_MODELS[name]
+    bad = []
+    for D, Q in itertools.product(SOLVE_D, SOLVE_Q):
+        try:
+            sol = solve_realization(model, D, Q)
+        except (DomainError, NumericError):
+            continue
+        except Exception as exc:  # LinAlgError, RuntimeWarning, ...
+            bad.append((D, Q, f"{type(exc).__name__}: {exc}"))
+            continue
+        if not _finite_solution(sol):
+            bad.append((D, Q, sol))
+    assert not bad, f"{len(bad)} bad calls, e.g. {bad[:3]}"
+
+
+@pytest.mark.parametrize("name, D, Q, error, match", [
+    ("acceptance-2x2", math.inf, None, DomainError, "distortion"),
+    ("acceptance-2x2", 0.4, 5e-324, DomainError, "float range"),
+    ("lambda-overflows", 0.4, None, DomainError, "non-finite Lambda"),
+    ("lambda-overflows", 1e300, None, DomainError, "non-finite Lambda"),
+    ("scalar", 1e-320, None, DomainError, "D too small"),
+    ("scalar", 5e-324, None, DomainError, "D too small"),
+    ("acceptance-2x2", 5e-324, None, DomainError, "D too small"),
+    ("subnormal-spectrum", 1.2e-320, None, NumericError, "does not meet D"),
+    ("riccati-diverges", 0.4, None, NumericError, "diverged"),
+    ("riccati-diverges", 1e300, None, NumericError, "diverged"),
+])
+def test_solve_realization_in_loop_checks_fire(name, D, Q, error, match):
+    with pytest.raises(error, match=match):
+        solve_realization(SOLVE_MODELS[name], D, Q)
+
+
+def test_solve_realization_iteration_cap(monkeypatch):
+    # the acceptance model needs 8 sweeps at D = 0.4
+    monkeypatch.setattr(gauss, "_MAX_ITER", 3)
+    with pytest.raises(NumericError, match="no convergence"):
+        solve_realization(SOLVE_MODELS["acceptance-2x2"], 0.4)

@@ -213,6 +213,98 @@ def test_log_perron_tilted_is_the_per_tilt_log_perron_root():
         assert got.tobytes() == np.array(ref).tobytes()
 
 
+# rate_function_curve as it was before the chain's checks moved out of the
+# golden-section loop: values and lambda* bit for bit, as float.hex strings
+PINNED_THETAS = [0.0, 0.05, 0.2, 0.35, 0.6, 0.9, 1.0]
+PINNED_CURVES = {
+    (0.1, 0.05, "joint"): (
+        [
+            "0x1.380c4206abbb2p-5", "0x1.577f900c00000p-50",
+            "0x1.21db68549f985p-4", "0x1.a0e1687db6593p-3",
+            "0x1.fb8b8380bb884p-2", "0x1.f176aea11b8d5p-1", "0x1.3d035f3fd06e0p+0",
+        ], [
+            "-0x1.79130e2d6302cp+5", "-0x1.5430e62cdc0f7p-26",
+            "0x1.7bb95080ca5b4p-1", "0x1.01adeb041428ep+0",
+            "0x1.53792a6fcb10dp+0", "0x1.002434a267c36p+1", "0x1.020d964e7e774p+5",
+        ]),
+    (0.1, 0.05, "lumped"): (
+        [
+            "0x1.380c4206abba2p-5", "0x1.50b71cb400000p-53",
+            "0x1.21db68549f929p-4", "0x1.a0e1687db65a7p-3",
+            "0x1.fb8b8380bb89bp-2", "0x1.f176aea11b8d6p-1", "0x1.3d035f3fd06d0p+0",
+        ], [
+            "-0x1.8ffffffff196fp+5", "-0x1.dd5662da3ce56p-28",
+            "0x1.7bb94ff58a998p-1", "0x1.01adeaac1dce0p+0",
+            "0x1.53792b1495d36p+0", "0x1.0024351b60ed0p+1", "0x1.017451d40f09cp+5",
+        ]),
+    (0.25, 0.1, "joint"): (
+        [
+            "0x1.7f152e07af423p-4", "0x1.c76bfd35db948p-7",
+            "0x1.199c4a81a6ceep-5", "0x1.59dbbb60e1a5dp-3",
+            "0x1.127659548c783p-1", "0x1.3a2620c82dc52p+0", "0x1.a0a0fbdab4280p+0",
+        ], [
+            "-0x1.10fb74bb031e2p+5", "-0x1.43b2f136b597ep-1",
+            "0x1.3ba52e092e3c8p-1", "0x1.23606e49ee6dcp+0",
+            "0x1.cab0bf8958362p+0", "0x1.88afa9042eca4p+1", "0x1.0d6c6c7102f7ep+5",
+        ]),
+    (0.25, 0.1, "lumped"): (
+        [
+            "0x1.7f152e07af409p-4", "0x1.c76bfd35db8e0p-7",
+            "0x1.199c4a81a6d10p-5", "0x1.59dbbb60e1a7ap-3",
+            "0x1.127659548c78bp-1", "0x1.3a2620c82dc50p+0", "0x1.a0a0fbdab4290p+0",
+        ], [
+            "-0x1.8ffffffff196fp+5", "-0x1.43b2f47b80c74p-1",
+            "0x1.3ba52ec4c373fp-1", "0x1.23606e8f8e4eap+0",
+            "0x1.cab0bfa5a3c2cp+0", "0x1.88afa85ba02fap+1", "0x1.0d0507ded4d77p+5",
+        ]),
+    (0.4, 0.2, "joint"): (
+        [
+            "0x1.bbbe0648aaa36p-3", "0x1.71f8dff29c2aep-4",
+            "0x0.0p+0", "0x1.d6140ad660844p-5",
+            "0x1.6dc61194bc946p-2", "0x1.11fa7b20a7cecp+0", "0x1.82b62993bc9e0p+0",
+        ], [
+            "-0x1.47dd3321e40f7p+5", "-0x1.826c7a0a3c5dap+0",
+            "-0x1.f09a416cff2dap-26", "0x1.70f22ac5e5218p-1",
+            "0x1.ab4157fa20a52p+0", "0x1.aeed7ccf003f2p+1", "0x1.166a632363382p+5",
+        ]),
+    (0.4, 0.2, "lumped"): (
+        [
+            "0x1.bbbe0648aaa22p-3", "0x1.71f8dff29c29dp-4",
+            "0x1.a7dd202200000p-53", "0x1.d6140ad660894p-5",
+            "0x1.6dc61194bc948p-2", "0x1.11fa7b20a7ce8p+0", "0x1.82b62993bca00p+0",
+        ], [
+            "-0x1.8ffffffff196fp+5", "-0x1.826c7715594b0p+0",
+            "0x1.4907b48dfa192p-30", "0x1.70f22af747b40p-1",
+            "0x1.ab415666241b0p+0", "0x1.aeed7c7a60e06p+1", "0x1.1707f05f85bf1p+5",
+        ]),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_CURVES), ids=lambda key: "-".join(map(str, key)))
+def test_rate_function_curve_is_pinned_bit_for_bit(key):
+    p, D, kind = key
+    chain = joint_chain(optimal_reproduction(p, D))
+    if kind == "lumped":
+        chain = lumped_distortion_chain(chain)
+    curve = rate_function_curve(chain, PINNED_THETAS)
+    values, lambda_star = PINNED_CURVES[key]
+    assert [float(v).hex() for v in curve.values] == values
+    assert [float(v).hex() for v in curve.lambda_star] == lambda_star
+
+
+def test_reducible_chain_is_rejected_before_the_search():
+    # two absorbing states: tilting cannot connect them, so the chain is
+    # checked once, on entry, and every entry point raises
+    stuck = JointChain(states=((0, 0), (0, 1)), pi_matrix=np.eye(2),
+                       stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0]))
+    with pytest.raises(DomainError, match="reducible"):
+        rate_function(stuck, 0.7)
+    with pytest.raises(DomainError, match="reducible"):
+        rate_function_curve(stuck, [0.2, 0.7])
+    with pytest.raises(DomainError, match="reducible"):
+        exceedance_exponent(stuck, 0.7)  # above the stationary mean 0.5
+
+
 def test_exceedance_exponent():
     assert exceedance_exponent(CHAIN, 0.05) == 0.0
     assert exceedance_exponent(CHAIN, 0.1) <= 1e-9  # at the mean itself

@@ -357,6 +357,171 @@ def _reference_solve(model, D, tol=1e-11, max_iter=100_000):
     raise NumericError("reference: no convergence")
 
 
+# ------------------------------------------- array-form sweep, bit for bit
+#
+# The sweep as it ran before it called the unchecked cores: every step a
+# checked sym_eig (sort, then a per-row sign loop), a checked
+# reverse_waterfill with its rate, and eta/ratio as array expressions.
+# solve_realization must reproduce it bit for bit.
+
+
+def _array_sym_eig(M, sym_tol=1e-12):
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise DomainError("sym_eig: nonempty square matrix required")
+    n = M.shape[0]
+    if n == 1:
+        if not np.isfinite(M[0, 0]):
+            raise DomainError("sym_eig: non-finite entry")
+        return np.array([M[0, 0]]), np.array([[1.0]])
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if not np.all(np.isfinite(M)):
+        raise DomainError("sym_eig: non-finite entries")
+    if float(np.max(np.abs(M - M.T))) > sym_tol * scale:
+        raise DomainError("sym_eig: matrix is not symmetric")
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    E = V[:, order].T.copy()
+    for row in E:
+        mags = np.abs(row)
+        nz = np.nonzero(mags > 1e-12 * mags.max())[0]
+        if nz.size and row[nz[0]] < 0.0:
+            row *= -1.0
+    return w, E
+
+
+def _array_water_level(values, total):
+    v = np.sort(np.asarray(values, dtype=float).reshape(-1))
+    below = np.concatenate(([0.0], np.cumsum(v[:-1])))
+    above = v.size - np.arange(v.size)
+    j = min(int(np.searchsorted(below + above * v, total)), v.size - 1)
+    return (total - float(below[j])) / int(above[j])
+
+
+def _array_rate(lam, delta):
+    mask = delta > 0.0
+    return float(0.5 * np.sum(np.log2(lam[mask] / delta[mask])))
+
+
+def _array_waterfill(spectrum, D):
+    lam = np.asarray(spectrum, dtype=float).reshape(-1)
+    scale = float(np.max(np.abs(lam), initial=0.0))
+    if lam.size == 0 or not math.isfinite(scale):
+        raise DomainError("reverse_waterfill: spectrum must be nonempty and finite")
+    if np.any(lam < -1e-12 * max(1.0, scale)):
+        raise DomainError("reverse_waterfill: spectrum must be nonnegative")
+    lam = np.maximum(lam, 0.0)
+    if not D > 0.0:
+        raise DomainError("reverse_waterfill: distortion must be positive")
+    total = float(lam.sum())
+    if D >= total:
+        return float(lam.max()), lam.copy(), 0.0, D > total
+    level = _array_water_level(lam, D)
+    active = lam > level
+    n_active = int(active.sum())
+    xi = (D - float(lam[~active].sum())) / n_active if n_active else level
+    if xi > 0.0 and scale / xi == math.inf:
+        raise DomainError("reverse_waterfill: D too small for a finite rate")
+    delta = np.minimum(xi, lam)
+    if abs(float(delta.sum()) - D) > 1e-12 * total:
+        raise NumericError("reverse_waterfill: allocation does not meet D")
+    return float(xi), delta, _array_rate(lam, delta), False
+
+
+def _array_step(A, BBt, C, NNt, Sigma, D):
+    Lam = C @ Sigma @ C.T + NNt
+    Lam = 0.5 * (Lam + Lam.T)
+    lam, E = _array_sym_eig(Lam)
+    lam = np.maximum(lam, 0.0)
+    alloc = _array_waterfill(lam, D) if float(lam.sum()) > 0.0 else None
+    delta = np.zeros_like(lam) if alloc is None else alloc[1]
+    eta = np.where(lam > 0.0, 1.0 - delta / np.where(lam > 0.0, lam, 1.0), 0.0)
+    eta = np.clip(eta, 0.0, 1.0)
+    ratio = np.where(lam > 0.0, eta / np.where(lam > 0.0, lam, 1.0), 0.0)
+    S = C.T @ E.T @ (ratio[:, None] * E) @ C
+    new = A @ Sigma @ A.T - A @ Sigma @ S @ Sigma @ A.T + BBt
+    return 0.5 * (new + new.T), (lam, alloc, delta, eta)
+
+
+def _array_solve(model, D, tol=1e-11, max_iter=100_000):
+    """(Sigma, delta, eta, xi, rate, iterations, residual) of the array-form
+    sweep, with its divergence check and its final extra sweep."""
+    m, p = model.A.shape[0], model.C.shape[0]
+    A, B, C, N = model.A, model.B, model.C, model.N
+    BBt = B @ B.T
+    NNt = N @ N.T if N.shape[1] else np.zeros((p, p))
+    Sigma = BBt + np.eye(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            new, _ = _array_step(A, BBt, C, NNt, Sigma, D)
+            if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > 1e12:
+                raise NumericError("array-form sweep diverged")
+            change = float(np.max(np.abs(new - Sigma)))
+            Sigma = new
+            if change < tol:
+                break
+        else:
+            raise NumericError("array-form sweep: no convergence")
+    full, (lam, alloc, delta, eta) = _array_step(A, BBt, C, NNt, Sigma, D)
+    residual = float(np.max(np.abs(full - Sigma)))
+    rate = 0.0 if alloc is None else _array_rate(lam, delta)
+    xi = float(lam.max(initial=0.0)) if alloc is None else alloc[0]
+    return Sigma, delta, eta, xi, rate, iterations, residual
+
+
+def _oracle_model(rng, m, p):
+    # radius, input rank k and observation-noise rank d drawn too; d = 0 with
+    # p > m leaves Lambda singular, so zero eigenvalues are covered
+    A = rng.normal(size=(m, m))
+    A *= rng.uniform(0.05, 0.8) / max(np.abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(m, int(rng.integers(1, m + 1))))
+    C = rng.normal(size=(p, m)) * rng.uniform(0.3, 2.0)
+    N = rng.normal(size=(p, int(rng.integers(0, p + 1)))) * rng.uniform(0.1, 1.0)
+    return GaussModel(A=A, B=B, C=C, N=N)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for m in range(1, 5):
+        for p in range(1, 5):
+            for _ in range(7):
+                model = _oracle_model(rng, m, p)
+                total = _stationary_observation_trace(model)
+                fractions = (rng.uniform(0.01, 0.3), rng.uniform(0.3, 0.9),
+                             rng.uniform(0.9, 1.1), 1.5)
+                cases.append((model, [f * total for f in fractions] + [None]))
+    # Lambda = 0 (no observation at all): every sweep skips the water-filling
+    cases.append((GaussModel(A=np.diag([0.5, -0.3]), B=np.eye(2), C=np.zeros((2, 2)),
+                             N=np.empty((2, 0))), [0.7]))
+    return cases
+
+
+def test_sweep_is_bit_identical_to_array_form():
+    # 561 seeded (model, D) pairs, m, p in 1..4: four D per model, the last
+    # saturated, then (None) D exactly at the saturated spectrum total, the
+    # D >= total branch at equality
+    pairs = at_total = 0
+    for model, ds in _oracle_cases():
+        for D in ds:
+            if D is None:
+                C, N = model.C, model.N
+                Lam = C @ ref[0] @ C.T + N @ N.T
+                D = float(np.maximum(_array_sym_eig(0.5 * (Lam + Lam.T))[0], 0.0).sum())
+            ref = _array_solve(model, D)
+            sol = solve_realization(model, D)
+            got = (sol.Sigma_inf, sol.delta, sol.eta, sol.xi, sol.rate, sol.iterations,
+                   sol.residual)
+            for name, a, b in zip(("Sigma_inf", "delta", "eta", "xi", "rate",
+                                   "iterations", "residual"), got, ref):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, D)
+            pairs += 1
+            at_total += D == float(sol.spectrum.sum())
+    assert pairs >= 500
+    assert at_total > 0  # 11 pairs end exactly at the total, the rest within ulps
+
+
 def _stationary_observation_trace(model):
     # trace(C P C' + NN'), P the stationary state covariance: D at which Lambda saturates
     P = solve_discrete_lyapunov(model.A, model.B @ model.B.T)

@@ -102,6 +102,45 @@ def test_sym_eig_sign_convention_deterministic():
     assert E[0, 0] > 0 and E[1, 1] > 0
 
 
+def _givens_rotation_4():
+    R = np.eye(4)
+    for (i, j), t in zip(((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)), (0.3, 0.7, 1.1, 0.5, 0.9)):
+        G = np.eye(4)
+        G[i, i] = G[j, j] = math.cos(t)
+        G[i, j], G[j, i] = -math.sin(t), math.sin(t)
+        R = G @ R
+    return R
+
+
+_R4 = _givens_rotation_4()
+# spectrum and E as sym_eig returned them before its sign convention became
+# a Python scan of the rows: repeated eigenvalues keep eigh's order
+SYM_EIG_TIES = {
+    "eye3": (np.eye(3), [1.0, 1.0, 1.0], np.eye(3).tolist()),
+    "diag-2-2-1": (np.diag([2.0, 2.0, 1.0]), [2.0, 2.0, 1.0],
+                   [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    "rotated-3-1-1-0.5": (
+        _R4 @ np.diag([3.0, 1.0, 1.0, 0.5]) @ _R4.T,
+        [3.0000000000000004, 1.0000000000000002, 1.0, 0.5],
+        [[0.4029414699442312, 0.22602632124962285, 0.6466920561120076, 0.6069099261531057],
+         [0.19788612448434686, 0.8942754638511022, -0.0639783494497295, -0.396256542270471],
+         [0.6939678544513929, -0.3862427952159858, 0.23030891293136907, -0.5623014536316295],
+         [0.5629279443444589, 5.551115123125783e-17, -0.724330007653751, 0.3980680463041949]]),
+}
+
+
+@pytest.mark.parametrize("name", list(SYM_EIG_TIES))
+def test_sym_eig_tie_order_is_pinned(name):
+    M, spectrum, E_expected = SYM_EIG_TIES[name]
+    w, E = sym_eig(M)
+    assert w.tolist() == pytest.approx(spectrum, rel=0, abs=1e-12)
+    # the basis of a repeated eigenvalue is LAPACK's choice; a swapped or
+    # sign-flipped row is off by O(1), far beyond this tolerance
+    np.testing.assert_allclose(E, E_expected, rtol=0, atol=1e-12)
+    if name != "rotated-3-1-1-0.5":  # diagonal input: exact
+        assert w.tolist() == spectrum and E.tolist() == E_expected
+
+
 def test_bisect_monotone():
     root = bisect_monotone(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
