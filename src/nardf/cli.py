@@ -356,7 +356,7 @@ def _cmd_excess(args):
             for t, v, ls in zip(curve.thetas, curve.values, curve.lambda_star)
         ]
         meta = {"p": p, "D": D}
-        return _table(header, rows, meta, "nardf/excess-rate-function/v2", args.format)
+        return _table(header, rows, meta, "nardf/excess-rate-function/v3", args.format)
 
     gamma = _require(args.gamma, "--gamma (or --theta-grid)")
     if gamma <= 0.0:
@@ -391,7 +391,7 @@ def _cmd_excess(args):
         "hoeffding_threshold_n": 2.0 / (lam * gamma) if lam > 0.0 else None,
         "lumped_lambda_2": excess.second_eigenvalue(lumped),
     }
-    return _table(header, rows, meta, "nardf/excess-bounds/v2", args.format)
+    return _table(header, rows, meta, "nardf/excess-bounds/v3", args.format)
 
 
 def _cmd_rate_loss(args):

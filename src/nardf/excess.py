@@ -1,9 +1,9 @@
 """Excess-distortion probability machinery.
 
 For the BSMS joint chain: Hoeffding-type and reversible-chain concentration
-bounds, the Markov large-deviations rate function (Perron root of the tilted
-chain), and empirical exceedance simulation of the uncoded transmission on
-the two-state lumped chain.
+bounds, and the Markov large-deviations rate function and the empirical
+exceedance of the uncoded transmission, both computed on the two-state lump
+of the chain onto its distortion classes (the chain must be lumpable).
 
 For the Gaussian realization: the steady-state reproduction-error recursion
 and a Monte Carlo Chernoff exponent for P(S_n/n >= d).
@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .bsms import BsmsDesign, JointChain, joint_chain, optimal_reproduction
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution
-from .numerics import (RngStream, _lockstep_draws, _perron_roots, logsumexp,
-                       maximize_concave_1d, perron_eigenvalue, solve_discrete_lyapunov,
-                       sym_eig)
+from .numerics import (RngStream, _lockstep_draws, logsumexp, maximize_concave_1d,
+                       perron_eigenvalue, solve_discrete_lyapunov, sym_eig)
 
 __all__ = [
     "hoeffding_constants",
@@ -58,7 +57,7 @@ def hoeffding_constants(design: BsmsDesign):
 
 def hoeffding_bound(chain: JointChain, design: BsmsDesign, n, gamma):
     """exp(-lambda^2 (n gamma - 2/lambda)^2 / (2n)) on P(S_n/n >= D + gamma)."""
-    if gamma <= 0.0 or n < 1:
+    if not (gamma > 0.0 and n >= 1):  # NaN fails too
         raise DomainError("hoeffding_bound: gamma > 0 and n >= 1 required")
     if abs(chain.mean_distortion - design.D) > 1e-9:
         raise DomainError("hoeffding_bound: chain/design pair is inconsistent")
@@ -67,7 +66,10 @@ def hoeffding_bound(chain: JointChain, design: BsmsDesign, n, gamma):
         raise DomainError(
             "hoeffding_bound: undefined below the validity threshold n > 2/(lambda*gamma)"
         )
-    return math.exp(-(lam**2) * (n * gamma - 2.0 / lam) ** 2 / (2.0 * n))
+    try:
+        return math.exp(-(lam**2) * (n * gamma - 2.0 / lam) ** 2 / (2.0 * n))
+    except OverflowError:  # (n gamma)^2 beyond the float range: the bound is 0
+        return 0.0
 
 
 def is_reversible(chain: JointChain, tol=1e-10):
@@ -94,7 +96,7 @@ def second_eigenvalue(chain: JointChain):
 def reversible_bound(chain: JointChain, n, gamma):
     """exp(-2 ((1-lam0)/(1+lam0)) n gamma^2) with lam0 = max(0, lambda_2);
     requires a reversible chain."""
-    if gamma <= 0.0 or n < 1:
+    if not (gamma > 0.0 and n >= 1):  # NaN fails too
         raise DomainError("reversible_bound: gamma > 0 and n >= 1 required")
     lam0 = max(0.0, second_eigenvalue(chain))
     return math.exp(-2.0 * ((1.0 - lam0) / (1.0 + lam0)) * n * gamma * gamma)
@@ -133,32 +135,34 @@ def lumped_distortion_chain(chain: JointChain, tol=1e-12) -> JointChain:
     )
 
 
-def _log_perron_tilted(chain: JointChain, lam):
-    # log rho(Pi_lam) for an array of tilts, one stacked eigensolve; the log
-    # is math.log per root, whose rounding does not depend on the array size.
-    # The chain passed perron_eigenvalue's checks in rate_function, and a
-    # positive finite tilt keeps its zero pattern, so only finiteness is left.
-    tilt = np.exp(np.asarray(lam)[..., None] * chain.f)
-    tilted = chain.pi_matrix * tilt[..., :, None]
-    if not np.isfinite(tilted).all():
+def _log_perron_lumped(T, lam):
+    # log rho of the two-state chain T tilted by e^lam on state 1, with
+    # a = T[1, 0], b = T[0, 1] and t11 = e^lam T[1, 1]:
+    # rho = (t00 + t11 + sqrt((t00 - t11)^2 + 4 e^lam a b)) / 2, no cancellation
+    tilt = np.exp(lam)
+    t00, t11 = T[0, 0], tilt * T[1, 1]
+    rho = 0.5 * (t00 + t11 + np.sqrt((t00 - t11) ** 2 + 4.0 * tilt * (T[1, 0] * T[0, 1])))
+    if not np.all(np.isfinite(rho) & np.isfinite(tilt * T[1, 0])):
         raise DomainError("rate_function: tilted chain is not finite")
-    rho = _perron_roots(tilted)
-    return np.reshape([math.log(r) for r in np.ravel(rho)], np.shape(rho))
+    return np.log(rho)
 
 
 def rate_function(chain: JointChain, theta):
     """Large-deviations rate I(theta) = sup_lam {lam*theta - log rho(Pi_lam)}
     in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}, lam in [-50, 50] to
     1e-9.  Returns (I, lam*): floats for a scalar theta, arrays shaped like
-    theta otherwise (every theta in one golden section).  The chain is
-    checked once (nonnegative, finite, irreducible: DomainError otherwise);
-    each golden-section step checks only that the tilted chain is finite."""
+    theta otherwise (every theta in one golden section).  The chain must be
+    nonnegative, finite, irreducible and lumpable onto {f=0}, {f=1} (else
+    DomainError); it is checked and lumped once, and each step takes the
+    lump's tilted Perron root in closed form.  At theta = 0, the mean and 1
+    (lam* = -inf, 0, +inf) lam* is where the search stops on a flat objective."""
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= 1.0)):
         raise DomainError("rate_function: theta must lie in [0, 1]")
     perron_eigenvalue(chain.pi_matrix)  # the chain's checks, once; the root is unused
+    T = lumped_distortion_chain(chain).pi_matrix
     lam_star, val = maximize_concave_1d(
-        lambda lam: lam * theta - _log_perron_tilted(chain, lam),
+        lambda lam: lam * theta - _log_perron_lumped(T, lam),
         np.full(theta.shape, -50.0), 50.0, tol=1e-9,
     )
     val = np.where(val < 0.0, 0.0, val)

@@ -263,11 +263,6 @@ def perron_eigenvalue(M):
         raise DomainError("perron_eigenvalue: zero matrix")
     if not np.all(_reachable_everywhere(positive)):
         raise DomainError("perron_eigenvalue: matrix is reducible")
-    return _perron_roots(M)
-
-
-def _perron_roots(M):
-    # perron_eigenvalue of a float stack that passed its checks, unchecked
     try:
         rho = np.max(np.linalg.eigvals(M).real, axis=-1)
     except np.linalg.LinAlgError as exc:

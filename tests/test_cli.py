@@ -477,6 +477,20 @@ def test_excess_theta_grid(capsys):
         assert bits == pytest.approx(nats * BITS_PER_NAT, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_excess_theta_grid_edges_print_finite_numbers(capsys, fmt):
+    # lambda* is -inf / +inf at theta = 0 / 1; the output holds the finite
+    # point where the search stopped, never Infinity or NaN
+    argv = ["excess", "--p", "0.3", "--d", "0.1", "--theta-grid", "0:1:0.25", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert not any(word in out.lower() for word in ("inf", "nan"))
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["schema"] == "nardf/excess-rate-function/v3"
+        assert [row["theta"] for row in payload["rows"]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def test_excess_bounds(capsys):
     argv = [
         "excess", "--p", "0.3", "--d", "0.1", "--gamma", "0.1",
@@ -485,7 +499,7 @@ def test_excess_bounds(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/excess-bounds/v2"
+    assert payload["schema"] == "nardf/excess-bounds/v3"
     assert payload["hoeffding_threshold_n"] == pytest.approx(1466.666666, abs=1e-4)
     assert payload["lumped_lambda_2"] == pytest.approx(0.06417112299465248, abs=1e-12)
     rows = payload["rows"]
@@ -580,7 +594,12 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # excess (a theta grid, and the bounds without --trials), recorded before
 # the Picard sweep and the tilted-Perron search checked their invariants once
 # per call instead of once per iteration.  The model file is written to the
-# working directory, since its path is printed.
+# working directory, since its path is printed.  The theta-grid pins were
+# recorded again for schema v3, when the tilted Perron root moved from the
+# 4-state eigensolve to the closed form on the two-state lump: I moves by
+# ~1e-14 and lambda_star by ~4e-7, which the printed digits show.  The
+# bounds json pin moved only by its schema string (v2 -> v3): its I_d kept
+# its bits here, but moves in the 16th digit on other inputs.
 GOLDEN_ARGV = {
     ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
     ("excess", "theta-grid"): ["excess", "--p", "0.25", "--d", "0.1",
@@ -601,10 +620,10 @@ BSMS_GOLDEN_SHA256 = {
     ("rate-loss", None, "json"): "1f3c6e31d21be6f306fcbcf13f7ca3dfe7f472afb43e78e5b2af6c522a657260",
     ("gauss-rate", "model", "csv"): "5505180f3dd7c41f1991a0a079eec7cbbd8ebbf6136b7b28ca3e2bdf6b5f0aaf",
     ("gauss-rate", "model", "json"): "3e3d1df898a7a0a329801a7acd2186b78a90c26b0a15371be8c3550310464ff4",
-    ("excess", "theta-grid", "csv"): "d336beadcb4439c5b9c55f9c2308e95794aa60e7460d194b8801d62d67bb3b1b",
-    ("excess", "theta-grid", "json"): "514cb5a9ea559f90972878e50105dff198d9d77f3b5068852799e6e9413901bb",
+    ("excess", "theta-grid", "csv"): "0938bd7c1df193c2f8a6145f8065ec783f35f690bc0afac04917f2ba8bc4aae4",
+    ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
-    ("excess", "bounds", "json"): "d7c74779a26803596fd76d48fa563267385056bf2a2e91c4e51dfbddb95c8d9b",
+    ("excess", "bounds", "json"): "2b30eb25c5cdae883376ab8b54d702b66d633fd97282fa295583b17de5263dc4",
 }
 
 

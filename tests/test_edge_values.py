@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from nardf import gauss
-from nardf.bsms import classical_gray, gray_critical_distortion, rate_loss_bound, rna_bsms
+from nardf.bsms import (JointChain, classical_gray, gray_critical_distortion, joint_chain,
+                        optimal_reproduction, rate_loss_bound, rna_bsms)
 from nardf.errors import DomainError, NumericError
+from nardf.excess import (exceedance_exponent, hoeffding_bound, lumped_distortion_chain,
+                          rate_function, reversible_bound)
 from nardf.gauss import (
     GaussModel,
     classical_alpha1,
@@ -28,6 +31,10 @@ EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300,
          0.25, 0.5, 1.0, 1.5, 1e300, -0.3)
 # the 5-argument forms reach a companion eigensolve; 8**5 calls each
 THIN = (math.nan, math.inf, -0.3, 0.0, 5e-324, 0.5, 1.5, 1e300)
+# theta, d and gamma on one optimal chain; n = 2000 passes the Hoeffding
+# validity threshold (n > 587) for every edge gamma >= 0.25
+DESIGN = optimal_reproduction(0.3, 0.1)
+CHAIN = joint_chain(DESIGN)
 
 CASES = {
     "binary_entropy": (binary_entropy, 1, EDGES),
@@ -44,6 +51,11 @@ CASES = {
     "reverse_waterfill": (lambda a, b, D: reverse_waterfill([a, b], D), 3, EDGES),
     "sym_eig_1x1": (lambda a: sym_eig([[a]]), 1, EDGES),
     "sym_eig_2x2": (lambda a, b, c: sym_eig([[a, b], [b, c]]), 3, EDGES),
+    "rate_function": (lambda theta: rate_function(CHAIN, theta), 1, EDGES),
+    "exceedance_exponent": (lambda d: exceedance_exponent(CHAIN, d), 1, EDGES),
+    "hoeffding_bound": (lambda gamma: hoeffding_bound(CHAIN, DESIGN, 2000, gamma), 1, EDGES),
+    "reversible_bound": (lambda gamma: reversible_bound(lumped_distortion_chain(CHAIN),
+                                                        2000, gamma), 1, EDGES),
 }
 
 
@@ -90,6 +102,28 @@ def test_edge_values_give_finite_result_or_documented_error(name):
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+# an irreducible 4-state chain whose exit mass differs inside the class {f=0}
+_UNLUMPABLE = np.array([[0.7, 0.4, 0.2, 0.2], [0.2, 0.3, 0.2, 0.2],
+                        [0.05, 0.15, 0.3, 0.3], [0.05, 0.15, 0.3, 0.3]])
+
+
+def _four_state(T, f):
+    return JointChain(states=tuple((0, i) for i in range(4)), pi_matrix=T,
+                      stationary=np.linalg.matrix_power(T, 200)[:, 0], f=np.array(f))
+
+
+@pytest.mark.parametrize("chain, match", [
+    (_four_state(_UNLUMPABLE, [0.0, 0.0, 1.0, 1.0]), "not lumpable"),
+    (_four_state(CHAIN.pi_matrix, [0.0, 0.5, 1.0, 1.0]), "must be 0/1"),
+    # two absorbing states: no tilt connects them
+    (JointChain(states=((0, 0), (0, 1)), pi_matrix=np.eye(2),
+                stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0])), "reducible"),
+])
+def test_rate_function_rejects_chains_it_cannot_check_or_lump(chain, match):
+    with pytest.raises(DomainError, match=match):
+        rate_function(chain, 0.7)
 
 
 def test_cubic_whose_companion_row_overflows_is_a_numeric_error():

@@ -201,93 +201,146 @@ def test_rate_function_curve_is_pointwise_rate_function(p, D):
         rate_function_curve(full, [0.2, -0.1])
 
 
-def test_log_perron_tilted_is_the_per_tilt_log_perron_root():
-    # the stacked path must round like the one-tilt expression it replaced;
-    # np.log on an array differs from math.log in the last bit for ~2% of
-    # arguments near 1, which moved lambda* by up to ~1e-7
-    lams = np.concatenate((np.linspace(-1.0, 1.0, 301), np.linspace(-50.0, 50.0, 101)))
-    for chain in (CHAIN, lumped_distortion_chain(CHAIN)):
-        got = excess._log_perron_tilted(chain, lams)
-        ref = [math.log(perron_eigenvalue(chain.pi_matrix * np.exp(lam * chain.f)[:, None]))
-               for lam in lams]
-        assert got.tobytes() == np.array(ref).tobytes()
+def _four_state_rate_function(chain, theta):
+    # the retired route, kept as an oracle: the stacked Perron root of the
+    # chain tilted by e^{lam f}, in the same golden section as rate_function
+    theta = np.asarray(theta, dtype=float)
+
+    def g(lam):
+        tilted = chain.pi_matrix * np.exp(np.asarray(lam)[..., None] * chain.f)[..., :, None]
+        return lam * theta - np.log(perron_eigenvalue(tilted))
+
+    lam_star, val = numerics.maximize_concave_1d(
+        g, np.full(theta.shape, -50.0), 50.0, tol=1e-9)
+    return np.maximum(val, 0.0), lam_star
 
 
-# rate_function_curve as it was before the chain's checks moved out of the
-# golden-section loop: values and lambda* bit for bit, as float.hex strings
+def _random_designs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = rng.uniform(0.02, 0.5)
+        yield p, rng.uniform(0.005, 0.98) * p
+
+
+def test_log_perron_lumped_is_the_four_state_log_perron_root():
+    lams = np.linspace(-50.0, 50.0, 401)
+    for p, D in [(0.1, 0.05), (0.25, 0.1), (0.4, 0.2), (0.45, 0.3)]:
+        chain = joint_chain(optimal_reproduction(p, D))
+        tilted = chain.pi_matrix * np.exp(np.outer(lams, chain.f))[:, :, None]
+        ref = np.log(perron_eigenvalue(tilted))
+        got = excess._log_perron_lumped(lumped_distortion_chain(chain).pi_matrix, lams)
+        # the absolute slack covers lam near 0, where log rho is 0 to rounding
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 1e-15)
+
+
+def test_rate_function_matches_the_four_state_route():
+    # I to 1e-12 everywhere; lam* to 1e-6 where the Legendre objective has a
+    # curvature to find it by (0.02 away from 0, 1 and the mean)
+    rng = np.random.default_rng(11)
+    for p, D in _random_designs(7, 20):
+        chain = joint_chain(optimal_reproduction(p, D))
+        mean = chain.mean_distortion
+        thetas = np.concatenate(([0.0, mean, 1.0], rng.uniform(0.0, 1.0, 6)))
+        vals, lams = rate_function(chain, thetas)
+        ref_vals, ref_lams = _four_state_rate_function(chain, thetas)
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-12
+        interior = np.minimum.reduce([thetas, 1.0 - thetas, np.abs(thetas - mean)]) >= 0.02
+        assert np.max(np.abs(lams - ref_lams)[interior], initial=0.0) <= 1e-6
+
+
+def _pair_measure_rate(a, b, theta):
+    # I(theta) from the pair empirical measure of the two-state chain with
+    # a = P(0 -> 1), b = P(1 -> 0): mu = (1 - theta, theta), the flow
+    # x = n01 = n10 solves (1 - r) x^2 + r x - r theta (1 - theta) = 0 with
+    # r = ab / ((1 - a)(1 - b)), taken in the form that does not cancel
+    r = a * b / ((1.0 - a) * (1.0 - b))
+    q = theta * (1.0 - theta)
+    x = 2.0 * r * q / (r + math.sqrt(r * r + 4.0 * (1.0 - r) * r * q))
+    n = {(0, 0): 1.0 - theta - x, (0, 1): x, (1, 0): x, (1, 1): theta - x}
+    mu = (1.0 - theta, theta)
+    step = {(0, 0): 1.0 - a, (0, 1): a, (1, 0): b, (1, 1): 1.0 - b}
+    return sum(m * math.log(m / (mu[i] * step[i, j])) for (i, j), m in n.items() if m > 0.0)
+
+
+def _two_state_chain(a, b):
+    return JointChain(states=((0, 0), (0, 1)),
+                      pi_matrix=np.array([[1.0 - a, b], [a, 1.0 - b]]),
+                      stationary=np.array([b, a]) / (a + b), f=np.array([0.0, 1.0]))
+
+
+def _closed_form_gap(a, b, chain, thetas):
+    vals, _ = rate_function(chain, np.asarray(thetas))
+    return max(abs(v - _pair_measure_rate(a, b, th)) for v, th in zip(vals, thetas))
+
+
+def test_rate_function_matches_the_pair_measure_closed_form():
+    for p, D in _random_designs(3, 30):
+        chain = joint_chain(optimal_reproduction(p, D))
+        T = lumped_distortion_chain(chain).pi_matrix
+        a, b = T[1, 0], T[0, 1]
+        thetas = [0.0, chain.mean_distortion, 1.0]
+        assert _closed_form_gap(a, b, chain, thetas) <= 1e-12
+        # mutation: the closed form with a and b swapped fails the check
+        assert _closed_form_gap(b, a, chain, thetas) > 1e-6
+
+
+@pytest.mark.parametrize("a,b", [(0.9, 0.8), (0.99, 0.95), (0.6, 0.7), (0.97, 0.2)])
+def test_anticorrelated_chain_matches_the_pair_measure_closed_form(a, b):
+    # a + b > 1, which no optimal BSMS chain reaches (lambda_2 = 1 - a - b < 0)
+    chain = _two_state_chain(a, b)
+    thetas = [0.0, a / (a + b), 1.0, 0.05, 0.3, 0.5, 0.7, 0.95]
+    assert _closed_form_gap(a, b, chain, thetas) <= 1e-12
+    assert _closed_form_gap(b, a, chain, thetas) > 1e-6
+
+
+# rate_function_curve on the lumped route, values and lambda* bit for bit as
+# float.hex strings.  The 4-state chain is lumped before the search, so its
+# curve is the curve of its lump.  lambda* at theta = 0 is where the golden
+# section stops (the objective is flat to rounding there).
 PINNED_THETAS = [0.0, 0.05, 0.2, 0.35, 0.6, 0.9, 1.0]
 PINNED_CURVES = {
-    (0.1, 0.05, "joint"): (
+    (0.1, 0.05): (
         [
-            "0x1.380c4206abbb2p-5", "0x1.577f900c00000p-50",
-            "0x1.21db68549f985p-4", "0x1.a0e1687db6593p-3",
-            "0x1.fb8b8380bb884p-2", "0x1.f176aea11b8d5p-1", "0x1.3d035f3fd06e0p+0",
-        ], [
-            "-0x1.79130e2d6302cp+5", "-0x1.5430e62cdc0f7p-26",
-            "0x1.7bb95080ca5b4p-1", "0x1.01adeb041428ep+0",
-            "0x1.53792a6fcb10dp+0", "0x1.002434a267c36p+1", "0x1.020d964e7e774p+5",
-        ]),
-    (0.1, 0.05, "lumped"): (
-        [
-            "0x1.380c4206abba2p-5", "0x1.50b71cb400000p-53",
+            "0x1.380c4206abb91p-5", "0x0.0p+0",
             "0x1.21db68549f929p-4", "0x1.a0e1687db65a7p-3",
             "0x1.fb8b8380bb89bp-2", "0x1.f176aea11b8d6p-1", "0x1.3d035f3fd06d0p+0",
         ], [
-            "-0x1.8ffffffff196fp+5", "-0x1.dd5662da3ce56p-28",
+            "-0x1.8ffffffff196fp+5", "0x1.141222c5f2ac4p-25",
             "0x1.7bb94ff58a998p-1", "0x1.01adeaac1dce0p+0",
-            "0x1.53792b1495d36p+0", "0x1.0024351b60ed0p+1", "0x1.017451d40f09cp+5",
+            "0x1.53792b1495d36p+0", "0x1.0024351b60ed0p+1", "0x1.0174769a141c2p+5",
         ]),
-    (0.25, 0.1, "joint"): (
+    (0.25, 0.1): (
         [
-            "0x1.7f152e07af423p-4", "0x1.c76bfd35db948p-7",
-            "0x1.199c4a81a6ceep-5", "0x1.59dbbb60e1a5dp-3",
-            "0x1.127659548c783p-1", "0x1.3a2620c82dc52p+0", "0x1.a0a0fbdab4280p+0",
+            "0x1.7f152e07af400p-4", "0x1.c76bfd35db8f0p-7",
+            "0x1.199c4a81a6ceep-5", "0x1.59dbbb60e1a81p-3",
+            "0x1.127659548c78ap-1", "0x1.3a2620c82dc52p+0", "0x1.a0a0fbdab4290p+0",
         ], [
-            "-0x1.10fb74bb031e2p+5", "-0x1.43b2f136b597ep-1",
-            "0x1.3ba52e092e3c8p-1", "0x1.23606e49ee6dcp+0",
-            "0x1.cab0bf8958362p+0", "0x1.88afa9042eca4p+1", "0x1.0d6c6c7102f7ep+5",
+            "-0x1.8ffffffff196fp+5", "-0x1.43b2f35a65decp-1",
+            "0x1.3ba52e092e3c8p-1", "0x1.23606ed10d5dcp+0",
+            "0x1.cab0bf0733cf8p+0", "0x1.88afa8f201e4cp+1", "0x1.0d0507ded4d77p+5",
         ]),
-    (0.25, 0.1, "lumped"): (
+    (0.4, 0.2): (
         [
-            "0x1.7f152e07af409p-4", "0x1.c76bfd35db8e0p-7",
-            "0x1.199c4a81a6d10p-5", "0x1.59dbbb60e1a7ap-3",
-            "0x1.127659548c78bp-1", "0x1.3a2620c82dc50p+0", "0x1.a0a0fbdab4290p+0",
+            "0x1.bbbe0648aaa22p-3", "0x1.71f8dff29c2a8p-4",
+            "0x1.3cdf927800000p-53", "0x1.d6140ad6608a8p-5",
+            "0x1.6dc61194bc94ap-2", "0x1.11fa7b20a7ce8p+0", "0x1.82b62993bca00p+0",
         ], [
-            "-0x1.8ffffffff196fp+5", "-0x1.43b2f47b80c74p-1",
-            "0x1.3ba52ec4c373fp-1", "0x1.23606e8f8e4eap+0",
-            "0x1.cab0bfa5a3c2cp+0", "0x1.88afa85ba02fap+1", "0x1.0d0507ded4d77p+5",
-        ]),
-    (0.4, 0.2, "joint"): (
-        [
-            "0x1.bbbe0648aaa36p-3", "0x1.71f8dff29c2aep-4",
-            "0x0.0p+0", "0x1.d6140ad660844p-5",
-            "0x1.6dc61194bc946p-2", "0x1.11fa7b20a7cecp+0", "0x1.82b62993bc9e0p+0",
-        ], [
-            "-0x1.47dd3321e40f7p+5", "-0x1.826c7a0a3c5dap+0",
-            "-0x1.f09a416cff2dap-26", "0x1.70f22ac5e5218p-1",
-            "0x1.ab4157fa20a52p+0", "0x1.aeed7ccf003f2p+1", "0x1.166a632363382p+5",
-        ]),
-    (0.4, 0.2, "lumped"): (
-        [
-            "0x1.bbbe0648aaa22p-3", "0x1.71f8dff29c29dp-4",
-            "0x1.a7dd202200000p-53", "0x1.d6140ad660894p-5",
-            "0x1.6dc61194bc948p-2", "0x1.11fa7b20a7ce8p+0", "0x1.82b62993bca00p+0",
-        ], [
-            "-0x1.8ffffffff196fp+5", "-0x1.826c7715594b0p+0",
-            "0x1.4907b48dfa192p-30", "0x1.70f22af747b40p-1",
+            "-0x1.8ffffffff196fp+5", "-0x1.826c770042452p+0",
+            "0x1.8012741494fc0p-28", "0x1.70f22bf71c869p-1",
             "0x1.ab415666241b0p+0", "0x1.aeed7c7a60e06p+1", "0x1.1707f05f85bf1p+5",
         ]),
 }
 
 
-@pytest.mark.parametrize("key", list(PINNED_CURVES), ids=lambda key: "-".join(map(str, key)))
-def test_rate_function_curve_is_pinned_bit_for_bit(key):
-    p, D, kind = key
+@pytest.mark.parametrize("p,D,kind", [(p, D, kind) for p, D in PINNED_CURVES
+                                      for kind in ("joint", "lumped")],
+                         ids=lambda part: str(part))
+def test_rate_function_curve_is_pinned_bit_for_bit(p, D, kind):
     chain = joint_chain(optimal_reproduction(p, D))
     if kind == "lumped":
         chain = lumped_distortion_chain(chain)
     curve = rate_function_curve(chain, PINNED_THETAS)
-    values, lambda_star = PINNED_CURVES[key]
+    values, lambda_star = PINNED_CURVES[p, D]
     assert [float(v).hex() for v in curve.values] == values
     assert [float(v).hex() for v in curve.lambda_star] == lambda_star
 
