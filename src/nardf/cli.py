@@ -245,10 +245,11 @@ def _scalar_report_payload(report):
     }
 
 
-def _note_single_shard(steps, need):
-    if steps < need:
+def _note_single_shard(steps):
+    if steps < jscc.MIN_STEPS_WITH_SE:
         print(f"nardf: note: --steps {steps} runs one shard, so the standard errors are "
-              f"null; --steps {need} or more gives two shards", file=sys.stderr)
+              f"null; --steps {jscc.MIN_STEPS_WITH_SE} or more gives two shards",
+              file=sys.stderr)
 
 
 def _cmd_jscc_sim(args):
@@ -259,31 +260,22 @@ def _cmd_jscc_sim(args):
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     payload = {
-        "schema": "nardf/jscc-sim/v3",
+        "schema": "nardf/jscc-sim/v4",
         "mode": mode,
         "seed": seed,
     }
 
-    if mode in ("fb", "nfb"):
-        alpha = _require(args.alpha, "--alpha")
-        make = jscc.design_feedback_scalar if mode == "fb" else jscc.design_nofeedback_scalar
-        design = make(alpha, args.sigma_w, args.sigma_vc, args.power)
+    if mode in ("fb", "nfb", "iid"):
+        if mode == "iid":
+            design = jscc.design_iid_scalar(args.sigma_x, args.sigma_vc, args.power)
+            payload["parameters"] = {"sigma_x": args.sigma_x}
+        else:
+            alpha = _require(args.alpha, "--alpha")
+            make = jscc.design_feedback_scalar if mode == "fb" else jscc.design_nofeedback_scalar
+            design = make(alpha, args.sigma_w, args.sigma_vc, args.power)
+            payload["parameters"] = {"alpha": alpha, "sigma_w": args.sigma_w}
+        payload["parameters"].update(sigma_vc=args.sigma_vc, power=args.power, steps=steps)
         report = jscc.simulate_scalar(design, steps, rng)
-        _note_single_shard(steps, jscc.min_steps_with_se(design))
-        payload["parameters"] = {
-            "alpha": alpha, "sigma_w": args.sigma_w, "sigma_vc": args.sigma_vc,
-            "power": args.power, "steps": steps,
-        }
-        payload["analytic"] = _scalar_design_payload(design)
-        payload["empirical"] = _scalar_report_payload(report)
-    elif mode == "iid":
-        design = jscc.design_iid_scalar(args.sigma_x, args.sigma_vc, args.power)
-        report = jscc.simulate_scalar(design, steps, rng)
-        _note_single_shard(steps, jscc.min_steps_with_se(design))
-        payload["parameters"] = {
-            "sigma_x": args.sigma_x, "sigma_vc": args.sigma_vc,
-            "power": args.power, "steps": steps,
-        }
         payload["analytic"] = _scalar_design_payload(design)
         payload["empirical"] = _scalar_report_payload(report)
     elif mode == "sk":
@@ -313,7 +305,6 @@ def _cmd_jscc_sim(args):
         sol = gauss.solve_realization(model, D)
         pm = jscc.match_power(sol)
         report = jscc.simulate_vector(model, sol, steps, rng)
-        _note_single_shard(steps, jscc.min_steps_with_se(model, sol))
         payload["parameters"] = {"model": path, "D": D, "steps": steps}
         payload["analytic"] = {
             "distortion": sol.D,
@@ -338,6 +329,8 @@ def _cmd_jscc_sim(args):
             "cov_K": report.cov_K,
             "cov_K_se": report.cov_K_se,
         }
+    if mode != "sk":
+        _note_single_shard(steps)
     return _emit_report(payload, args.format)
 
 

@@ -5,8 +5,9 @@ bounds, and the Markov large-deviations rate function and the empirical
 exceedance of the uncoded transmission, both computed on the two-state lump
 of the chain onto its distortion classes (the chain must be lumpable).
 
-For the Gaussian realization: the steady-state reproduction-error recursion
-and a Monte Carlo Chernoff exponent for P(S_n/n >= d).
+For the Gaussian realization: the steady-state reproduction-error recursion,
+the one loop that steps it from its stationary law (shared with
+jscc.simulate_vector), and a Monte Carlo Chernoff exponent for P(S_n/n >= d).
 
 Exponents and rate functions are in nats; convert with BITS_PER_NAT for
 display.  Exceedance uses the ">= n d" convention throughout (the strict
@@ -248,7 +249,10 @@ def gaussian_error_recursion(
     noise = B1 @ B1.T + (B2 @ B2.T if B2.shape[1] else 0.0) + B3 @ (solution.q[:, None] * B3.T)
     noise = 0.5 * (noise + noise.T)
     cov = solve_discrete_lyapunov(A_tilde, noise)
-    if float(np.max(np.abs(cov - solution.Sigma_inf))) > 1e-8:
+    # 1e-8 relative to the largest entry once that exceeds 1: the fixed
+    # point's own rounding grows with the covariance scale
+    scale = max(1.0, float(np.max(np.abs(solution.Sigma_inf))))
+    if float(np.max(np.abs(cov - solution.Sigma_inf))) > 1e-8 * scale:
         raise NumericError(
             "gaussian_error_recursion: stationary covariance does not match Sigma_inf"
         )
@@ -276,27 +280,35 @@ class ChernoffEstimate(NamedTuple):
     stream_id: int
 
 
-def _simulate_distortion_sums(model, solution, rec, n, trials, rng):
+def _error_steps(model, solution, rec, n, trials, rng):
+    """The matched closed loop as its error recursion: `trials` independent
+    chains in lockstep, each started from the stationary law N(0, Sigma_inf)
+    and run for n steps.  Yields per step the innovation K = C e + N V and
+    the reproduction error err = (eta - 1) E K + b_inf Vc in the decorrelated
+    basis, each (p, trials) and valid until the next step is asked for."""
     m, k, p, d = model.dims
     C, N = model.C, model.N
-    E, eta, b_inf = solution.E_inf, solution.eta, solution.b_inf
-    shrink = eta - 1.0  # (H - I) diagonal in the decorrelated basis
+    E, b_inf = solution.E_inf, solution.b_inf
+    shrink = solution.eta - 1.0  # (H - I) diagonal in the decorrelated basis
     sq = np.sqrt(solution.q)
-    chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
+    try:
+        root = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
+    except np.linalg.LinAlgError:
+        # noise that excites only a subspace makes cov singular, and rounding
+        # can leave it slightly indefinite: cut those eigenvalues to 0
+        w, V = sym_eig(rec.cov)
+        root = V.T * np.sqrt(np.maximum(w, 0.0))
     A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
-    # per step, in stream order: W (k rows), V (d rows), Vc (p rows)
+    # per step, in stream order: W (k rows), V (d rows), Vc (p rows); e_0 first
     normals = _lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
                               rows=(k + d + p,), first=(m,))
-    e = chol @ next(normals)
-    S = np.zeros(trials)
+    e = root @ next(normals)
     for z in normals:
         W, V = z[:k], z[k:k + d]
         Vc = sq[:, None] * z[k + d:]
         K = C @ e + (N @ V if d else 0.0)
-        err = shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
-        S += np.sum(err * err, axis=0)
+        yield K, shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
         e = A_t @ e + B1 @ W - (B2 @ V if d else 0.0) - B3 @ Vc
-    return S
 
 
 def gaussian_chernoff_exponent(
@@ -328,7 +340,9 @@ def gaussian_chernoff_exponent(
     if np.any(lams <= 0.0):
         raise DomainError("gaussian_chernoff_exponent: tilts must be positive")
 
-    S = _simulate_distortion_sums(model, solution, rec, n, trials, rng)
+    S = np.zeros(trials)
+    for _, err in _error_steps(model, solution, rec, n, trials, rng):
+        S += np.sum(err * err, axis=0)
     logT = math.log(trials)
     keep, mgf_log, ess_vals = [], [], []
     for lam in lams:

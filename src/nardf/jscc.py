@@ -14,8 +14,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
+from .excess import _error_steps, gaussian_error_recursion
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
-from .numerics import RngStream, _lockstep_draws, solve_discrete_lyapunov, water_level
+from .numerics import RngStream, _lockstep_draws, water_level
 
 __all__ = [
     "PowerMatch",
@@ -28,7 +29,7 @@ __all__ = [
     "design_feedback_scalar",
     "design_nofeedback_scalar",
     "design_iid_scalar",
-    "min_steps_with_se",
+    "MIN_STEPS_WITH_SE",
     "simulate_scalar",
     "simulate_vector",
     "schalkwijk_kailath",
@@ -259,14 +260,15 @@ class SimulationReport:
 
 _MAX_SHARDS = 1024  # each lockstep step's width: at 64, long runs were bound by per-step overhead
 _MIN_SHARD = 200  # shortest shard that a standard error is taken over
+MIN_STEPS_WITH_SE = 2 * _MIN_SHARD  # fewer steps run one shard, whose standard errors are NaN
 
 
-def _shard_layout(n, burn):
-    """(shards, steps kept per shard): at most _MAX_SHARDS independent chains
-    of at least max(_MIN_SHARD, burn) kept steps, together >= n steps."""
+def _shard_layout(n):
+    """(shards, steps per shard): at most _MAX_SHARDS independent chains of
+    at least _MIN_SHARD steps, together >= n steps."""
     if n < 1:
         raise DomainError("simulation length must be >= 1")
-    shards = min(_MAX_SHARDS, max(1, n // max(_MIN_SHARD, burn)))
+    shards = min(_MAX_SHARDS, max(1, n // _MIN_SHARD))
     return shards, -(-n // shards)  # ceil
 
 
@@ -281,85 +283,44 @@ def _mean_and_se(shard_means):
     return m, se
 
 
-_MAX_BURN_IN = 1_000_000  # a longer warm-up would dwarf any simulation run
-
-
-def _burn_in(rho):
-    # steps until a contraction by rho per step has shrunk the start by e^-10
-    burn = max(50, math.ceil(-10.0 / math.log(rho))) if rho > 0.0 else 50
-    if burn > _MAX_BURN_IN:
-        raise DomainError(
-            f"burn-in of {burn} steps exceeds {_MAX_BURN_IN}: the chain contracts "
-            f"by {rho!r} per step, too close to 1 to simulate"
-        )
-    return burn
-
-
-def _scalar_burn_in(design: JsccScalarDesign):
-    q = design.sigma_Vc**2
-    rho = abs(design.alpha) * q / (design.P + q) if design.mode == "feedback" else abs(design.alpha)
-    return _burn_in(rho)
-
-
-def _vector_burn_in(model: GaussModel, solution: RealizationSolution):
-    if solution.closed_loop_radius >= 1.0:
-        raise NumericError("simulate_vector: closed-loop filter is unstable")
-    rho_A = float(np.max(np.abs(np.linalg.eigvals(model.A))))
-    if rho_A >= 1.0:
-        raise NumericError("simulate_vector: source state matrix is unstable")
-    return _burn_in(max(rho_A, solution.closed_loop_radius))
-
-
-def min_steps_with_se(source, solution=None) -> int:
-    """Smallest n at which simulate_scalar(source, n, ...) -- or, given a
-    solution, simulate_vector(source, solution, n, ...) -- runs two shards,
-    so that its standard errors are finite: 2 max(200, burn-in)."""
-    burn = _scalar_burn_in(source) if solution is None else _vector_burn_in(source, solution)
-    return 2 * max(_MIN_SHARD, burn)
-
-
 def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=False):
-    """Simulate the scalar design for (at least) n retained steps.
+    """Simulate the scalar design for (at least) n steps.
 
-    Feedback mode runs the closed loop: the encoder maintains the one-step
-    predictor from past channel outputs (the same filter the decoder runs);
-    other modes scale X_t directly.  Runs as shards (independent chains) in
-    lockstep, drawn through the numerics block layout; statistics use shard
-    means.  Below min_steps_with_se(design) steps there is one shard and
-    both standard errors are NaN.  With return_series=True a single shard is
-    run and (report, series dict) is returned.  NumericError if the simulated
+    One recursion on the encoder input K (the innovation X_t - Xhat_t in
+    feedback mode, X_t otherwise): K' = alpha (K - Ktil if feedback else K)
+    + sigma_W W, with Ktil the decoder's estimate of K from the channel
+    output and K - Ktil the reproduction error.  Each chain starts at its
+    stationary law N(0, design.input_var), so every step is stationary,
+    however slowly the chain mixes.  Runs as shards (independent chains)
+    in lockstep, drawn through the numerics block layout; statistics use
+    shard means.  Below MIN_STEPS_WITH_SE steps there is one shard and both
+    standard errors are NaN.  With return_series=True a single shard is run
+    and (report, series dict) is returned.  NumericError if the simulated
     sums leave the float range.
     """
-    burn = _scalar_burn_in(design)
-    shards, per_shard = (1, n) if return_series else _shard_layout(n, burn)
+    shards, per_shard = (1, n) if return_series else _shard_layout(n)
     # per step, in stream order: W, Vc; the initial state first
-    normals = _lockstep_draws(rng, shards, per_shard + burn,
+    normals = _lockstep_draws(rng, shards, per_shard,
                               np.random.Generator.standard_normal, rows=(2,), first=())
 
     feedback = design.mode == "feedback"
     alpha, enc, dec = design.alpha, design.encoder_gain, design.decoder_gain
     sW, sVc = design.sigma_W, design.sigma_Vc
-    X = next(normals) * math.sqrt(design.source_var)
-    Xhat = np.zeros(shards)
+    K = next(normals) * math.sqrt(design.input_var)
     d_sum = np.zeros(shards)
     p_sum = np.zeros(shards)
     series = {"K": [], "B": []} if return_series else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
-        for t, z in enumerate(normals):
-            K = X - Xhat if feedback else X
+        for z in normals:
             A_t = enc * K
             B_t = A_t + sVc * z[1]
-            Ktil = dec * B_t
-            Y = Ktil + Xhat if feedback else Ktil
-            if t >= burn:
-                d_sum += (X - Y) ** 2
-                p_sum += A_t**2
-                if return_series:
-                    series["K"].append(float(K[0]))
-                    series["B"].append(float(B_t[0]))
-            if feedback:
-                Xhat = alpha * Y
-            X = alpha * X + sW * z[0]
+            err = K - dec * B_t
+            d_sum += err**2
+            p_sum += A_t**2
+            if return_series:
+                series["K"].append(float(K[0]))
+                series["B"].append(float(B_t[0]))
+            K = alpha * (err if feedback else K) + sW * z[0]
         dist, dist_se = _mean_and_se(d_sum / per_shard)
         power, power_se = _mean_and_se(p_sum / per_shard)
     if not np.all(np.isfinite([dist, power] if shards == 1 else [dist, power, dist_se, power_se])):
@@ -386,52 +347,37 @@ def simulate_vector(
     Source -> innovation K_t -> decorrelate (E_inf) -> per-channel scaling
     sqrt(Q Delta^{-1} H) -> AWGN(Q) -> decoder scaling B_inf -> rotate back
     -> add predictor; encoder and decoder share the modified Kalman filter.
+    Every statistic depends on the loop only through its filter error
+    e = Z - Zhat, so the loop runs as the error recursion of
+    gaussian_error_recursion, from its stationary law: an unstable source
+    simulates as long as the closed loop is stable (NumericError otherwise).
     Runs as shards in lockstep, like simulate_scalar.  Below
-    min_steps_with_se(model, solution) steps there is one shard and every
-    standard error is NaN.
+    MIN_STEPS_WITH_SE steps there is one shard and every standard error is
+    NaN.  NumericError if the simulated sums leave the float range.
     """
-    burn = _vector_burn_in(model, solution)
-    A, B, C, N = model.A, model.B, model.C, model.N
-    m, k, p, d = model.dims
-    Pz = solve_discrete_lyapunov(A, B @ B.T)
-    Pz_half = np.linalg.cholesky(Pz + 1e-15 * np.eye(m))
-
+    rec = gaussian_error_recursion(model, solution)
     E, eta, delta, q = solution.E_inf, solution.eta, solution.delta, solution.q
-    b_inf = solution.b_inf
-    a_inf = np.sqrt(np.where(delta > 0.0, q * eta / np.where(delta > 0.0, delta, 1.0), 0.0))
-    gain = solution.gain
-    sq = np.sqrt(q)
-
-    shards, per_shard = _shard_layout(n, burn)
-    # per step, in stream order: W (k rows), V (d rows), Vc (p rows); Z_0 first
-    normals = _lockstep_draws(rng, shards, per_shard + burn,
-                              np.random.Generator.standard_normal, rows=(k + d + p,), first=(m,))
-    Z = Pz_half @ next(normals)
-    zhat = np.zeros((m, shards))
+    p = model.dims[2]
+    shards, per_shard = _shard_layout(n)
     d_sum = np.zeros((p, shards))
     p_sum = np.zeros((p, shards))
     covK = np.zeros((p, p, shards))
-    for t, z in enumerate(normals):
-        W, V, Vc = z[:k], z[k:k + d], sq[:, None] * z[k + d:]
-        X = C @ Z + (N @ V if d else 0.0)
-        K = X - C @ zhat
-        Gam = E @ K
-        ch_in = a_inf[:, None] * Gam
-        ch_out = ch_in + Vc
-        Gam_til = b_inf[:, None] * ch_out
-        Ktil = E.T @ Gam_til
-        if t >= burn:
-            d_sum += (Gam - Gam_til) ** 2
-            p_sum += ch_in**2
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
+        a_inf = np.sqrt(np.where(delta > 0.0, q * eta / np.where(delta > 0.0, delta, 1.0), 0.0))
+        for K, err in _error_steps(model, solution, rec, per_shard, shards, rng):
+            d_sum += err * err
+            p_sum += (a_inf[:, None] * (E @ K)) ** 2
             covK += np.einsum("is,js->ijs", K, K)
-        zhat = A @ zhat + gain @ Ktil
-        Z = A @ Z + B @ W
-
-    per_dist, per_dist_se = _mean_and_se((d_sum / per_shard).T)
-    per_pow, per_pow_se = _mean_and_se((p_sum / per_shard).T)
-    cov, cov_se = _mean_and_se(np.moveaxis(covK / per_shard, 2, 0))
-    tot_d, tot_d_se = _mean_and_se((d_sum.sum(axis=0) / per_shard))
-    tot_p, tot_p_se = _mean_and_se((p_sum.sum(axis=0) / per_shard))
+        per_dist, per_dist_se = _mean_and_se((d_sum / per_shard).T)
+        per_pow, per_pow_se = _mean_and_se((p_sum / per_shard).T)
+        cov, cov_se = _mean_and_se(np.moveaxis(covK / per_shard, 2, 0))
+        tot_d, tot_d_se = _mean_and_se((d_sum.sum(axis=0) / per_shard))
+        tot_p, tot_p_se = _mean_and_se((p_sum.sum(axis=0) / per_shard))
+    values = [tot_d, tot_p, per_dist, per_pow, cov]
+    if shards > 1:
+        values += [tot_d_se, tot_p_se, per_dist_se, per_pow_se, cov_se]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NumericError("simulate_vector: the simulated sums leave the float range")
     return SimulationReport(
         samples=shards * per_shard,
         distortion=float(tot_d),

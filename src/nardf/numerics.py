@@ -1,5 +1,5 @@
 """Numerical kernel: entropy, deterministic eigensolves, the exact water
-level, the discrete Lyapunov equation, log-sum-exp, root finders, the
+level, the discrete Lyapunov equation, log-sum-exp, the cubic root, the
 Perron root, 1-d concave maximization, RNG streams, and the one block
 layout through which every Monte Carlo simulator draws (_lockstep_draws).
 
@@ -164,35 +164,6 @@ def logsumexp(a, axis=None):
     total = np.sum(np.exp(a - shift), axis=axis)
     with np.errstate(divide="ignore"):
         return np.log(total) + np.squeeze(shift, axis=axis)
-
-
-def bisect_monotone(f, lo, hi, tol, max_iter=200):
-    """Bisection for a zero of a monotone function on [lo, hi].
-
-    Stops when |f(mid)| <= tol or the interval width falls below tol.
-    """
-    if not (tol > 0.0):
-        raise DomainError("bisect_monotone: tol must be positive")
-    lo = float(lo)
-    hi = float(hi)
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise DomainError("bisect_monotone: f(lo) and f(hi) do not bracket zero")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol or (hi - lo) <= tol:
-            return mid
-        if (fm > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def _cubic_eval(c3, c2, c1, c0, x):

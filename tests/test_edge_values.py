@@ -9,12 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from nardf import gauss
+from nardf import excess, gauss
 from nardf.bsms import (JointChain, classical_gray, gray_critical_distortion, joint_chain,
                         optimal_reproduction, rate_loss_bound, rna_bsms)
 from nardf.errors import DomainError, NumericError
-from nardf.excess import (exceedance_exponent, hoeffding_bound, lumped_distortion_chain,
-                          rate_function, reversible_bound)
+from nardf.excess import (exceedance_exponent, gaussian_error_recursion, hoeffding_bound,
+                          lumped_distortion_chain, rate_function, reversible_bound)
 from nardf.gauss import (
     GaussModel,
     classical_alpha1,
@@ -25,7 +25,8 @@ from nardf.gauss import (
     rna_scalar_partially_observed,
     solve_realization,
 )
-from nardf.numerics import binary_entropy, cubic_positive_root, sym_eig
+from nardf.jscc import MIN_STEPS_WITH_SE, simulate_vector
+from nardf.numerics import RngStream, binary_entropy, cubic_positive_root, sym_eig
 
 EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300,
          0.25, 0.5, 1.0, 1.5, 1e300, -0.3)
@@ -200,3 +201,64 @@ def test_solve_realization_iteration_cap(monkeypatch):
     monkeypatch.setattr(gauss, "_MAX_ITER", 3)
     with pytest.raises(NumericError, match="no convergence"):
         solve_realization(SOLVE_MODELS["acceptance-2x2"], 0.4)
+
+
+# ------------------------------------------------ the matched closed loop
+#
+# gaussian_error_recursion and simulate_vector on every solution the grid
+# above yields.  The simulation starts from N(0, Sigma_inf): noise that
+# excites only a subspace makes Sigma_inf singular, and rounding can leave it
+# indefinite, so the grid adds such a model.
+
+LOOP_MODELS = {
+    **SOLVE_MODELS,
+    "rank-one-noise": GaussModel(A=0.5 * np.eye(2), B=np.array([[60.0], [-80.0]]), C=np.eye(2),
+                                 N=np.empty((2, 0))),
+}
+
+
+def _finite_fields(result):
+    return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+
+
+@pytest.mark.parametrize("name", list(LOOP_MODELS))
+def test_closed_loop_edge_values(name):
+    model = LOOP_MODELS[name]
+    bad = []
+    for D, Q in itertools.product(SOLVE_D, SOLVE_Q):
+        try:
+            sol = solve_realization(model, D, Q)
+        except (DomainError, NumericError):
+            continue
+        # two shards, so that every standard error must be finite too
+        for fn in (gaussian_error_recursion,
+                   lambda m, s: simulate_vector(m, s, MIN_STEPS_WITH_SE, RngStream(1))):
+            try:
+                result = fn(model, sol)
+            except (DomainError, NumericError):
+                continue
+            except Exception as exc:  # LinAlgError, RuntimeWarning, ...
+                bad.append((D, Q, f"{type(exc).__name__}: {exc}"))
+                continue
+            if not _finite_fields(result):
+                bad.append((D, Q, result))
+    assert not bad, f"{len(bad)} bad calls, e.g. {bad[:3]}"
+
+
+def test_singular_stationary_law_simulates():
+    # the start covariance has no Cholesky factor here; the loop must still
+    # start from N(0, Sigma_inf), so the first innovation has covariance
+    # Lambda_inf, and hit D
+    model = LOOP_MODELS["rank-one-noise"]
+    sol = solve_realization(model, 0.4)
+    rec = gaussian_error_recursion(model, sol)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(rec.cov + 1e-15 * np.eye(2))
+    trials = 20_000
+    K, _ = next(excess._error_steps(model, sol, rec, 1, trials, RngStream(3)))
+    lam = sol.Lambda_inf
+    se = np.sqrt((lam**2 + np.outer(np.diag(lam), np.diag(lam))) / trials)
+    assert np.all(np.abs(K @ K.T / trials - lam) <= 4.0 * se)
+    rep = simulate_vector(model, sol, 40_000, RngStream(2))
+    assert abs(rep.distortion - 0.4) <= 4.0 * rep.distortion_se
+    assert np.all(np.abs(rep.cov_K - sol.Lambda_inf) <= 4.0 * rep.cov_K_se + 1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -517,6 +518,20 @@ def test_error_recursion_matches_iterated_lyapunov():
     assert float(np.max(np.abs(P - rec.cov))) <= 1e-6
 
 
+def test_error_recursion_at_a_large_covariance_scale():
+    # B = 1e4 I puts Sigma_inf near 1e8, where an absolute 1e-8 match of
+    # the two covariances is below rounding; the check scales with Sigma_inf,
+    # and a mismatched Sigma_inf is still refused
+    model = GaussModel(A=np.array([[0.6, 0.2], [0.0, 0.5]]), B=1e4 * np.eye(2),
+                       C=np.array([[1.0, 0.0], [0.3, 0.9]]), N=0.4 * np.eye(2))
+    sol = solve_realization(model, 2e8)
+    rec = gaussian_error_recursion(model, sol)
+    assert np.max(np.abs(rec.cov - sol.Sigma_inf)) <= 1e-12 * np.max(np.abs(sol.Sigma_inf))
+    off = dataclasses.replace(sol, Sigma_inf=sol.Sigma_inf * (1.0 + 1e-6))
+    with pytest.raises(NumericError, match="does not match"):
+        gaussian_error_recursion(model, off)
+
+
 # ----------------------------------------------------------- Chernoff exponent
 
 
@@ -593,7 +608,9 @@ ACCEPTANCE_2X2 = GaussModel(
 def _sums_pair(model, D, n, trials, seed):
     sol = solve_realization(model, D)
     rec = gaussian_error_recursion(model, sol)
-    got = excess._simulate_distortion_sums(model, sol, rec, n, trials, RngStream(seed))
+    got = np.zeros(trials)
+    for _, err in excess._error_steps(model, sol, rec, n, trials, RngStream(seed)):
+        got += np.sum(err * err, axis=0)
     ref = _blockwise_distortion_sums(model, sol, rec, n, trials, RngStream(seed))
     return got, ref
 

@@ -1,21 +1,22 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nardf import jscc, numerics
+from nardf import excess, jscc, numerics
 from nardf.errors import DomainError, NumericError
 from nardf.gauss import GaussModel, rna_scalar_fully_observed, solve_realization
 from nardf.jscc import (
+    MIN_STEPS_WITH_SE,
     capacity_waterfill,
     design_feedback_scalar,
     design_iid_scalar,
     design_nofeedback_scalar,
     match_power,
     matched_channel_noise,
-    min_steps_with_se,
     schalkwijk_kailath,
     simulate_scalar,
     simulate_vector,
@@ -279,14 +280,26 @@ def matched_channel_noise_safe():
     return matched_channel_noise(sol)
 
 
-def test_simulate_vector_unstable_source_rejected():
-    model = GaussModel(
-        A=np.array([[1.05]]), B=np.array([[1.0]]), C=np.array([[1.0]]),
-        N=np.array([[0.4]]),
-    )
-    sol = solve_realization(model, 0.5)
-    with pytest.raises(NumericError):
-        simulate_vector(model, sol, 1000, RngStream(1))
+UNSTABLE_SOURCE = GaussModel(
+    A=np.array([[1.05]]), B=np.array([[1.0]]), C=np.array([[1.0]]), N=np.array([[0.4]]),
+)
+
+
+@pytest.mark.parametrize("model, D", [
+    (UNSTABLE_SOURCE, 0.5),  # rho(A) = 1.05, closed-loop radius 0.36
+    (GaussModel.scalar(1.0, 1.0), 0.2),  # the unit-root source
+], ids=["rho-1.05", "unit-root"])
+def test_simulate_vector_unstable_source_with_a_stable_loop(model, D):
+    sol = solve_realization(model, D)
+    assert sol.closed_loop_radius < 1.0
+    rep = simulate_vector(model, sol, 100_000, RngStream(1))
+    assert abs(rep.distortion - D) <= 4.0 * rep.distortion_se
+
+
+def test_simulate_vector_unstable_closed_loop_rejected():
+    sol = solve_realization(UNSTABLE_SOURCE, 0.5)
+    with pytest.raises(NumericError, match="unstable"):
+        simulate_vector(UNSTABLE_SOURCE, replace(sol, gain=0.0 * sol.gain), 1000, RngStream(1))
 
 
 # ---------------------------------------------------------- Schalkwijk-Kailath
@@ -337,25 +350,51 @@ def test_scalar_designs_at_extreme_parameters_are_finite_or_raise():
 
 
 def test_min_steps_with_se_is_the_two_shard_threshold():
+    assert MIN_STEPS_WITH_SE == 400
     for design in (design_feedback_scalar(0.5, 1.0, 1.0, 1.0),
-                   design_nofeedback_scalar(0.99, 1.0, 1.0, 1.0),  # burn-in 995
+                   design_nofeedback_scalar(0.99, 1.0, 1.0, 1.0),
                    design_iid_scalar(1.0, 1.0, 2.0)):
-        need = min_steps_with_se(design)
-        assert need >= 400
-        assert math.isnan(simulate_scalar(design, need - 1, RngStream(2)).distortion_se)
-        report = simulate_scalar(design, need, RngStream(2))
+        assert math.isnan(
+            simulate_scalar(design, MIN_STEPS_WITH_SE - 1, RngStream(2)).distortion_se)
+        report = simulate_scalar(design, MIN_STEPS_WITH_SE, RngStream(2))
         assert math.isfinite(report.distortion_se) and math.isfinite(report.power_se)
 
 
-def test_burn_in_beyond_the_cap_is_a_domain_error():
-    assert jscc._burn_in(0.99999) == 999_995
-    with pytest.raises(DomainError):
-        jscc._burn_in(0.999999)  # 9,999,995 steps
-    design = design_nofeedback_scalar(0.99999999, 1.0, 1.0, 1.0)  # still built
-    with pytest.raises(DomainError):
-        min_steps_with_se(design)
-    with pytest.raises(DomainError):
-        simulate_scalar(design, 10, RngStream(2))
+def test_near_unit_root_source_simulates_from_its_stationary_law():
+    # the chain forgets its start at rate 0.999 per step, slower than any
+    # 200-step shard; a stationary start leaves each shard unbiased anyway
+    design = design_nofeedback_scalar(0.999, 1.0, 1.0, 1.0)
+    rep = simulate_scalar(design, 200_000, RngStream(3))
+    assert abs(rep.distortion - design.D_min) <= 4.0 * rep.distortion_se
+    assert abs(rep.power - design.P) <= 4.0 * rep.power_se
+    rep = simulate_scalar(design_nofeedback_scalar(0.99999999, 1.0, 1.0, 1.0),
+                          MIN_STEPS_WITH_SE, RngStream(2))
+    assert all(math.isfinite(v) for v in (rep.distortion, rep.distortion_se,
+                                          rep.power, rep.power_se))
+
+
+@pytest.mark.parametrize("design", [design_feedback_scalar(0.7, 1.1, 0.9, 1.5),
+                                    design_nofeedback_scalar(-0.6, 1.2, 0.8, 1.5)],
+                         ids=["fb", "nfb"])
+def test_scalar_recursion_is_the_source_encoder_decoder_loop(design):
+    # oracle: the source X and the decoder's predictor Xhat run explicitly on
+    # the same draws, from X_0 = K_0 and Xhat_0 = 0; the encoder input K and
+    # the channel output B match the library's one recursion on K
+    n = 300
+    _, series = simulate_scalar(design, n, RngStream(4), return_series=True)
+    normals = numerics._lockstep_draws(RngStream(4), 1, n, np.random.Generator.standard_normal,
+                                       rows=(2,), first=())
+    X = float(next(normals)[0]) * math.sqrt(design.input_var)
+    Xhat, K, B = 0.0, [], []
+    feedback = design.mode == "feedback"
+    for W, Vc in normals:
+        K.append(X - Xhat if feedback else X)
+        B.append(design.encoder_gain * K[-1] + design.sigma_Vc * float(Vc[0]))
+        Y = design.decoder_gain * B[-1] + (Xhat if feedback else 0.0)
+        Xhat = design.alpha * Y if feedback else 0.0
+        X = design.alpha * X + design.sigma_W * float(W[0])
+    np.testing.assert_allclose(series["K"], K, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(series["B"], B, rtol=0.0, atol=1e-12)
 
 
 def test_schalkwijk_kailath():
@@ -377,10 +416,9 @@ def test_schalkwijk_kailath():
 
 def test_min_steps_with_se_is_the_two_shard_threshold_for_vector_runs():
     sol = solve_realization(TEST_MODEL, 1.2)
-    need = min_steps_with_se(TEST_MODEL, sol)
-    assert need >= 400
-    assert math.isnan(simulate_vector(TEST_MODEL, sol, need - 1, RngStream(2)).distortion_se)
-    report = simulate_vector(TEST_MODEL, sol, need, RngStream(2))
+    report = simulate_vector(TEST_MODEL, sol, MIN_STEPS_WITH_SE - 1, RngStream(2))
+    assert math.isnan(report.distortion_se)
+    report = simulate_vector(TEST_MODEL, sol, MIN_STEPS_WITH_SE, RngStream(2))
     assert np.all(np.isfinite(report.per_coordinate_distortion_se))
     assert np.all(np.isfinite(report.cov_K_se))
 
@@ -393,29 +431,21 @@ def test_min_steps_with_se_is_the_two_shard_threshold_for_vector_runs():
 
 
 def _blockwise_scalar(design, n, rng):
-    burn = jscc._scalar_burn_in(design)
-    shards, per_shard = jscc._shard_layout(n, burn)
+    shards, per_shard = jscc._shard_layout(n)
     feedback = design.mode == "feedback"
     alpha, enc, dec = design.alpha, design.encoder_gain, design.decoder_gain
     d_sums, p_sums = [], []
     for g, size in numerics._trial_blocks(rng, shards):
-        X = g.standard_normal(size) * math.sqrt(design.source_var)
-        Xhat = np.zeros(size)
+        K = g.standard_normal(size) * math.sqrt(design.input_var)
         d_sum = np.zeros(size)
         p_sum = np.zeros(size)
-        for t in range(per_shard + burn):
+        for _ in range(per_shard):
             W, Vc = g.standard_normal((2, size))
-            K = X - Xhat if feedback else X
             A_t = enc * K
-            B_t = A_t + design.sigma_Vc * Vc
-            Ktil = dec * B_t
-            Y = Ktil + Xhat if feedback else Ktil
-            if t >= burn:
-                d_sum += (X - Y) ** 2
-                p_sum += A_t**2
-            if feedback:
-                Xhat = alpha * Y
-            X = alpha * X + design.sigma_W * W
+            err = K - dec * (A_t + design.sigma_Vc * Vc)
+            d_sum += err**2
+            p_sum += A_t**2
+            K = alpha * (err if feedback else K) + design.sigma_W * W
         d_sums.append(d_sum)
         p_sums.append(p_sum)
     dist = jscc._mean_and_se(np.concatenate(d_sums) / per_shard)
@@ -423,39 +453,85 @@ def _blockwise_scalar(design, n, rng):
     return shards * per_shard, dist, power
 
 
+def _channel_gain(sol):
+    # a_inf = sqrt(q eta / delta), 0 on coordinates with delta = 0
+    delta = sol.delta
+    return np.sqrt(np.where(delta > 0.0, sol.q * sol.eta / np.where(delta > 0.0, delta, 1.0), 0.0))
+
+
 def _blockwise_vector(model, sol, n, rng):
-    burn = jscc._vector_burn_in(model, sol)
-    shards, per_shard = jscc._shard_layout(n, burn)
-    A, B, C, N = model.A, model.B, model.C, model.N
+    shards, per_shard = jscc._shard_layout(n)
+    rec = excess.gaussian_error_recursion(model, sol)
+    C, N = model.C, model.N
     m, k, p, d = model.dims
-    Pz_half = np.linalg.cholesky(numerics.solve_discrete_lyapunov(A, B @ B.T) + 1e-15 * np.eye(m))
-    E, delta, q = sol.E_inf, sol.delta, sol.q
-    a_inf = np.sqrt(np.where(delta > 0.0, q * sol.eta / np.where(delta > 0.0, delta, 1.0), 0.0))
+    chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
+    E, q, a_inf = sol.E_inf, sol.q, _channel_gain(sol)
     sums = []
     for g, size in numerics._trial_blocks(rng, shards):
-        Z = Pz_half @ g.standard_normal((m, size))
-        zhat = np.zeros((m, size))
+        e = chol @ g.standard_normal((m, size))
         d_sum = np.zeros((p, size))
         p_sum = np.zeros((p, size))
         covK = np.zeros((p, p, size))
-        for t in range(per_shard + burn):
+        for _ in range(per_shard):
             W = g.standard_normal((k, size))
             V = g.standard_normal((d, size))
             Vc = np.sqrt(q)[:, None] * g.standard_normal((p, size))
-            K = C @ Z + (N @ V if d else 0.0) - C @ zhat
-            Gam = E @ K
-            ch_in = a_inf[:, None] * Gam
-            Gam_til = sol.b_inf[:, None] * (ch_in + Vc)
-            if t >= burn:
-                d_sum += (Gam - Gam_til) ** 2
-                p_sum += ch_in**2
-                covK += np.einsum("is,js->ijs", K, K)
-            zhat = A @ zhat + sol.gain @ (E.T @ Gam_til)
-            Z = A @ Z + B @ W
+            K = C @ e + (N @ V if d else 0.0)
+            err = (sol.eta - 1.0)[:, None] * (E @ K) + sol.b_inf[:, None] * Vc
+            d_sum += err * err
+            p_sum += (a_inf[:, None] * (E @ K)) ** 2
+            covK += np.einsum("is,js->ijs", K, K)
+            e = rec.A_tilde @ e + rec.B1 @ W - (rec.B2 @ V if d else 0.0) - rec.B3 @ Vc
         sums.append((d_sum, p_sum, covK))
-    d_sum, p_sum, covK = (np.concatenate(parts, axis=-1) / per_shard for parts in zip(*sums))
-    return (jscc._mean_and_se(d_sum.sum(axis=0)), jscc._mean_and_se(p_sum.T),
-            jscc._mean_and_se(np.moveaxis(covK, 2, 0)))
+    d_sum, p_sum, covK = (np.concatenate(parts, axis=-1) for parts in zip(*sums))
+    return (jscc._mean_and_se(d_sum.sum(axis=0) / per_shard),
+            jscc._mean_and_se(p_sum.T / per_shard),
+            jscc._mean_and_se(np.moveaxis(covK, 2, 0) / per_shard))
+
+
+def _realization_steps(model, sol, n, trials, rng):
+    # oracle: the explicit loop source -> innovation -> decorrelate (E_inf)
+    # -> a_inf -> AWGN -> b_inf -> rotate back -> predictor, on the draws of
+    # the library's error recursion, from Z_0 = e_0 and zhat_0 = 0; yields
+    # (reproduction error, channel input) per step in the decorrelated basis
+    A, B, C, N = model.A, model.B, model.C, model.N
+    m, k, p, d = model.dims
+    rec = excess.gaussian_error_recursion(model, sol)
+    E, q, a_inf = sol.E_inf, sol.q, _channel_gain(sol)
+    normals = numerics._lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
+                                       rows=(k + d + p,), first=(m,))
+    Z = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m)) @ next(normals)
+    zhat = np.zeros((m, trials))
+    for z in normals:
+        W, V, Vc = z[:k], z[k:k + d], np.sqrt(q)[:, None] * z[k + d:]
+        X = C @ Z + (N @ V if d else 0.0)
+        Gam = E @ (X - C @ zhat)
+        ch_in = a_inf[:, None] * Gam
+        Gam_til = sol.b_inf[:, None] * (ch_in + Vc)
+        yield Gam_til - Gam, ch_in
+        zhat = A @ zhat + sol.gain @ (E.T @ Gam_til)
+        Z = A @ Z + B @ W
+
+
+@pytest.mark.parametrize("model, D", [
+    (TEST_MODEL, 1.2),
+    (GaussModel(A=TEST_MODEL.A, B=np.eye(2), C=np.array([[1.0, 0.5]]), N=np.empty((1, 0))), 0.3),
+    (GaussModel.scalar(0.5, 1.0, 1.0, 0.5), 0.5),
+    (UNSTABLE_SOURCE, 0.5),
+    (GaussModel.scalar(1.0, 1.0), 0.2),
+], ids=["2x2", "p<m-noiseless", "scalar-observed", "unstable-source", "unit-root"])
+def test_error_recursion_is_the_realization_pathwise(model, D):
+    sol = solve_realization(model, D)
+    rec = excess.gaussian_error_recursion(model, sol)
+    a_inf = _channel_gain(sol)
+    steps = 0
+    for (K, err), (ref_err, ref_in) in zip(
+            excess._error_steps(model, sol, rec, 100, 5, RngStream(6)),
+            _realization_steps(model, sol, 100, 5, RngStream(6))):
+        np.testing.assert_allclose(err, ref_err, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(a_inf[:, None] * (sol.E_inf @ K), ref_in, rtol=0.0, atol=1e-12)
+        steps += 1
+    assert steps == 100
 
 
 def _blockwise_sk(sigma_X, sigma_Vc, P, n, rng, trials):
@@ -496,25 +572,25 @@ LOCKSTEP_DESIGNS = {
 @pytest.mark.parametrize("mode", ["fb", "nfb"])
 def test_lockstep_scalar_matches_block_loop(mode, shards):
     design = LOCKSTEP_DESIGNS[mode]
-    n = shards * 200  # burn-in 50: `shards` shards of 200 kept steps
-    assert jscc._shard_layout(n, jscc._scalar_burn_in(design)) == (shards, 200)
+    n = shards * 200
+    assert jscc._shard_layout(n) == (shards, 200)
     _scalar_matches_blocks(design, n, 31)
 
 
 def test_lockstep_scalar_short_last_chunk(monkeypatch):
-    # 64 shards draw 1024-step chunks; 1000 kept + 50 burn-in steps end in a
-    # 26-step chunk
-    assert numerics._CHUNK_BYTES // (8 * 64 * 2) == 1024
-    _scalar_matches_blocks(LOCKSTEP_DESIGNS["fb"], 64_000, 32)
+    # 400 shards draw 163-step chunks; 200 steps end in a 37-step chunk
+    assert jscc._shard_layout(80_000) == (400, 200)
+    assert numerics._CHUNK_BYTES // (8 * 400 * 2) == 163
+    _scalar_matches_blocks(LOCKSTEP_DESIGNS["fb"], 80_000, 32)
     monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 2 * 17)  # 3-step chunks
+    assert jscc._shard_layout(17 * 202) == (17, 202)
     for design in LOCKSTEP_DESIGNS.values():
-        _scalar_matches_blocks(design, 17 * 200, 33)  # 250 steps: a one-step last chunk
+        _scalar_matches_blocks(design, 17 * 202, 33)  # 202 steps: a one-step last chunk
 
 
-def _vector_matches_blocks(shards, seed):
+def _vector_matches_blocks(n, shards, seed):
     sol = solve_realization(TEST_MODEL, 1.2)
-    n = shards * 200
-    assert jscc._shard_layout(n, jscc._vector_burn_in(TEST_MODEL, sol)) == (shards, 200)
+    assert jscc._shard_layout(n)[0] == shards
     report = simulate_vector(TEST_MODEL, sol, n, RngStream(seed))
     total, power, cov = _blockwise_vector(TEST_MODEL, sol, n, RngStream(seed))
     got = [report.distortion, report.distortion_se, report.per_channel_power,
@@ -531,12 +607,12 @@ def _vector_matches_blocks(shards, seed):
 
 @pytest.mark.parametrize("shards", [1, 15, 16, 17, 64])
 def test_lockstep_vector_matches_block_loop(shards):
-    _vector_matches_blocks(shards, 34)
+    _vector_matches_blocks(shards * 200, shards, 34)
 
 
 def test_lockstep_vector_short_last_chunk(monkeypatch):
     monkeypatch.setattr(numerics, "_CHUNK_BYTES", 3 * 8 * 6 * 17)  # 3-step chunks
-    _vector_matches_blocks(17, 35)  # 250 steps: a one-step last chunk
+    _vector_matches_blocks(17 * 202, 17, 35)  # 202 steps: a one-step last chunk
 
 
 def _sk_matches_blocks(P, n, seed, trials):

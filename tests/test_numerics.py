@@ -14,7 +14,6 @@ from nardf.numerics import (
     BITS_PER_NAT,
     RngStream,
     binary_entropy,
-    bisect_monotone,
     cubic_positive_root,
     logsumexp,
     maximize_concave_1d,
@@ -139,18 +138,6 @@ def test_sym_eig_tie_order_is_pinned(name):
     np.testing.assert_allclose(E, E_expected, rtol=0, atol=1e-12)
     if name != "rotated-3-1-1-0.5":  # diagonal input: exact
         assert w.tolist() == spectrum and E.tolist() == E_expected
-
-
-def test_bisect_monotone():
-    root = bisect_monotone(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
-    # decreasing function
-    root = bisect_monotone(lambda x: 1.0 - x, -3.0, 5.0, tol=1e-12)
-    assert root == pytest.approx(1.0, abs=1e-10)
-    # endpoint root is returned
-    assert bisect_monotone(lambda x: x, 0.0, 1.0, tol=1e-12) == 0.0
-    with pytest.raises(DomainError):
-        bisect_monotone(lambda x: x + 10.0, 0.0, 1.0, tol=1e-12)
 
 
 def test_cubic_positive_root():
