@@ -483,10 +483,7 @@ def main(argv=None):
     try:
         text = args.func(args)
         _write_output(text, args.out)
-    except UsageError as exc:
-        print(f"nardf: error: {exc}", file=sys.stderr)
-        return 2
-    except ModelFormatError as exc:
+    except (UsageError, ModelFormatError) as exc:
         print(f"nardf: error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -73,11 +73,11 @@ def hoeffding_bound(chain: JointChain, design: BsmsDesign, n, gamma):
         return 0.0
 
 
-def is_reversible(chain: JointChain, tol=1e-10):
-    """Detailed balance pi(i) Pi(j,i) = pi(j) Pi(i,j) within tol."""
+def is_reversible(chain: JointChain):
+    """Detailed balance pi(i) Pi(j,i) = pi(j) Pi(i,j) within 1e-10."""
     pi = chain.stationary
     flow = chain.pi_matrix * pi[None, :]  # flow[j, i] = pi_i P(j|i)
-    return float(np.max(np.abs(flow - flow.T))) <= tol
+    return float(np.max(np.abs(flow - flow.T))) <= 1e-10
 
 
 def second_eigenvalue(chain: JointChain):
@@ -103,7 +103,7 @@ def reversible_bound(chain: JointChain, n, gamma):
     return math.exp(-2.0 * ((1.0 - lam0) / (1.0 + lam0)) * n * gamma * gamma)
 
 
-def lumped_distortion_chain(chain: JointChain, tol=1e-12) -> JointChain:
+def lumped_distortion_chain(chain: JointChain) -> JointChain:
     """Collapse a joint chain onto the distortion classes {f=0}, {f=1}.
 
     S_n depends on the joint chain only through the indicator process, so
@@ -121,7 +121,7 @@ def lumped_distortion_chain(chain: JointChain, tol=1e-12) -> JointChain:
     for j, src in enumerate(classes):
         for i, dst in enumerate(classes):
             mass = P[np.ix_(dst, src)].sum(axis=0)  # class mass out of each source state
-            if float(mass.max() - mass.min()) > tol:
+            if float(mass.max() - mass.min()) > 1e-12:
                 raise DomainError(
                     "lumped_distortion_chain: chain is not lumpable for the distortion partition"
                 )
@@ -241,12 +241,12 @@ def gaussian_error_recursion(
     G = solution.gain
     A_tilde = A - G @ Ebar @ model.C
     B1 = B
-    B2 = G @ Ebar @ N if N.shape[1] else np.zeros((A.shape[0], 0))
+    B2 = G @ Ebar @ N
     B3 = G @ E.T @ np.diag(solution.b_inf)
     radius = float(np.max(np.abs(np.linalg.eigvals(A_tilde))))
     if radius >= 1.0:
         raise NumericError("gaussian_error_recursion: unstable error recursion")
-    noise = B1 @ B1.T + (B2 @ B2.T if B2.shape[1] else 0.0) + B3 @ (solution.q[:, None] * B3.T)
+    noise = B1 @ B1.T + B2 @ B2.T + B3 @ (solution.q[:, None] * B3.T)
     noise = 0.5 * (noise + noise.T)
     cov = solve_discrete_lyapunov(A_tilde, noise)
     # 1e-8 relative to the largest entry once that exceeds 1: the fixed
@@ -319,15 +319,15 @@ def gaussian_chernoff_exponent(
     trials,
     rng: RngStream,
     lambda_grid=None,
-    ess_min=100.0,
-    batches=10,
 ) -> ChernoffEstimate:
     """Monte Carlo Chernoff exponent sup_{lambda>0} {lambda d - (1/n) log
     E e^{lambda S_n}} for S_n the n-step reproduction-error sum.
 
-    Tilts whose empirical effective sample size falls below ess_min are
-    discarded; the returned exponent carries a batch-based standard error.
+    Tilts whose empirical effective sample size falls below 100 are
+    discarded; the exponent's standard error is taken over 10 strided
+    batches of the trials, so at least 10 trials are needed.
     """
+    batches = 10
     if d <= 0.0 or n < 1 or trials < batches:
         raise DomainError("gaussian_chernoff_exponent: invalid d, n, or trials")
     rec = gaussian_error_recursion(model, solution)
@@ -340,7 +340,7 @@ def gaussian_chernoff_exponent(
     if np.any(lams <= 0.0):
         raise DomainError("gaussian_chernoff_exponent: tilts must be positive")
 
-    S = np.zeros(trials)
+    S = 0.0  # an array from the first step, after the draws have checked `trials`
     for _, err in _error_steps(model, solution, rec, n, trials, rng):
         S += np.sum(err * err, axis=0)
     logT = math.log(trials)
@@ -350,7 +350,7 @@ def gaussian_chernoff_exponent(
         lse1 = float(logsumexp(ls))
         lse2 = float(logsumexp(2.0 * ls))
         ess = math.exp(2.0 * lse1 - lse2)
-        if ess >= ess_min:
+        if ess >= 100.0:
             keep.append(lam)
             mgf_log.append((lse1 - logT) / n)
             ess_vals.append(ess)

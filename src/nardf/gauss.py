@@ -160,7 +160,6 @@ class RealizationSolution:
     xi: float
     eta: np.ndarray = field(repr=False)
     b_inf: np.ndarray = field(repr=False)
-    M_inf: np.ndarray = field(repr=False)
     gain: np.ndarray = field(repr=False)
     rate: float
     iterations: int
@@ -243,7 +242,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     q = _as_noise_diagonal(Q, p)
     A, B, C, N = model.A, model.B, model.C, model.N
     BBt = B @ B.T
-    NNt = N @ N.T if N.shape[1] else np.zeros((p, p))
+    NNt = N @ N.T
 
     Sigma = BBt + np.eye(m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,12 +272,11 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
 
     with np.errstate(over="ignore", invalid="ignore"):
         b_inf = np.sqrt(eta * delta / q)
-        M_inf = E.T @ ((eta * lam)[:, None] * E)
         inv_active = np.where(eta > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
         gain = A @ Sigma @ C.T @ E.T @ (inv_active[:, None] * E)
         Ebar = E.T @ (eta[:, None] * E)
         closed_loop = A - gain @ Ebar @ C
-    if not all(np.isfinite(X).all() for X in (b_inf, M_inf, gain, closed_loop)):
+    if not all(np.isfinite(X).all() for X in (b_inf, gain, closed_loop)):
         raise DomainError("solve_realization: decoder or filter gain leaves the float range "
                           "(channel noise Q or a lambda_i too small)")
     radius = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
@@ -295,7 +293,6 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
         xi=xi,
         eta=eta,
         b_inf=b_inf,
-        M_inf=M_inf,
         gain=gain,
         rate=rate,
         iterations=iterations,

@@ -48,15 +48,20 @@ def capacity_waterfill(noise_vars, P):
         raise DomainError("capacity_waterfill: noise variances must be positive")
     if not 0.0 < P < math.inf:
         raise DomainError("capacity_waterfill: power must be positive and finite")
-    if q.size == 1:
-        return 0.5 * math.log2(1.0 + P / q[0]), np.array([float(P)])
-    level = -water_level(-q, -(P + float(q.sum())))
-    active = q < level
-    nu = (P + float(q[active].sum())) / int(active.sum())
-    alloc = np.maximum(0.0, nu - q)
-    if abs(float(alloc.sum()) - P) > 1e-12 * max(P, 1.0):
-        raise NumericError("capacity_waterfill: allocation does not meet P")
-    cap = float(0.5 * np.sum(np.log2(1.0 + alloc / q)))
+    with np.errstate(over="ignore"):  # an infinite capacity is refused below
+        if q.size == 1:
+            cap, alloc = 0.5 * math.log2(1.0 + P / q[0]), np.array([float(P)])
+        else:
+            level = -water_level(-q, -(P + float(q.sum())))
+            # the quietest channel gets power even where the level rounds below its q
+            active = (q < level) | (q == q.min())
+            nu = (P + float(q[active].sum())) / int(active.sum())
+            alloc = np.maximum(0.0, nu - q)
+            if abs(float(alloc.sum()) - P) > 1e-12 * max(P, 1.0):
+                raise NumericError("capacity_waterfill: allocation does not meet P")
+            cap = float(0.5 * np.sum(np.log2(1.0 + alloc / q)))
+    if cap == math.inf:
+        raise DomainError("capacity_waterfill: P/q leaves the float range")
     return cap, alloc
 
 
@@ -74,10 +79,14 @@ def match_power(solution: RealizationSolution) -> PowerMatch:
     The capacity of the active channels at total power P is compared with
     the realization rate; `matched` records whether they agree to 1e-10
     (true automatically for one active coordinate or matched_channel_noise).
+    DomainError if P leaves the float range.
     """
     lam, delta, q = solution.spectrum, solution.delta, solution.q
-    alloc = np.where(delta > 0.0, q * (lam - delta) / np.where(delta > 0.0, delta, 1.0), 0.0)
+    with np.errstate(over="ignore"):  # an infinite power is refused below
+        alloc = np.where(delta > 0.0, q * (lam - delta) / np.where(delta > 0.0, delta, 1.0), 0.0)
     P = float(alloc.sum())
+    if P == math.inf:
+        raise DomainError("match_power: the matched power leaves the float range")
     if P <= 0.0:
         return PowerMatch(P=0.0, allocation=np.zeros_like(lam), capacity=0.0, matched=True)
     active = alloc > 0.0
@@ -90,14 +99,13 @@ def match_power(solution: RealizationSolution) -> PowerMatch:
     )
 
 
-def matched_channel_noise(solution: RealizationSolution, scale=1.0):
-    """Channel-noise diagonal q_i = scale * delta_i/lambda_i under which the
-    capacity water-filling reproduces match_power's allocation exactly, so
-    C(P) equals the realization rate."""
-    if scale <= 0.0:
-        raise DomainError("matched_channel_noise: scale must be positive")
+def matched_channel_noise(solution: RealizationSolution):
+    """Channel-noise diagonal q_i = delta_i/lambda_i (1 where lambda_i = 0)
+    under which the capacity water-filling reproduces match_power's
+    allocation exactly, so C(P) equals the realization rate.  Any positive
+    multiple of it matches too, with the power scaled alike."""
     lam, delta = solution.spectrum, solution.delta
-    return np.where(lam > 0.0, scale * delta / np.where(lam > 0.0, lam, 1.0), scale)
+    return np.where(lam > 0.0, delta / np.where(lam > 0.0, lam, 1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -283,6 +291,25 @@ def _mean_and_se(shard_means):
     return m, se
 
 
+def _shard_report(who, rng, per_shard, **sums):
+    """SimulationReport of per-shard sums over per_shard steps, shard axis
+    last: <name> and <name>_se are the mean of sum/per_shard over the shards
+    and its standard error, floats when 0-d.  NumericError if a mean, or
+    with two or more shards a standard error, is not finite."""
+    stats = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        for name, total in sums.items():
+            shards = total.shape[-1]
+            mean, se = _mean_and_se(np.moveaxis(total / per_shard, -1, 0))
+            if not (np.all(np.isfinite(mean)) and (shards == 1 or np.all(np.isfinite(se)))):
+                raise NumericError(f"{who}: the simulated sums leave the float range")
+            if np.ndim(mean) == 0:
+                mean, se = float(mean), float(se)
+            stats[name], stats[name + "_se"] = mean, se
+    return SimulationReport(samples=shards * per_shard, seed=rng.seed,
+                            stream_id=rng.stream_id, **stats)
+
+
 def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=False):
     """Simulate the scalar design for (at least) n steps.
 
@@ -321,19 +348,7 @@ def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=F
                 series["K"].append(float(K[0]))
                 series["B"].append(float(B_t[0]))
             K = alpha * (err if feedback else K) + sW * z[0]
-        dist, dist_se = _mean_and_se(d_sum / per_shard)
-        power, power_se = _mean_and_se(p_sum / per_shard)
-    if not np.all(np.isfinite([dist, power] if shards == 1 else [dist, power, dist_se, power_se])):
-        raise NumericError("simulate_scalar: the simulated sums leave the float range")
-    report = SimulationReport(
-        samples=shards * per_shard,
-        distortion=float(dist),
-        distortion_se=float(dist_se),
-        power=float(power),
-        power_se=float(power_se),
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
+    report = _shard_report("simulate_scalar", rng, per_shard, distortion=d_sum, power=p_sum)
     if return_series:
         return report, {k: np.array(v) for k, v in series.items()}
     return report
@@ -368,31 +383,9 @@ def simulate_vector(
             d_sum += err * err
             p_sum += (a_inf[:, None] * (E @ K)) ** 2
             covK += np.einsum("is,js->ijs", K, K)
-        per_dist, per_dist_se = _mean_and_se((d_sum / per_shard).T)
-        per_pow, per_pow_se = _mean_and_se((p_sum / per_shard).T)
-        cov, cov_se = _mean_and_se(np.moveaxis(covK / per_shard, 2, 0))
-        tot_d, tot_d_se = _mean_and_se((d_sum.sum(axis=0) / per_shard))
-        tot_p, tot_p_se = _mean_and_se((p_sum.sum(axis=0) / per_shard))
-    values = [tot_d, tot_p, per_dist, per_pow, cov]
-    if shards > 1:
-        values += [tot_d_se, tot_p_se, per_dist_se, per_pow_se, cov_se]
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise NumericError("simulate_vector: the simulated sums leave the float range")
-    return SimulationReport(
-        samples=shards * per_shard,
-        distortion=float(tot_d),
-        distortion_se=float(tot_d_se),
-        power=float(tot_p),
-        power_se=float(tot_p_se),
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        per_coordinate_distortion=per_dist,
-        per_coordinate_distortion_se=per_dist_se,
-        per_channel_power=per_pow,
-        per_channel_power_se=per_pow_se,
-        cov_K=cov,
-        cov_K_se=cov_se,
-    )
+        return _shard_report("simulate_vector", rng, per_shard, distortion=d_sum.sum(axis=0),
+                             power=p_sum.sum(axis=0), per_coordinate_distortion=d_sum,
+                             per_channel_power=p_sum, cov_K=covK)
 
 
 class SkResult(NamedTuple):
@@ -405,14 +398,19 @@ class SkResult(NamedTuple):
     stream_id: int
 
 
+_MAX_SK_USES = 10**7  # 100x the CLI default; each per-use MSE array is then 80 MB
+
+
 def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) -> SkResult:
     """Schalkwijk-Kailath transmission of a single Gaussian value with
     feedback: MSE contracts by sigma_Vc^2/(P + sigma_Vc^2) per channel use,
     so every use carries exactly the capacity 0.5 log2(1 + P/sigma_Vc^2).
-    The trials run in lockstep, drawn through the numerics block layout."""
-    if not all(0.0 < v < math.inf for v in (sigma_X, sigma_Vc, P)) or n < 1 or trials < 2:
-        raise DomainError(
-            "schalkwijk_kailath: positive finite parameters, n >= 1 and trials >= 2 required")
+    The trials run in lockstep, drawn through the numerics block layout.
+    DomainError for more than 10^7 uses or trials, before any allocation."""
+    if (not all(0.0 < v < math.inf for v in (sigma_X, sigma_Vc, P))
+            or not 1 <= n <= _MAX_SK_USES or trials < 2):
+        raise DomainError(f"schalkwijk_kailath: positive finite parameters, "
+                          f"1 <= n <= {_MAX_SK_USES} and trials >= 2 required")
     q = sigma_Vc * sigma_Vc
     contraction = q / (P + q)
     lam = sigma_X * sigma_X * contraction ** np.arange(n + 1)

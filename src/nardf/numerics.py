@@ -19,7 +19,6 @@ from .errors import DomainError, NumericError
 
 LN2 = math.log(2.0)
 BITS_PER_NAT = 1.0 / LN2
-NATS_PER_BIT = LN2
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,7 +47,7 @@ def binary_entropy(q):
     return out if out.ndim else float(out)
 
 
-def sym_eig(M, sym_tol=1e-12):
+def sym_eig(M):
     """Deterministic eigendecomposition of a symmetric matrix.
 
     Returns (spectrum, E) with the spectrum descending and
@@ -67,7 +66,7 @@ def sym_eig(M, sym_tol=1e-12):
     if M.shape[0] == 1:
         return _eig_desc(M)
     scale = max(1.0, float(np.max(np.abs(M))))
-    if float(np.max(np.abs(M - M.T))) > sym_tol * scale:
+    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise DomainError("sym_eig: matrix is not symmetric")
     return _eig_desc(0.5 * (M + M.T))
 
@@ -299,6 +298,7 @@ class RngStream:
 
 _BLOCKS = 16
 _CHUNK_BYTES = 1 << 20  # one _lockstep_draws chunk, all blocks together
+_MAX_TRIALS = 10**7  # 100x the CLI and benchmark sizes; one row of 10^7 floats is 80 MB
 
 
 def _trial_blocks(rng: RngStream, trials):
@@ -320,7 +320,10 @@ def _lockstep_draws(rng: RngStream, trials, n, draw, rows=(), first=None):
     chunk of all blocks holds about _CHUNK_BYTES, whatever n is.  The
     buffers are reused from chunk to chunk (fresh ones per chunk cost a page
     fault per 4 KiB at large trial counts), so a step's array is only valid
-    until the next one is asked for."""
+    until the next one is asked for.  More than _MAX_TRIALS trials raise
+    DomainError at the first draw, before anything is allocated."""
+    if trials > _MAX_TRIALS:
+        raise DomainError(f"more than {_MAX_TRIALS} Monte Carlo trials requested ({trials})")
     blocks = list(_trial_blocks(rng, trials))
     if first is not None:
         yield np.concatenate([draw(g, first + (size,)) for g, size in blocks], axis=-1)

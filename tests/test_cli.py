@@ -237,6 +237,21 @@ def test_overflowing_model_exit_4_with_one_line(capsys, tmp_path, argv):
     assert err.startswith("nardf: domain error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["excess", "--p", "0.3", "--d", "0.1", "--gamma", "0.1", "--n-grid", "100:100:1",
+     "--trials", "1000000000"],
+    ["jscc-sim", "--mode", "sk", "--steps", "8", "--trials", "1000000000"],
+    ["jscc-sim", "--mode", "sk", "--steps", "10000000000", "--trials", "100"],
+], ids=["excess-trials", "sk-trials", "sk-steps"])
+def test_oversize_monte_carlo_request_exit_4_with_one_line(capsys, argv):
+    # each asks for more memory than a run may hold (a 477 MiB draw per
+    # block, or 74.5 GiB of analytic MSEs); refused before any allocation
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("nardf: domain error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------- jscc-sim
 
 

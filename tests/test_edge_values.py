@@ -9,12 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from nardf import excess, gauss
+from nardf import excess, gauss, jscc, numerics
 from nardf.bsms import (JointChain, classical_gray, gray_critical_distortion, joint_chain,
                         optimal_reproduction, rate_loss_bound, rna_bsms)
 from nardf.errors import DomainError, NumericError
-from nardf.excess import (exceedance_exponent, gaussian_error_recursion, hoeffding_bound,
-                          lumped_distortion_chain, rate_function, reversible_bound)
+from nardf.excess import (exceedance_exponent, gaussian_chernoff_exponent,
+                          gaussian_error_recursion, hoeffding_bound, lumped_distortion_chain,
+                          rate_function, reversible_bound, simulate_excess_bsms)
 from nardf.gauss import (
     GaussModel,
     classical_alpha1,
@@ -25,7 +26,8 @@ from nardf.gauss import (
     rna_scalar_partially_observed,
     solve_realization,
 )
-from nardf.jscc import MIN_STEPS_WITH_SE, simulate_vector
+from nardf.jscc import (MIN_STEPS_WITH_SE, capacity_waterfill, match_power,
+                        matched_channel_noise, schalkwijk_kailath, simulate_vector)
 from nardf.numerics import RngStream, binary_entropy, cubic_positive_root, sym_eig
 
 EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300,
@@ -50,6 +52,8 @@ CASES = {
     "rna_scalar_partially_observed": (rna_scalar_partially_observed, 5, THIN),
     "cubic_positive_root": (cubic_positive_root, 4, THIN),
     "reverse_waterfill": (lambda a, b, D: reverse_waterfill([a, b], D), 3, EDGES),
+    "capacity_waterfill_1": (lambda a, P: capacity_waterfill([a], P), 2, EDGES),
+    "capacity_waterfill_2": (lambda a, b, P: capacity_waterfill([a, b], P), 3, EDGES),
     "sym_eig_1x1": (lambda a: sym_eig([[a]]), 1, EDGES),
     "sym_eig_2x2": (lambda a, b, c: sym_eig([[a, b], [b, c]]), 3, EDGES),
     "rate_function": (lambda theta: rate_function(CHAIN, theta), 1, EDGES),
@@ -99,10 +103,46 @@ def test_edge_values_give_finite_result_or_documented_error(name):
     (cubic_positive_root, (1.0, math.nan, 0.0, -1.0)),
     (cubic_positive_root, (1.0, 0.0, math.inf, -1.0)),
     (reverse_waterfill, ([4.0, 1.0], 5e-324)),  # the level underflows to xi = 0
+    (capacity_waterfill, ([5e-324], 1.0)),  # P/q overflows: infinite capacity
+    (capacity_waterfill, ([5e-324, 5e-324], 1.0)),
 ])
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+def test_capacity_waterfill_powers_the_quietest_channel_when_the_level_rounds_below_it():
+    # exactly nu = 1e-323 and P* = (5e-324, 0); the computed level rounds
+    # to 0, below every q, which left no active channel (ZeroDivisionError)
+    cap, alloc = capacity_waterfill([5e-324, 1e-300], 5e-324)
+    assert cap == 0.5 and alloc.tolist() == [5e-324, 0.0]
+
+
+# more trials (or Schalkwijk-Kailath uses) than memory can hold: numpy
+# would raise MemoryError on the first allocation, so a DomainError shows
+# that the refusal comes before any
+_SCALAR = GaussModel.scalar(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: schalkwijk_kailath(1.0, 1.0, 1.0, 8, RngStream(1), trials=10**12),
+    lambda: schalkwijk_kailath(1.0, 1.0, 1.0, 10**12, RngStream(1), trials=100),
+    lambda: simulate_excess_bsms(0.3, 0.1, 100, 0.2, 10**12, RngStream(1)),
+    lambda: gaussian_chernoff_exponent(_SCALAR, solve_realization(_SCALAR, 0.5), 0.6, 100,
+                                       10**12, RngStream(1)),
+], ids=["sk-trials", "sk-uses", "excess-trials", "chernoff-trials"])
+def test_oversize_monte_carlo_requests_are_refused_before_allocating(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_monte_carlo_ceilings_are_inclusive(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_TRIALS", 40)
+    monkeypatch.setattr(jscc, "_MAX_SK_USES", 3)
+    assert schalkwijk_kailath(1.0, 1.0, 1.0, 3, RngStream(1), trials=40).trials == 40
+    for n, trials in ((4, 40), (3, 41)):
+        with pytest.raises(DomainError):
+            schalkwijk_kailath(1.0, 1.0, 1.0, n, RngStream(1), trials=trials)
 
 
 # an irreducible 4-state chain whose exit mass differs inside the class {f=0}
@@ -205,8 +245,9 @@ def test_solve_realization_iteration_cap(monkeypatch):
 
 # ------------------------------------------------ the matched closed loop
 #
-# gaussian_error_recursion and simulate_vector on every solution the grid
-# above yields.  The simulation starts from N(0, Sigma_inf): noise that
+# gaussian_error_recursion, simulate_vector and the vector JSCC design
+# (match_power, matched_channel_noise) on every solution the grid above
+# yields.  The simulation starts from N(0, Sigma_inf): noise that
 # excites only a subspace makes Sigma_inf singular, and rounding can leave it
 # indefinite, so the grid adds such a model.
 
@@ -218,6 +259,8 @@ LOOP_MODELS = {
 
 
 def _finite_fields(result):
+    if not dataclasses.is_dataclass(result):  # PowerMatch, a noise diagonal
+        return _finite(result)
     return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
 
 
@@ -232,7 +275,8 @@ def test_closed_loop_edge_values(name):
             continue
         # two shards, so that every standard error must be finite too
         for fn in (gaussian_error_recursion,
-                   lambda m, s: simulate_vector(m, s, MIN_STEPS_WITH_SE, RngStream(1))):
+                   lambda m, s: simulate_vector(m, s, MIN_STEPS_WITH_SE, RngStream(1)),
+                   lambda m, s: match_power(s), lambda m, s: matched_channel_noise(s)):
             try:
                 result = fn(model, sol)
             except (DomainError, NumericError):

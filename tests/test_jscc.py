@@ -101,13 +101,10 @@ def test_match_power_matched_noise():
     assert pm.capacity == pytest.approx(sol_m.rate, abs=1e-10)
     # with q_i = delta_i/lambda_i the per-channel power is eta_i
     assert pm.allocation == pytest.approx(sol_m.eta, abs=1e-9)
-    # scale moves noise and power together, capacity pinned to the rate
-    q2 = matched_channel_noise(sol, scale=2.0)
-    pm2 = match_power(solve_realization(TEST_MODEL, 1.2, Q=q2))
+    # scaling the noise scales the power, capacity pinned to the rate
+    pm2 = match_power(solve_realization(TEST_MODEL, 1.2, Q=2.0 * q))
     assert pm2.matched
     assert pm2.P == pytest.approx(2.0 * pm.P, rel=1e-9)
-    with pytest.raises(DomainError):
-        matched_channel_noise(sol, scale=0.0)
 
 
 def test_match_power_scalar_always_matched():
@@ -325,8 +322,9 @@ def test_schalkwijk_kailath_overflowing_rate_is_numeric_error():
 @pytest.mark.parametrize("make", [design_feedback_scalar, design_nofeedback_scalar])
 def test_simulated_sums_out_of_float_range_are_numeric_errors(make):
     design = make(0.5, 1e153, 1.0, 1.0)  # a valid design whose squared errors overflow
-    with pytest.raises(NumericError, match="float range"):
-        simulate_scalar(design, 500, RngStream(1))
+    for n in (MIN_STEPS_WITH_SE - 1, 500):  # one shard, whose means are checked too; two
+        with pytest.raises(NumericError, match="float range"):
+            simulate_scalar(design, n, RngStream(1))
 
 
 def test_scalar_designs_at_extreme_parameters_are_finite_or_raise():
@@ -354,8 +352,10 @@ def test_min_steps_with_se_is_the_two_shard_threshold():
     for design in (design_feedback_scalar(0.5, 1.0, 1.0, 1.0),
                    design_nofeedback_scalar(0.99, 1.0, 1.0, 1.0),
                    design_iid_scalar(1.0, 1.0, 2.0)):
-        assert math.isnan(
-            simulate_scalar(design, MIN_STEPS_WITH_SE - 1, RngStream(2)).distortion_se)
+        # one shard: finite means, NaN standard errors, and no NumericError
+        report = simulate_scalar(design, MIN_STEPS_WITH_SE - 1, RngStream(2))
+        assert math.isfinite(report.distortion) and math.isfinite(report.power)
+        assert math.isnan(report.distortion_se) and math.isnan(report.power_se)
         report = simulate_scalar(design, MIN_STEPS_WITH_SE, RngStream(2))
         assert math.isfinite(report.distortion_se) and math.isfinite(report.power_se)
 
@@ -417,7 +417,10 @@ def test_schalkwijk_kailath():
 def test_min_steps_with_se_is_the_two_shard_threshold_for_vector_runs():
     sol = solve_realization(TEST_MODEL, 1.2)
     report = simulate_vector(TEST_MODEL, sol, MIN_STEPS_WITH_SE - 1, RngStream(2))
-    assert math.isnan(report.distortion_se)
+    for name in ("distortion", "power", "per_coordinate_distortion", "per_channel_power",
+                 "cov_K"):
+        assert np.all(np.isfinite(getattr(report, name)))
+        assert np.all(np.isnan(getattr(report, name + "_se")))
     report = simulate_vector(TEST_MODEL, sol, MIN_STEPS_WITH_SE, RngStream(2))
     assert np.all(np.isfinite(report.per_coordinate_distortion_se))
     assert np.all(np.isfinite(report.cov_K_se))
