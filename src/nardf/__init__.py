@@ -5,139 +5,21 @@ binary symmetric Markov source and for multidimensional partially observed
 Gauss-Markov sources, the matched zero-delay joint source-channel designs
 over AWGN channels, and excess-distortion analysis (concentration bounds,
 large-deviations rate functions, Monte Carlo validation).
+
+Each module's ``__all__`` is its public interface; the package republishes
+those names unchanged.
 """
 
-from .bsms import (
-    BsmsDesign,
-    JointChain,
-    classical_gray,
-    directed_info_rate,
-    gray_critical_distortion,
-    joint_chain,
-    max_rate_loss,
-    optimal_reproduction,
-    rate_loss_bound,
-    rna_bsms,
-    verify_tilted_form,
-)
-from .errors import DomainError, NumericError
-from .excess import (
-    ChernoffEstimate,
-    GaussianErrorRecursion,
-    RateFunctionCurve,
-    exceedance_exponent,
-    gaussian_chernoff_exponent,
-    gaussian_error_recursion,
-    hoeffding_bound,
-    hoeffding_constants,
-    is_reversible,
-    lumped_distortion_chain,
-    rate_function,
-    rate_function_curve,
-    reversible_bound,
-    second_eigenvalue,
-    simulate_excess_bsms,
-)
-from .gauss import (
-    GaussModel,
-    RealizationSolution,
-    WaterfillAllocation,
-    classical_alpha1,
-    partially_observed_sigma,
-    rate_loss_alpha1,
-    reverse_waterfill,
-    rna_scalar_fully_observed,
-    rna_scalar_partially_observed,
-    solve_realization,
-)
-from .jscc import (
-    JsccScalarDesign,
-    PowerMatch,
-    SimulationReport,
-    SkResult,
-    capacity_waterfill,
-    design_feedback_scalar,
-    design_iid_scalar,
-    design_nofeedback_scalar,
-    match_power,
-    matched_channel_noise,
-    schalkwijk_kailath,
-    simulate_scalar,
-    simulate_vector,
-)
-from .modelfile import ModelFormatError, load_model, parse_model_text
-from .numerics import (
-    BITS_PER_NAT,
-    RngStream,
-    binary_entropy,
-    cubic_positive_root,
-    maximize_concave_1d,
-    perron_eigenvalue,
-    sym_eig,
-)
+from . import bsms, errors, excess, gauss, jscc, modelfile, numerics
+from .bsms import *
+from .errors import *
+from .excess import *
+from .gauss import *
+from .jscc import *
+from .modelfile import *
+from .numerics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BITS_PER_NAT",
-    "BsmsDesign",
-    "ChernoffEstimate",
-    "DomainError",
-    "GaussModel",
-    "GaussianErrorRecursion",
-    "JointChain",
-    "JsccScalarDesign",
-    "ModelFormatError",
-    "NumericError",
-    "PowerMatch",
-    "RateFunctionCurve",
-    "RealizationSolution",
-    "RngStream",
-    "SimulationReport",
-    "SkResult",
-    "WaterfillAllocation",
-    "binary_entropy",
-    "capacity_waterfill",
-    "classical_alpha1",
-    "classical_gray",
-    "cubic_positive_root",
-    "design_feedback_scalar",
-    "design_iid_scalar",
-    "design_nofeedback_scalar",
-    "directed_info_rate",
-    "exceedance_exponent",
-    "gaussian_chernoff_exponent",
-    "gaussian_error_recursion",
-    "gray_critical_distortion",
-    "hoeffding_bound",
-    "hoeffding_constants",
-    "is_reversible",
-    "joint_chain",
-    "load_model",
-    "lumped_distortion_chain",
-    "match_power",
-    "matched_channel_noise",
-    "max_rate_loss",
-    "maximize_concave_1d",
-    "optimal_reproduction",
-    "parse_model_text",
-    "partially_observed_sigma",
-    "perron_eigenvalue",
-    "rate_function",
-    "rate_function_curve",
-    "rate_loss_alpha1",
-    "rate_loss_bound",
-    "reverse_waterfill",
-    "reversible_bound",
-    "rna_bsms",
-    "rna_scalar_fully_observed",
-    "rna_scalar_partially_observed",
-    "schalkwijk_kailath",
-    "second_eigenvalue",
-    "simulate_excess_bsms",
-    "simulate_scalar",
-    "simulate_vector",
-    "solve_realization",
-    "sym_eig",
-    "verify_tilted_form",
-]
+__all__ = [*bsms.__all__, *errors.__all__, *excess.__all__, *gauss.__all__,
+           *jscc.__all__, *modelfile.__all__, *numerics.__all__]

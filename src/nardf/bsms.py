@@ -24,6 +24,7 @@ __all__ = [
     "verify_tilted_form",
     "directed_info_rate",
     "classical_gray",
+    "gray_critical_distortion",
     "rate_loss_bound",
     "max_rate_loss",
 ]
@@ -130,9 +131,13 @@ def joint_chain(design: BsmsDesign) -> JointChain:
     # eigenvector at eigenvalue 1, computed exactly: (Pi - I) pi = 0, sum pi = 1
     A = Pi - np.eye(4)
     A[3, :] = 1.0
-    pi = np.linalg.solve(A, np.array([0.0, 0.0, 0.0, 1.0]))
+    # a p near 0 leaves the chain nearly reducible and this system singular
+    try:
+        pi = np.linalg.solve(A, np.array([0.0, 0.0, 0.0, 1.0]))
+    except np.linalg.LinAlgError:
+        raise NumericError("joint_chain: singular stationary system") from None
     f = np.array([0.0, 1.0, 1.0, 0.0])
-    if abs(float(pi @ f) - design.D) > 1e-9:
+    if not np.isfinite(pi).all() or abs(float(pi @ f) - design.D) > 1e-9:
         raise NumericError("joint_chain: stationary mean distortion != D")
     return JointChain(states=_STATES, pi_matrix=Pi, stationary=pi, f=f)
 

@@ -5,6 +5,8 @@ argparse usage problems -> 2), so library code should raise the most
 specific of the two rather than bare ValueError/RuntimeError.
 """
 
+__all__ = ["DomainError", "NumericError"]
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""

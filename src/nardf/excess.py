@@ -34,6 +34,7 @@ __all__ = [
     "reversible_bound",
     "is_reversible",
     "second_eigenvalue",
+    "lumped_distortion_chain",
     "rate_function",
     "rate_function_curve",
     "exceedance_exponent",
@@ -199,6 +200,8 @@ def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream):
     to the mismatch state are counted over n steps, all trials in lockstep."""
     if n < 1 or trials < 1:
         raise DomainError("simulate_excess_bsms: n >= 1 and trials >= 1 required")
+    if math.isnan(d):  # S >= nan would count no trial and report 0
+        raise DomainError("simulate_excess_bsms: threshold d is NaN")
     lump = lumped_distortion_chain(joint_chain(optimal_reproduction(p, D)))
     to_one = lump.pi_matrix[1]  # P(next in the mismatch class | current class)
     lo, hi = sorted(to_one)
@@ -243,7 +246,7 @@ def gaussian_error_recursion(
     B1 = B
     B2 = G @ Ebar @ N
     B3 = G @ E.T @ np.diag(solution.b_inf)
-    radius = float(np.max(np.abs(np.linalg.eigvals(A_tilde))))
+    radius = solution.closed_loop_radius  # the eigenvalues of this same A_tilde
     if radius >= 1.0:
         raise NumericError("gaussian_error_recursion: unstable error recursion")
     noise = B1 @ B1.T + B2 @ B2.T + B3 @ (solution.q[:, None] * B3.T)

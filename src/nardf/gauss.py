@@ -188,6 +188,7 @@ def _as_noise_diagonal(Q, p):
 
 _DIVERGENCE_CAP = 1e12
 _TOL = 1e-11
+_ULP_TOL = 4.0 * np.finfo(float).eps  # a large Sigma stalls the change near one ulp
 _MAX_ITER = 100_000
 
 
@@ -224,7 +225,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
     the Riccati step, which replaces Sigma until the change drops below
-    1e-11.
+    max(1e-11, 4 eps max|Sigma|).
 
     D and Q are checked once, on entry (the model's matrices are finite by
     construction).  The sweeps call the unchecked cores of sym_eig and
@@ -249,14 +250,15 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
         for iterations in range(1, _MAX_ITER + 1):
             new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
             # NaN fails this comparison, so it also rejects non-finite entries
-            if not float(abs(new).max()) <= _DIVERGENCE_CAP:
+            scale = float(abs(new).max())
+            if not scale <= _DIVERGENCE_CAP:
                 raise NumericError(
                     "solve_realization: iteration diverged "
                     "(model may violate detectability/stabilizability)"
                 )
             change = float(abs(new - Sigma).max())
             Sigma = new
-            if change < _TOL:
+            if change < max(_TOL, _ULP_TOL * scale):
                 break
         else:
             raise NumericError(

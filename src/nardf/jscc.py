@@ -29,7 +29,6 @@ __all__ = [
     "design_feedback_scalar",
     "design_nofeedback_scalar",
     "design_iid_scalar",
-    "MIN_STEPS_WITH_SE",
     "simulate_scalar",
     "simulate_vector",
     "schalkwijk_kailath",

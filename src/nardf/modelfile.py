@@ -33,6 +33,8 @@ import numpy as np
 
 from .gauss import GaussModel
 
+__all__ = ["ModelFormatError", "load_model", "parse_model_text"]
+
 _DIM_KEYS = ("m", "k", "p", "d")
 _MATRIX_SHAPES = {
     "A": ("m", "m"),

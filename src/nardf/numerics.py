@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
+__all__ = ["BITS_PER_NAT", "RngStream", "binary_entropy", "cubic_positive_root",
+           "maximize_concave_1d", "perron_eigenvalue", "sym_eig"]
+
 LN2 = math.log(2.0)
 BITS_PER_NAT = 1.0 / LN2
 
@@ -152,7 +155,8 @@ def solve_discrete_lyapunov(A, Q):
                 break
             if float(np.sum(Ak * Ak)) <= np.finfo(float).eps:
                 return 0.5 * (X + X.T)
-    raise NumericError("solve_discrete_lyapunov: doubling did not converge")
+    raise NumericError("solve_discrete_lyapunov: doubling did not converge "
+                       "(A unstable or X overflows)")
 
 
 def logsumexp(a, axis=None):

@@ -61,6 +61,8 @@ CASES = {
     "hoeffding_bound": (lambda gamma: hoeffding_bound(CHAIN, DESIGN, 2000, gamma), 1, EDGES),
     "reversible_bound": (lambda gamma: reversible_bound(lumped_distortion_chain(CHAIN),
                                                         2000, gamma), 1, EDGES),
+    "simulate_excess_bsms": (lambda p, D, d: simulate_excess_bsms(p, D, 4, d, 8, RngStream(1)),
+                             3, EDGES),
 }
 
 
@@ -105,6 +107,7 @@ def test_edge_values_give_finite_result_or_documented_error(name):
     (reverse_waterfill, ([4.0, 1.0], 5e-324)),  # the level underflows to xi = 0
     (capacity_waterfill, ([5e-324], 1.0)),  # P/q overflows: infinite capacity
     (capacity_waterfill, ([5e-324, 5e-324], 1.0)),
+    (simulate_excess_bsms, (0.3, 0.1, 10, math.nan, 10, RngStream(1))),  # counted no trial
 ])
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):

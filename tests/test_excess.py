@@ -467,12 +467,17 @@ def _exact_tail(p, D, n, d):
     return float(a[:, math.ceil(n * d - 1e-9):].sum())
 
 
-@pytest.mark.parametrize("n,exact", [(50, 0.13584), (200, 0.02292)])
-def test_simulate_excess_matches_exact_tail(n, exact):
-    tail = _exact_tail(0.3, 0.1, n, 0.15)
+# the last two put n d on a count boundary, where it rounds to
+# 3.0000000000000004 and 28.999999999999996: ">= n d" counts S >= 3 and
+# S >= 29, and the adjacent counts' tails lie over 4 SE away
+@pytest.mark.parametrize("D,n,d,exact", [(0.1, 50, 0.15, 0.13584), (0.1, 200, 0.15, 0.02292),
+                                         (0.1, 10, 0.3, 0.08212), (0.25, 100, 0.29, 0.23407)],
+                         ids=["50-0.13584", "200-0.02292", "10-0.3-boundary", "100-0.29-boundary"])
+def test_simulate_excess_matches_exact_tail(D, n, d, exact):
+    tail = _exact_tail(0.3, D, n, d)
     assert tail == pytest.approx(exact, abs=5e-6)
     trials = 40_000
-    emp = simulate_excess_bsms(0.3, 0.1, n, 0.15, trials, RngStream(15))
+    emp = simulate_excess_bsms(0.3, D, n, d, trials, RngStream(15))
     assert abs(emp - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / trials)
 
 

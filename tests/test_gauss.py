@@ -613,6 +613,25 @@ def test_overflowing_model_is_domain_error_without_warning():
         solve_realization(huge, 1.2)
 
 
+@pytest.mark.parametrize("s, f", [(1e3, 0.1), (1e3, 2.0), (1e4, 0.1), (3e4, 0.1),
+                                  (1e5, 0.5), (3e5, 0.1), (3e5, 0.5)])
+def test_large_covariance_scale_converges(s, f):
+    # max|Sigma| from 1e6 to 1e11: the change between sweeps stalls near one
+    # ulp of Sigma there, far above an absolute 1e-11
+    model = GaussModel(A=TEST_MODEL.A, B=s * np.eye(2), C=TEST_MODEL.C, N=TEST_MODEL.N)
+    sol = solve_realization(model, f * s * s)
+    assert sol.iterations < 100
+    assert float(np.max(np.abs(sol.Sigma_inf))) > 1e6
+
+
+@pytest.mark.parametrize("s", [1e3, 1e4, 3e5])
+def test_rate_is_invariant_under_covariance_scaling(s):
+    # (A, sB, C, sN) at s^2 D scales Sigma by s^2 and leaves the rate unchanged
+    unit = solve_realization(TEST_MODEL, 0.3)
+    scaled = GaussModel(A=TEST_MODEL.A, B=s * TEST_MODEL.B, C=TEST_MODEL.C, N=s * TEST_MODEL.N)
+    assert solve_realization(scaled, 0.3 * s * s).rate == pytest.approx(unit.rate, abs=1e-9)
+
+
 def test_model_validation():
     with pytest.raises(DomainError):
         GaussModel(
