@@ -260,7 +260,7 @@ def _cmd_jscc_sim(args):
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     payload = {
-        "schema": "nardf/jscc-sim/v4",
+        "schema": "nardf/jscc-sim/v5",
         "mode": mode,
         "seed": seed,
     }
@@ -352,8 +352,8 @@ def _cmd_excess(args):
         return _table(header, rows, meta, "nardf/excess-rate-function/v3", args.format)
 
     gamma = _require(args.gamma, "--gamma (or --theta-grid)")
-    if gamma <= 0.0:
-        raise UsageError("--gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise UsageError("--gamma must be positive and finite")
     ns = _parse_int_grid(_require(args.n_grid, "--n-grid"), "--n-grid")
     trials = args.trials if args.trials is not None else 0
     if trials < 0:

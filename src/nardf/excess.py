@@ -288,12 +288,26 @@ def _error_steps(model, solution, rec, n, trials, rng):
     chains in lockstep, each started from the stationary law N(0, Sigma_inf)
     and run for n steps.  Yields per step the innovation K = C e + N V and
     the reproduction error err = (eta - 1) E K + b_inf Vc in the decorrelated
-    basis, each (p, trials) and valid until the next step is asked for."""
+    basis, each (p, trials) and valid until the next step is asked for.
+
+    Each step is one product of a fixed step matrix with the stacked state
+    and draws, [e'; err; K] = M [e; W; V; z], where Vc = sqrt(q) z:
+
+        e'  = A_tilde e + B1 W - B2 V - B3 sqrt(q) z
+        err = (eta - 1) E (C e + N V) + b_inf sqrt(q) z
+        K   = C e + N V
+
+    A noiseless observation (d = 0) is an empty block of V columns."""
     m, k, p, d = model.dims
     C, N = model.C, model.N
-    E, b_inf = solution.E_inf, solution.b_inf
-    shrink = solution.eta - 1.0  # (H - I) diagonal in the decorrelated basis
     sq = np.sqrt(solution.q)
+    shrink = (solution.eta - 1.0)[:, None] * solution.E_inf  # (H - I) E
+    no_W = np.zeros((p, k))
+    M = np.block([
+        [rec.A_tilde, rec.B1, -rec.B2, -rec.B3 * sq],
+        [shrink @ C, no_W, shrink @ N, np.diag(solution.b_inf * sq)],
+        [C, no_W, N, np.zeros((p, p))],
+    ])
     try:
         root = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     except np.linalg.LinAlgError:
@@ -301,17 +315,19 @@ def _error_steps(model, solution, rec, n, trials, rng):
         # can leave it slightly indefinite: cut those eigenvalues to 0
         w, V = sym_eig(rec.cov)
         root = V.T * np.sqrt(np.maximum(w, 0.0))
-    A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
-    # per step, in stream order: W (k rows), V (d rows), Vc (p rows); e_0 first
+    # per step, in stream order: W (k rows), V (d rows), z (p rows); e_0 first
     normals = _lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
                               rows=(k + d + p,), first=(m,))
-    e = root @ next(normals)
+    e0 = root @ next(normals)  # the first draw checks `trials` before any allocation
+    x = np.empty((m + k + d + p, trials))
+    out = np.empty((m + 2 * p, trials))
+    x[:m] = e0
+    err, K = out[m:m + p], out[m + p:]
     for z in normals:
-        W, V = z[:k], z[k:k + d]
-        Vc = sq[:, None] * z[k + d:]
-        K = C @ e + (N @ V if d else 0.0)
-        yield K, shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
-        e = A_t @ e + B1 @ W - (B2 @ V if d else 0.0) - B3 @ Vc
+        x[m:] = z
+        np.matmul(M, x, out=out)
+        x[:m] = out[:m]
+        yield K, err
 
 
 def gaussian_chernoff_exponent(
@@ -343,9 +359,10 @@ def gaussian_chernoff_exponent(
     if np.any(lams <= 0.0):
         raise DomainError("gaussian_chernoff_exponent: tilts must be positive")
 
-    S = 0.0  # an array from the first step, after the draws have checked `trials`
+    err2 = 0.0  # (p, trials) from the first step, after the draws have checked `trials`
     for _, err in _error_steps(model, solution, rec, n, trials, rng):
-        S += np.sum(err * err, axis=0)
+        err2 += err * err
+    S = np.sum(err2, axis=0)
     logT = math.log(trials)
     keep, mgf_log, ess_vals = [], [], []
     for lam in lams:

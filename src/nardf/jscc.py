@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .excess import _error_steps, gaussian_error_recursion
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
-from .numerics import RngStream, _lockstep_draws, water_level
+from .numerics import _MAX_STEPS, RngStream, _lockstep_draws, water_level
 
 __all__ = [
     "PowerMatch",
@@ -272,9 +272,10 @@ MIN_STEPS_WITH_SE = 2 * _MIN_SHARD  # fewer steps run one shard, whose standard 
 
 def _shard_layout(n):
     """(shards, steps per shard): at most _MAX_SHARDS independent chains of
-    at least _MIN_SHARD steps, together >= n steps."""
-    if n < 1:
-        raise DomainError("simulation length must be >= 1")
+    at least _MIN_SHARD steps, together >= n steps.  DomainError unless
+    1 <= n <= _MAX_STEPS."""
+    if not 1 <= n <= _MAX_STEPS:
+        raise DomainError(f"simulation length must lie in [1, {_MAX_STEPS}] steps, got {n}")
     shards = min(_MAX_SHARDS, max(1, n // _MIN_SHARD))
     return shards, -(-n // shards)  # ceil
 
@@ -309,7 +310,7 @@ def _shard_report(who, rng, per_shard, **sums):
                             stream_id=rng.stream_id, **stats)
 
 
-def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=False):
+def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream) -> SimulationReport:
     """Simulate the scalar design for (at least) n steps.
 
     One recursion on the encoder input K (the innovation X_t - Xhat_t in
@@ -320,11 +321,10 @@ def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=F
     however slowly the chain mixes.  Runs as shards (independent chains)
     in lockstep, drawn through the numerics block layout; statistics use
     shard means.  Below MIN_STEPS_WITH_SE steps there is one shard and both
-    standard errors are NaN.  With return_series=True a single shard is run
-    and (report, series dict) is returned.  NumericError if the simulated
-    sums leave the float range.
+    standard errors are NaN.  DomainError for more than 10^8 steps, before
+    any allocation; NumericError if the simulated sums leave the float range.
     """
-    shards, per_shard = (1, n) if return_series else _shard_layout(n)
+    shards, per_shard = _shard_layout(n)
     # per step, in stream order: W, Vc; the initial state first
     normals = _lockstep_draws(rng, shards, per_shard,
                               np.random.Generator.standard_normal, rows=(2,), first=())
@@ -335,7 +335,6 @@ def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=F
     K = next(normals) * math.sqrt(design.input_var)
     d_sum = np.zeros(shards)
     p_sum = np.zeros(shards)
-    series = {"K": [], "B": []} if return_series else None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
         for z in normals:
             A_t = enc * K
@@ -343,14 +342,8 @@ def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream, return_series=F
             err = K - dec * B_t
             d_sum += err**2
             p_sum += A_t**2
-            if return_series:
-                series["K"].append(float(K[0]))
-                series["B"].append(float(B_t[0]))
             K = alpha * (err if feedback else K) + sW * z[0]
-    report = _shard_report("simulate_scalar", rng, per_shard, distortion=d_sum, power=p_sum)
-    if return_series:
-        return report, {k: np.array(v) for k, v in series.items()}
-    return report
+    return _shard_report("simulate_scalar", rng, per_shard, distortion=d_sum, power=p_sum)
 
 
 def simulate_vector(
@@ -367,20 +360,22 @@ def simulate_vector(
     simulates as long as the closed loop is stable (NumericError otherwise).
     Runs as shards in lockstep, like simulate_scalar.  Below
     MIN_STEPS_WITH_SE steps there is one shard and every standard error is
-    NaN.  NumericError if the simulated sums leave the float range.
+    NaN.  DomainError for more than 10^8 steps, before any allocation;
+    NumericError if the simulated sums leave the float range.
     """
+    shards, per_shard = _shard_layout(n)
     rec = gaussian_error_recursion(model, solution)
     E, eta, delta, q = solution.E_inf, solution.eta, solution.delta, solution.q
     p = model.dims[2]
-    shards, per_shard = _shard_layout(n)
     d_sum = np.zeros((p, shards))
     p_sum = np.zeros((p, shards))
     covK = np.zeros((p, p, shards))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
         a_inf = np.sqrt(np.where(delta > 0.0, q * eta / np.where(delta > 0.0, delta, 1.0), 0.0))
+        to_channel = a_inf[:, None] * E  # the channel input is a_inf E K
         for K, err in _error_steps(model, solution, rec, per_shard, shards, rng):
             d_sum += err * err
-            p_sum += (a_inf[:, None] * (E @ K)) ** 2
+            p_sum += (to_channel @ K) ** 2
             covK += np.einsum("is,js->ijs", K, K)
         return _shard_report("simulate_vector", rng, per_shard, distortion=d_sum.sum(axis=0),
                              power=p_sum.sum(axis=0), per_coordinate_distortion=d_sum,

@@ -289,6 +289,10 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if not (self.seed >= 0 and self.stream_id >= 0):
+            raise DomainError("RngStream: seed and stream_id must be nonnegative")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
@@ -303,6 +307,7 @@ class RngStream:
 _BLOCKS = 16
 _CHUNK_BYTES = 1 << 20  # one _lockstep_draws chunk, all blocks together
 _MAX_TRIALS = 10**7  # 100x the CLI and benchmark sizes; one row of 10^7 floats is 80 MB
+_MAX_STEPS = 10**8  # 1000x the CLI default --steps; about 6 s of scalar JSCC simulation
 
 
 def _trial_blocks(rng: RngStream, trials):
@@ -324,10 +329,13 @@ def _lockstep_draws(rng: RngStream, trials, n, draw, rows=(), first=None):
     chunk of all blocks holds about _CHUNK_BYTES, whatever n is.  The
     buffers are reused from chunk to chunk (fresh ones per chunk cost a page
     fault per 4 KiB at large trial counts), so a step's array is only valid
-    until the next one is asked for.  More than _MAX_TRIALS trials raise
-    DomainError at the first draw, before anything is allocated."""
+    until the next one is asked for.  More than _MAX_TRIALS trials or
+    _MAX_STEPS steps raise DomainError at the first draw, before anything is
+    allocated."""
     if trials > _MAX_TRIALS:
         raise DomainError(f"more than {_MAX_TRIALS} Monte Carlo trials requested ({trials})")
+    if n > _MAX_STEPS:
+        raise DomainError(f"more than {_MAX_STEPS} Monte Carlo steps requested ({n})")
     blocks = list(_trial_blocks(rng, trials))
     if first is not None:
         yield np.concatenate([draw(g, first + (size,)) for g, size in blocks], axis=-1)

@@ -242,10 +242,15 @@ def test_overflowing_model_exit_4_with_one_line(capsys, tmp_path, argv):
      "--trials", "1000000000"],
     ["jscc-sim", "--mode", "sk", "--steps", "8", "--trials", "1000000000"],
     ["jscc-sim", "--mode", "sk", "--steps", "10000000000", "--trials", "100"],
-], ids=["excess-trials", "sk-trials", "sk-steps"])
-def test_oversize_monte_carlo_request_exit_4_with_one_line(capsys, argv):
+    ["jscc-sim", "--mode", "fb", "--alpha", "0.5", "--steps", "1000000000000"],
+    ["jscc-sim", "--mode", "vector", "--model", "MODEL", "--d", "1.2",
+     "--steps", "100000001"],
+], ids=["excess-trials", "sk-trials", "sk-steps", "fb-steps", "vector-steps"])
+def test_oversize_monte_carlo_request_exit_4_with_one_line(capsys, model_file, argv):
     # each asks for more memory than a run may hold (a 477 MiB draw per
-    # block, or 74.5 GiB of analytic MSEs); refused before any allocation
+    # block, or 74.5 GiB of analytic MSEs), or for hours of simulation (more
+    # than 10^8 steps); refused before any allocation
+    argv = [model_file if a == "MODEL" else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 4
     assert out == ""
@@ -260,7 +265,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v4"
+    assert payload["schema"] == "nardf/jscc-sim/v5"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]
@@ -477,6 +482,77 @@ def test_jscc_sim_scalar_extremes_end_in_an_exit_code(capsys, mode, param, value
         assert set(_non_finite_paths(json.loads(out))) <= allowed
     else:
         assert out == ""
+
+
+# In-process fuzz of every subcommand: one flag at a time takes each value
+# below.  Every run ends in exit 0, 2, 3 or 4 with no traceback; on exit 0
+# the JSON holds no Infinity, and null only where documented: the one-shard
+# SEs of jscc-sim, and excess's Hoeffding bound on rows below its validity
+# threshold.  A grid flag replaces the base's single --d.
+FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-0.3", "1e300", "-1e300", "x")
+FUZZ_INTS = ("0", "-3", "1e3", "x", "10000000000000")
+FUZZ_GRIDS = ("nan:1:0.1", "0.1:inf:0.1", "0.1:0.2:0", "0.2:0.1:0.1", "-1:1:0.5",
+              "0.1:0.2", "a:b:c", "0:1e300:1e-300", "1e300:1e300:1")
+FUZZ_BASES = {
+    "bsms-curve": (["bsms-curve", "--p", "0.3", "--d", "0.1"], ["--p", "--d"], [], ["--d-grid"]),
+    "gauss-rate": (["gauss-rate", "--model", "MODEL", "--d", "1.2"], ["--d"], [], ["--d-grid"]),
+    "jscc-fb": (["jscc-sim", "--mode", "fb", "--alpha", "0.5", "--steps", "100"],
+                ["--alpha", "--sigma-w", "--sigma-vc", "--power"], ["--steps", "--seed"], []),
+    "jscc-iid": (["jscc-sim", "--mode", "iid", "--steps", "100"],
+                 ["--sigma-x", "--sigma-vc", "--power"], ["--steps"], []),
+    "jscc-sk": (["jscc-sim", "--mode", "sk", "--steps", "4", "--trials", "100"],
+                ["--sigma-x", "--sigma-vc", "--power"], ["--steps", "--trials"], []),
+    "jscc-vector": (["jscc-sim", "--mode", "vector", "--model", "MODEL", "--d", "1.2",
+                     "--steps", "100"], ["--d"], ["--steps"], []),
+    "excess-bounds": (["excess", "--p", "0.3", "--d", "0.1", "--gamma", "0.1",
+                       "--n-grid", "10:20:10", "--trials", "20"],
+                      ["--p", "--d", "--gamma"], ["--trials", "--seed"], ["--n-grid"]),
+    "excess-theta": (["excess", "--p", "0.3", "--d", "0.1", "--theta-grid", "0.1:0.9:0.4"],
+                     ["--p", "--d"], [], ["--theta-grid"]),
+    "rate-loss": (["rate-loss", "--p", "0.3", "--d", "0.1"], ["--p", "--d"], [], ["--d-grid"]),
+}
+
+
+def _with_flag(argv, flag, value):
+    argv = list(argv)
+    if flag == "--d-grid":  # in place of the single --d
+        del argv[argv.index("--d"):argv.index("--d") + 2]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+def _undocumented_non_finite(payload, err):
+    one_shard = "one shard" in err
+    hoeffding_ok = all(
+        (row["hoeffding"] is None and not row["hoeffding_valid"])
+        or (row["hoeffding"] is not None and math.isfinite(row["hoeffding"]))
+        for row in payload.get("rows", []) if "hoeffding" in row)
+    return [p for p in _non_finite_paths(payload)
+            if not (one_shard and p.startswith(".empirical.") and p.endswith("_se"))
+            and not (p == ".rows.hoeffding" and hoeffding_ok)]
+
+
+@pytest.mark.parametrize("base", list(FUZZ_BASES))
+def test_cli_fuzz_ends_in_an_exit_code_with_finite_output(capsys, model_file, base):
+    argv, floats, ints, grids = FUZZ_BASES[base]
+    argv = [model_file if a == "MODEL" else a for a in argv] + ["--format", "json"]
+    cases = ([(f, v) for f in floats for v in FUZZ_FLOATS]
+             + [(f, v) for f in ints for v in FUZZ_INTS]
+             + [(f, v) for f in grids for v in FUZZ_GRIDS])
+    bad = []
+    for flag, value in cases:
+        case = _with_flag(argv, flag, value)
+        code, out, err = run(capsys, case)
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            bad.append((case, code, err))
+        elif code != 0 and out != "":
+            bad.append((case, code, out))
+        elif code == 0 and _undocumented_non_finite(json.loads(out), err):
+            bad.append((case, out))
+    assert not bad, f"{len(bad)} bad runs, e.g. {bad[:3]}"
 
 
 def test_grid_cap_is_a_usage_error(capsys):

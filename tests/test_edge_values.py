@@ -108,6 +108,8 @@ def test_edge_values_give_finite_result_or_documented_error(name):
     (capacity_waterfill, ([5e-324], 1.0)),  # P/q overflows: infinite capacity
     (capacity_waterfill, ([5e-324, 5e-324], 1.0)),
     (simulate_excess_bsms, (0.3, 0.1, 10, math.nan, 10, RngStream(1))),  # counted no trial
+    (RngStream, (-3,)),  # numpy's seeding raised ValueError at the first draw
+    (RngStream, (3, -1)),
 ])
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
@@ -123,7 +125,8 @@ def test_capacity_waterfill_powers_the_quietest_channel_when_the_level_rounds_be
 
 # more trials (or Schalkwijk-Kailath uses) than memory can hold: numpy
 # would raise MemoryError on the first allocation, so a DomainError shows
-# that the refusal comes before any
+# that the refusal comes before any; more steps than _MAX_STEPS would run
+# for hours
 _SCALAR = GaussModel.scalar(0.5, 1.0)
 
 
@@ -133,7 +136,13 @@ _SCALAR = GaussModel.scalar(0.5, 1.0)
     lambda: simulate_excess_bsms(0.3, 0.1, 100, 0.2, 10**12, RngStream(1)),
     lambda: gaussian_chernoff_exponent(_SCALAR, solve_realization(_SCALAR, 0.5), 0.6, 100,
                                        10**12, RngStream(1)),
-], ids=["sk-trials", "sk-uses", "excess-trials", "chernoff-trials"])
+    lambda: jscc.simulate_scalar(jscc.design_iid_scalar(1.0, 1.0, 1.0), 10**12, RngStream(1)),
+    lambda: simulate_vector(_SCALAR, solve_realization(_SCALAR, 0.5), 10**12, RngStream(1)),
+    lambda: simulate_excess_bsms(0.3, 0.1, 10**12, 0.2, 10, RngStream(1)),
+    lambda: gaussian_chernoff_exponent(_SCALAR, solve_realization(_SCALAR, 0.5), 0.6, 10**12,
+                                       100, RngStream(1)),
+], ids=["sk-trials", "sk-uses", "excess-trials", "chernoff-trials", "scalar-steps",
+        "vector-steps", "excess-steps", "chernoff-steps"])
 def test_oversize_monte_carlo_requests_are_refused_before_allocating(call):
     with pytest.raises(DomainError):
         call()
@@ -146,6 +155,18 @@ def test_monte_carlo_ceilings_are_inclusive(monkeypatch):
     for n, trials in ((4, 40), (3, 41)):
         with pytest.raises(DomainError):
             schalkwijk_kailath(1.0, 1.0, 1.0, n, RngStream(1), trials=trials)
+    monkeypatch.setattr(jscc, "_MAX_STEPS", 500)
+    design, sol = jscc.design_iid_scalar(1.0, 1.0, 1.0), solve_realization(_SCALAR, 0.5)
+    assert jscc.simulate_scalar(design, 500, RngStream(1)).samples == 500
+    assert simulate_vector(_SCALAR, sol, 500, RngStream(1)).samples == 500
+    with pytest.raises(DomainError):
+        jscc.simulate_scalar(design, 501, RngStream(1))
+    with pytest.raises(DomainError):
+        simulate_vector(_SCALAR, sol, 501, RngStream(1))
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 30)  # steps per chain of every simulator
+    assert 0.0 <= simulate_excess_bsms(0.3, 0.1, 30, 0.2, 10, RngStream(1)) <= 1.0
+    with pytest.raises(DomainError):
+        simulate_excess_bsms(0.3, 0.1, 31, 0.2, 10, RngStream(1))
 
 
 # an irreducible 4-state chain whose exit mass differs inside the class {f=0}

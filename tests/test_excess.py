@@ -24,6 +24,8 @@ from nardf.excess import (
 from nardf.gauss import GaussModel, solve_realization
 from nardf.numerics import BITS_PER_NAT, RngStream, perron_eigenvalue
 
+from conftest import step_matrix
+
 DESIGN = optimal_reproduction(0.3, 0.1)
 CHAIN = joint_chain(DESIGN)
 
@@ -578,26 +580,24 @@ def test_chernoff_exponent_monotone_in_d():
 
 
 def _blockwise_distortion_sums(model, solution, rec, n, trials, rng):
-    # reference: the block-at-a-time loop the lockstep sums replaced
+    # reference: the block-at-a-time loop on the lockstep loop's step matrix.
+    # The lockstep loop multiplies M by all trials at once; a one-trial block
+    # of more trials is stepped as column 0 of a two-column copy, so that
+    # numpy takes the same matrix-matrix product, not its matrix-vector one
     m, k, p, d = model.dims
-    C, N = model.C, model.N
-    E, eta, b_inf = solution.E_inf, solution.eta, solution.b_inf
-    shrink = eta - 1.0
-    sq = np.sqrt(solution.q)
+    M = step_matrix(model, solution, rec)
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
-    A_t, B1, B2, B3 = rec.A_tilde, rec.B1, rec.B2, rec.B3
     out = []
     for g, size in numerics._trial_blocks(rng, trials):
-        e = chol @ g.standard_normal((m, size))
+        x = np.zeros((m + k + d + p, 2 if size == 1 < trials else size))
+        x[:m, :size] = chol @ g.standard_normal((m, size))
         S = np.zeros(size)
         for _ in range(n):
-            W = g.standard_normal((k, size))
-            V = g.standard_normal((d, size))
-            Vc = sq[:, None] * g.standard_normal((p, size))
-            K = C @ e + (N @ V if d else 0.0)
-            err = shrink[:, None] * (E @ K) + b_inf[:, None] * Vc
+            x[m:, :size] = g.standard_normal((k + d + p, size))
+            y = M @ x
+            err = y[m:m + p, :size]
             S += np.sum(err * err, axis=0)
-            e = A_t @ e + B1 @ W - (B2 @ V if d else 0.0) - B3 @ Vc
+            x[:m] = y[:m]
         out.append(S)
     return np.concatenate(out)
 

@@ -23,6 +23,8 @@ from nardf.jscc import (
 )
 from nardf.numerics import RngStream
 
+from conftest import step_matrix
+
 TEST_MODEL = GaussModel(
     A=np.array([[0.6, 0.2], [0.0, 0.5]]),
     B=np.eye(2),
@@ -239,12 +241,34 @@ def test_simulate_iid_hits_dmin():
     assert abs(rep.distortion - 0.5) <= 4.0 * rep.distortion_se
 
 
+def _source_encoder_decoder_loop(design, n, rng):
+    # oracle: the source X and the decoder's predictor Xhat run explicitly on
+    # the draws of a one-shard simulate_scalar, from X_0 = K_0 and Xhat_0 = 0;
+    # returns the encoder inputs K, the channel outputs B, and the sums of
+    # the squared reproduction error X - Y and of the channel input power
+    normals = numerics._lockstep_draws(rng, 1, n, np.random.Generator.standard_normal,
+                                       rows=(2,), first=())
+    X = float(next(normals)[0]) * math.sqrt(design.input_var)
+    Xhat, d_sum, p_sum = 0.0, 0.0, 0.0
+    K, B = np.empty(n), np.empty(n)
+    feedback = design.mode == "feedback"
+    for t, (W, Vc) in enumerate(normals):
+        K[t] = X - Xhat if feedback else X
+        A_t = design.encoder_gain * K[t]
+        B[t] = A_t + design.sigma_Vc * float(Vc[0])
+        Y = design.decoder_gain * B[t] + (Xhat if feedback else 0.0)
+        d_sum += (X - Y) ** 2
+        p_sum += A_t**2
+        Xhat = design.alpha * Y if feedback else 0.0
+        X = design.alpha * X + design.sigma_W * float(W[0])
+    return K, B, d_sum, p_sum
+
+
 def test_feedback_innovation_orthogonal_to_past_outputs():
     # the encoded innovation must be uncorrelated with previous channel
     # outputs; sample correlations stay within the CLT band
     d = design_feedback_scalar(0.7, 1.0, 1.0, 1.5)
-    _, series = simulate_scalar(d, 40_000, RngStream(8), return_series=True)
-    K, B = series["K"], series["B"]
+    K, B, _, _ = _source_encoder_decoder_loop(d, 40_000, RngStream(8))
     n = K.size
     for lag in (1, 2, 5):
         r = np.corrcoef(K[lag:], B[:-lag])[0, 1]
@@ -377,24 +401,14 @@ def test_near_unit_root_source_simulates_from_its_stationary_law():
                                     design_nofeedback_scalar(-0.6, 1.2, 0.8, 1.5)],
                          ids=["fb", "nfb"])
 def test_scalar_recursion_is_the_source_encoder_decoder_loop(design):
-    # oracle: the source X and the decoder's predictor Xhat run explicitly on
-    # the same draws, from X_0 = K_0 and Xhat_0 = 0; the encoder input K and
-    # the channel output B match the library's one recursion on K
-    n = 300
-    _, series = simulate_scalar(design, n, RngStream(4), return_series=True)
-    normals = numerics._lockstep_draws(RngStream(4), 1, n, np.random.Generator.standard_normal,
-                                       rows=(2,), first=())
-    X = float(next(normals)[0]) * math.sqrt(design.input_var)
-    Xhat, K, B = 0.0, [], []
-    feedback = design.mode == "feedback"
-    for W, Vc in normals:
-        K.append(X - Xhat if feedback else X)
-        B.append(design.encoder_gain * K[-1] + design.sigma_Vc * float(Vc[0]))
-        Y = design.decoder_gain * B[-1] + (Xhat if feedback else 0.0)
-        Xhat = design.alpha * Y if feedback else 0.0
-        X = design.alpha * X + design.sigma_W * float(W[0])
-    np.testing.assert_allclose(series["K"], K, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(series["B"], B, rtol=0.0, atol=1e-12)
+    # the library's one recursion on K, one shard below MIN_STEPS_WITH_SE,
+    # sums what the explicit loop on the same draws sums
+    for n in (1, 2, 300, MIN_STEPS_WITH_SE - 1):
+        report = simulate_scalar(design, n, RngStream(4))
+        _, _, d_sum, p_sum = _source_encoder_decoder_loop(design, n, RngStream(4))
+        assert report.samples == n
+        assert report.distortion == pytest.approx(d_sum / n, rel=1e-12, abs=0.0)
+        assert report.power == pytest.approx(p_sum / n, rel=1e-12, abs=0.0)
 
 
 def test_schalkwijk_kailath():
@@ -465,26 +479,25 @@ def _channel_gain(sol):
 def _blockwise_vector(model, sol, n, rng):
     shards, per_shard = jscc._shard_layout(n)
     rec = excess.gaussian_error_recursion(model, sol)
-    C, N = model.C, model.N
     m, k, p, d = model.dims
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
-    E, q, a_inf = sol.E_inf, sol.q, _channel_gain(sol)
+    M = step_matrix(model, sol, rec)
+    to_channel = np.diag(_channel_gain(sol)) @ sol.E_inf
     sums = []
     for g, size in numerics._trial_blocks(rng, shards):
-        e = chol @ g.standard_normal((m, size))
+        x = np.empty((m + k + d + p, size))
+        x[:m] = chol @ g.standard_normal((m, size))
         d_sum = np.zeros((p, size))
         p_sum = np.zeros((p, size))
         covK = np.zeros((p, p, size))
         for _ in range(per_shard):
-            W = g.standard_normal((k, size))
-            V = g.standard_normal((d, size))
-            Vc = np.sqrt(q)[:, None] * g.standard_normal((p, size))
-            K = C @ e + (N @ V if d else 0.0)
-            err = (sol.eta - 1.0)[:, None] * (E @ K) + sol.b_inf[:, None] * Vc
+            x[m:] = g.standard_normal((k + d + p, size))
+            y = M @ x
+            err, K = y[m:m + p], y[m + p:]
             d_sum += err * err
-            p_sum += (a_inf[:, None] * (E @ K)) ** 2
+            p_sum += (to_channel @ K) ** 2
             covK += np.einsum("is,js->ijs", K, K)
-            e = rec.A_tilde @ e + rec.B1 @ W - (rec.B2 @ V if d else 0.0) - rec.B3 @ Vc
+            x[:m] = y[:m]
         sums.append((d_sum, p_sum, covK))
     d_sum, p_sum, covK = (np.concatenate(parts, axis=-1) for parts in zip(*sums))
     return (jscc._mean_and_se(d_sum.sum(axis=0) / per_shard),
@@ -516,15 +529,18 @@ def _realization_steps(model, sol, n, trials, rng):
         Z = A @ Z + B @ W
 
 
-@pytest.mark.parametrize("model, D", [
-    (TEST_MODEL, 1.2),
-    (GaussModel(A=TEST_MODEL.A, B=np.eye(2), C=np.array([[1.0, 0.5]]), N=np.empty((1, 0))), 0.3),
-    (GaussModel.scalar(0.5, 1.0, 1.0, 0.5), 0.5),
-    (UNSTABLE_SOURCE, 0.5),
-    (GaussModel.scalar(1.0, 1.0), 0.2),
-], ids=["2x2", "p<m-noiseless", "scalar-observed", "unstable-source", "unit-root"])
-def test_error_recursion_is_the_realization_pathwise(model, D):
-    sol = solve_realization(model, D)
+@pytest.mark.parametrize("model, D, Q", [
+    (TEST_MODEL, 1.2, None),
+    (TEST_MODEL, 1.2, np.array([0.5, 2.0])),  # q != 1: sqrt(q) enters the step
+    (GaussModel(A=TEST_MODEL.A, B=np.eye(2), C=np.array([[1.0, 0.5]]), N=np.empty((1, 0))),
+     0.3, None),
+    (GaussModel.scalar(0.5, 1.0, 1.0, 0.5), 0.5, None),
+    (UNSTABLE_SOURCE, 0.5, None),
+    (GaussModel.scalar(1.0, 1.0), 0.2, None),
+], ids=["2x2", "2x2-channel-noise", "p<m-noiseless", "scalar-observed", "unstable-source",
+        "unit-root"])
+def test_error_recursion_is_the_realization_pathwise(model, D, Q):
+    sol = solve_realization(model, D, Q)
     rec = excess.gaussian_error_recursion(model, sol)
     a_inf = _channel_gain(sol)
     steps = 0
