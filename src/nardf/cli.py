@@ -384,7 +384,7 @@ def _cmd_excess(args):
         "hoeffding_threshold_n": 2.0 / (lam * gamma) if lam > 0.0 else None,
         "lumped_lambda_2": excess.second_eigenvalue(lumped),
     }
-    return _table(header, rows, meta, "nardf/excess-bounds/v3", args.format)
+    return _table(header, rows, meta, "nardf/excess-bounds/v4", args.format)
 
 
 def _cmd_rate_loss(args):

@@ -1,12 +1,12 @@
 """Excess-distortion probability machinery.
 
-For the BSMS joint chain: Hoeffding-type and reversible-chain concentration
-bounds, and the Markov large-deviations rate function and the empirical
-exceedance of the uncoded transmission, both computed on the two-state lump
-of the chain onto its distortion classes (the chain must be lumpable).
+For the BSMS joint chain: the Hoeffding-type bound on the chain itself; the
+reversible-chain bound (lambda_2 = 1 - a - b), the Markov large-deviations
+rate function and the empirical exceedance of the uncoded transmission on the
+two-state lump of the chain onto its distortion classes (it must be lumpable).
 
-For the Gaussian realization: the steady-state reproduction-error recursion,
-the one loop that steps it from its stationary law (shared with
+For the Gaussian realization: the reproduction-error recursion as one step
+matrix, the one loop that steps it from its stationary law (shared with
 jscc.simulate_vector), and a Monte Carlo Chernoff exponent for P(S_n/n >= d).
 
 Exponents and rate functions are in nats; convert with BITS_PER_NAT for
@@ -32,7 +32,6 @@ __all__ = [
     "hoeffding_constants",
     "hoeffding_bound",
     "reversible_bound",
-    "is_reversible",
     "second_eigenvalue",
     "lumped_distortion_chain",
     "rate_function",
@@ -58,7 +57,8 @@ def hoeffding_constants(design: BsmsDesign):
 
 
 def hoeffding_bound(chain: JointChain, design: BsmsDesign, n, gamma):
-    """exp(-lambda^2 (n gamma - 2/lambda)^2 / (2n)) on P(S_n/n >= D + gamma)."""
+    """exp(-lambda^2 (n gamma - 2/lambda)^2 / (2n)) on P(S_n/n >= D + gamma);
+    0.0, its limit, at n = inf."""
     if not (gamma > 0.0 and n >= 1):  # NaN fails too
         raise DomainError("hoeffding_bound: gamma > 0 and n >= 1 required")
     if abs(chain.mean_distortion - design.D) > 1e-9:
@@ -68,36 +68,30 @@ def hoeffding_bound(chain: JointChain, design: BsmsDesign, n, gamma):
         raise DomainError(
             "hoeffding_bound: undefined below the validity threshold n > 2/(lambda*gamma)"
         )
+    if n == math.inf:  # the exponent is -inf/inf there
+        return 0.0
     try:
         return math.exp(-(lam**2) * (n * gamma - 2.0 / lam) ** 2 / (2.0 * n))
     except OverflowError:  # (n gamma)^2 beyond the float range: the bound is 0
         return 0.0
 
 
-def is_reversible(chain: JointChain):
-    """Detailed balance pi(i) Pi(j,i) = pi(j) Pi(i,j) within 1e-10."""
-    pi = chain.stationary
-    flow = chain.pi_matrix * pi[None, :]  # flow[j, i] = pi_i P(j|i)
-    return float(np.max(np.abs(flow - flow.T))) <= 1e-10
-
-
 def second_eigenvalue(chain: JointChain):
-    """Second-largest eigenvalue of a reversible chain, via the symmetric
-    similarity D_pi^{-1/2} Pi D_pi^{1/2} (Pi column-stochastic here)."""
-    if not is_reversible(chain):
-        raise DomainError("second_eigenvalue: chain is not reversible")
-    pi = chain.stationary
-    if np.any(pi <= 0.0):
-        raise DomainError("second_eigenvalue: stationary vector must be positive")
-    rt = np.sqrt(pi)
-    S = chain.pi_matrix * (rt[None, :] / rt[:, None])
-    spectrum, _ = sym_eig(0.5 * (S + S.T))
-    return float(spectrum[1])
+    """Second eigenvalue 1 - a - b of a two-state chain with column-stochastic
+    Pi, a = Pi[1, 0] and b = Pi[0, 1].  DomainError for any other chain:
+    lump it onto its distortion classes first (lumped_distortion_chain)."""
+    T = np.asarray(chain.pi_matrix, dtype=float)
+    if T.shape != (2, 2):
+        raise DomainError("second_eigenvalue: two-state chain required; "
+                          "lump the chain first (lumped_distortion_chain)")
+    if not (np.all(T >= 0.0) and float(np.max(np.abs(T.sum(axis=0) - 1.0))) <= 1e-12):
+        raise DomainError("second_eigenvalue: column-stochastic chain required")
+    return 1.0 - float(T[1, 0]) - float(T[0, 1])
 
 
 def reversible_bound(chain: JointChain, n, gamma):
-    """exp(-2 ((1-lam0)/(1+lam0)) n gamma^2) with lam0 = max(0, lambda_2);
-    requires a reversible chain."""
+    """exp(-2 ((1-lam0)/(1+lam0)) n gamma^2) with lam0 = max(0, lambda_2),
+    for a two-state chain (every two-state chain is reversible)."""
     if not (gamma > 0.0 and n >= 1):  # NaN fails too
         raise DomainError("reversible_bound: gamma > 0 and n >= 1 required")
     lam0 = max(0.0, second_eigenvalue(chain))
@@ -218,40 +212,45 @@ def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream):
 
 @dataclass(frozen=True)
 class GaussianErrorRecursion:
-    """Steady-state recursion of the filter error e_bar = Z - Zhat:
+    """The matched closed loop as the recursion of its filter error
+    e = Z - Zhat, one fixed step matrix on the stacked state and draws:
 
-        e_bar' = A_tilde e_bar + B1 W - B2 V - B3 Vc
+        [e'; err; K] = step [e; W; V; z],   Vc = sqrt(q) z,
 
-    (B2, B3 as displayed enter with minus signs; covariances are unaffected).
-    cov is the stationary covariance, equal to the realization's Sigma_inf.
+        e'  = (A - G Ebar C) e + B W - G Ebar N V - G E' diag(b_inf) sqrt(q) z
+        err = (eta - 1) E (C e + N V) + b_inf sqrt(q) z
+        K   = C e + N V
+
+    with Ebar = E' diag(eta) E: err is the reproduction error and K the
+    innovation, both in the decorrelated basis.  A noiseless observation
+    (d = 0) is an empty block of V columns.  cov is the stationary
+    covariance of e, equal to the realization's Sigma_inf: the Lyapunov
+    fixed point of step[:m, :m] driven by drive = step[:m, m:].
     """
 
-    A_tilde: np.ndarray = field(repr=False)
-    B1: np.ndarray = field(repr=False)
-    B2: np.ndarray = field(repr=False)
-    B3: np.ndarray = field(repr=False)
-    noise_cov: np.ndarray = field(repr=False)
-    cov: np.ndarray = field(repr=False)
-    spectral_radius: float
+    step: np.ndarray = field(repr=False)  # (m + 2p, m + k + d + p)
+    cov: np.ndarray = field(repr=False)  # (m, m)
 
 
 def gaussian_error_recursion(
     model: GaussModel, solution: RealizationSolution
 ) -> GaussianErrorRecursion:
-    A, B, N = model.A, model.B, model.N
-    E, eta = solution.E_inf, solution.eta
-    Ebar = E.T @ (eta[:, None] * E)
-    G = solution.gain
-    A_tilde = A - G @ Ebar @ model.C
-    B1 = B
-    B2 = G @ Ebar @ N
-    B3 = G @ E.T @ np.diag(solution.b_inf)
-    radius = solution.closed_loop_radius  # the eigenvalues of this same A_tilde
-    if radius >= 1.0:
+    if solution.closed_loop_radius >= 1.0:  # the eigenvalues of step[:m, :m]
         raise NumericError("gaussian_error_recursion: unstable error recursion")
-    noise = B1 @ B1.T + B2 @ B2.T + B3 @ (solution.q[:, None] * B3.T)
-    noise = 0.5 * (noise + noise.T)
-    cov = solve_discrete_lyapunov(A_tilde, noise)
+    m, k, p, _ = model.dims
+    C, N = model.C, model.N
+    E, eta, G, b = solution.E_inf, solution.eta, solution.gain, solution.b_inf
+    Ebar = E.T @ (eta[:, None] * E)
+    sq = np.sqrt(solution.q)
+    shrink = (eta - 1.0)[:, None] * E  # (H - I) E
+    no_W = np.zeros((p, k))
+    step = np.block([
+        [model.A - G @ Ebar @ C, model.B, -(G @ Ebar @ N), -(G @ E.T @ np.diag(b)) * sq],
+        [shrink @ C, no_W, shrink @ N, np.diag(b * sq)],
+        [C, no_W, N, np.zeros((p, p))],
+    ])
+    drive = step[:m, m:]
+    cov = solve_discrete_lyapunov(step[:m, :m], drive @ drive.T)
     # 1e-8 relative to the largest entry once that exceeds 1: the fixed
     # point's own rounding grows with the covariance scale
     scale = max(1.0, float(np.max(np.abs(solution.Sigma_inf))))
@@ -259,15 +258,7 @@ def gaussian_error_recursion(
         raise NumericError(
             "gaussian_error_recursion: stationary covariance does not match Sigma_inf"
         )
-    return GaussianErrorRecursion(
-        A_tilde=A_tilde,
-        B1=B1,
-        B2=B2,
-        B3=B3,
-        noise_cov=noise,
-        cov=cov,
-        spectral_radius=radius,
-    )
+    return GaussianErrorRecursion(step=step, cov=cov)
 
 
 class ChernoffEstimate(NamedTuple):
@@ -283,31 +274,15 @@ class ChernoffEstimate(NamedTuple):
     stream_id: int
 
 
-def _error_steps(model, solution, rec, n, trials, rng):
-    """The matched closed loop as its error recursion: `trials` independent
-    chains in lockstep, each started from the stationary law N(0, Sigma_inf)
-    and run for n steps.  Yields per step the innovation K = C e + N V and
-    the reproduction error err = (eta - 1) E K + b_inf Vc in the decorrelated
-    basis, each (p, trials) and valid until the next step is asked for.
-
-    Each step is one product of a fixed step matrix with the stacked state
-    and draws, [e'; err; K] = M [e; W; V; z], where Vc = sqrt(q) z:
-
-        e'  = A_tilde e + B1 W - B2 V - B3 sqrt(q) z
-        err = (eta - 1) E (C e + N V) + b_inf sqrt(q) z
-        K   = C e + N V
-
-    A noiseless observation (d = 0) is an empty block of V columns."""
-    m, k, p, d = model.dims
-    C, N = model.C, model.N
-    sq = np.sqrt(solution.q)
-    shrink = (solution.eta - 1.0)[:, None] * solution.E_inf  # (H - I) E
-    no_W = np.zeros((p, k))
-    M = np.block([
-        [rec.A_tilde, rec.B1, -rec.B2, -rec.B3 * sq],
-        [shrink @ C, no_W, shrink @ N, np.diag(solution.b_inf * sq)],
-        [C, no_W, N, np.zeros((p, p))],
-    ])
+def _error_steps(rec: GaussianErrorRecursion, n, trials, rng):
+    """`trials` independent chains of rec in lockstep, each started from the
+    stationary law N(0, rec.cov) and run for n steps.  Yields per step the
+    innovation K and the reproduction error err, each (p, trials) and valid
+    until the next step is asked for.  Each step is one product of
+    rec.step with the stacked state and draws."""
+    m = rec.cov.shape[0]
+    rows, cols = rec.step.shape
+    p = (rows - m) // 2
     try:
         root = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     except np.linalg.LinAlgError:
@@ -317,15 +292,15 @@ def _error_steps(model, solution, rec, n, trials, rng):
         root = V.T * np.sqrt(np.maximum(w, 0.0))
     # per step, in stream order: W (k rows), V (d rows), z (p rows); e_0 first
     normals = _lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
-                              rows=(k + d + p,), first=(m,))
-    e0 = root @ next(normals)  # the first draw checks `trials` before any allocation
-    x = np.empty((m + k + d + p, trials))
-    out = np.empty((m + 2 * p, trials))
+                              rows=(cols - m,), first=(m,))
+    e0 = root @ next(normals)  # the first draw checks the counts before any allocation
+    x = np.empty((cols, trials))
+    out = np.empty((rows, trials))
     x[:m] = e0
     err, K = out[m:m + p], out[m + p:]
     for z in normals:
         x[m:] = z
-        np.matmul(M, x, out=out)
+        np.matmul(rec.step, x, out=out)
         x[:m] = out[:m]
         yield K, err
 
@@ -347,7 +322,7 @@ def gaussian_chernoff_exponent(
     batches of the trials, so at least 10 trials are needed.
     """
     batches = 10
-    if d <= 0.0 or n < 1 or trials < batches:
+    if not 0.0 < d < math.inf or n < 1 or trials < batches:  # NaN fails too
         raise DomainError("gaussian_chernoff_exponent: invalid d, n, or trials")
     rec = gaussian_error_recursion(model, solution)
     delta_max = float(np.max(solution.delta))
@@ -360,7 +335,7 @@ def gaussian_chernoff_exponent(
         raise DomainError("gaussian_chernoff_exponent: tilts must be positive")
 
     err2 = 0.0  # (p, trials) from the first step, after the draws have checked `trials`
-    for _, err in _error_steps(model, solution, rec, n, trials, rng):
+    for _, err in _error_steps(rec, n, trials, rng):
         err2 += err * err
     S = np.sum(err2, axis=0)
     logT = math.log(trials)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .excess import _error_steps, gaussian_error_recursion
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
-from .numerics import _MAX_STEPS, RngStream, _lockstep_draws, water_level
+from .numerics import _MAX_STEPS, RngStream, _check_counts, _lockstep_draws, water_level
 
 __all__ = [
     "PowerMatch",
@@ -373,7 +373,7 @@ def simulate_vector(
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
         a_inf = np.sqrt(np.where(delta > 0.0, q * eta / np.where(delta > 0.0, delta, 1.0), 0.0))
         to_channel = a_inf[:, None] * E  # the channel input is a_inf E K
-        for K, err in _error_steps(model, solution, rec, per_shard, shards, rng):
+        for K, err in _error_steps(rec, per_shard, shards, rng):
             d_sum += err * err
             p_sum += (to_channel @ K) ** 2
             covK += np.einsum("is,js->ijs", K, K)
@@ -400,11 +400,13 @@ def schalkwijk_kailath(sigma_X, sigma_Vc, P, n, rng: RngStream, trials=100_000) 
     feedback: MSE contracts by sigma_Vc^2/(P + sigma_Vc^2) per channel use,
     so every use carries exactly the capacity 0.5 log2(1 + P/sigma_Vc^2).
     The trials run in lockstep, drawn through the numerics block layout.
-    DomainError for more than 10^7 uses or trials, before any allocation."""
+    DomainError for more than 10^7 uses or trials, a count that is not an
+    integer, or more than 10^10 uses x trials, before any allocation."""
     if (not all(0.0 < v < math.inf for v in (sigma_X, sigma_Vc, P))
             or not 1 <= n <= _MAX_SK_USES or trials < 2):
         raise DomainError(f"schalkwijk_kailath: positive finite parameters, "
                           f"1 <= n <= {_MAX_SK_USES} and trials >= 2 required")
+    _check_counts(trials, n)  # before the n + 1 analytic MSEs are allocated
     q = sigma_Vc * sigma_Vc
     contraction = q / (P + q)
     lam = sigma_X * sigma_X * contraction ** np.arange(n + 1)

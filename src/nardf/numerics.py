@@ -11,6 +11,7 @@ Every public function here is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,6 +309,9 @@ _BLOCKS = 16
 _CHUNK_BYTES = 1 << 20  # one _lockstep_draws chunk, all blocks together
 _MAX_TRIALS = 10**7  # 100x the CLI and benchmark sizes; one row of 10^7 floats is 80 MB
 _MAX_STEPS = 10**8  # 1000x the CLI default --steps; about 6 s of scalar JSCC simulation
+# trials x steps of one call: 25x the largest test (10^5 trials x 4000 steps);
+# the BSMS excess sampler, at ~1.6 s per 2 x 10^8 on a 2-vCPU VM, takes ~80 s
+_MAX_TRIAL_STEPS = 10**10
 
 
 def _trial_blocks(rng: RngStream, trials):
@@ -316,6 +320,20 @@ def _trial_blocks(rng: RngStream, trials):
     blocks = min(_BLOCKS, trials)
     for i in range(blocks):
         yield rng.shard(i).generator(), trials // blocks + (1 if i < trials % blocks else 0)
+
+
+def _check_counts(trials, n):
+    """DomainError unless `trials` and `n` are integers with at most
+    _MAX_TRIALS trials, _MAX_STEPS steps and _MAX_TRIAL_STEPS trials x steps."""
+    if not (isinstance(trials, numbers.Integral) and isinstance(n, numbers.Integral)):
+        raise DomainError(f"Monte Carlo trials and steps must be integers ({trials!r}, {n!r})")
+    if trials > _MAX_TRIALS:
+        raise DomainError(f"more than {_MAX_TRIALS} Monte Carlo trials requested ({trials})")
+    if n > _MAX_STEPS:
+        raise DomainError(f"more than {_MAX_STEPS} Monte Carlo steps requested ({n})")
+    if trials * n > _MAX_TRIAL_STEPS:
+        raise DomainError(f"more than {_MAX_TRIAL_STEPS} Monte Carlo trial-steps requested "
+                          f"({trials} trials x {n} steps)")
 
 
 def _lockstep_draws(rng: RngStream, trials, n, draw, rows=(), first=None):
@@ -329,13 +347,9 @@ def _lockstep_draws(rng: RngStream, trials, n, draw, rows=(), first=None):
     chunk of all blocks holds about _CHUNK_BYTES, whatever n is.  The
     buffers are reused from chunk to chunk (fresh ones per chunk cost a page
     fault per 4 KiB at large trial counts), so a step's array is only valid
-    until the next one is asked for.  More than _MAX_TRIALS trials or
-    _MAX_STEPS steps raise DomainError at the first draw, before anything is
-    allocated."""
-    if trials > _MAX_TRIALS:
-        raise DomainError(f"more than {_MAX_TRIALS} Monte Carlo trials requested ({trials})")
-    if n > _MAX_STEPS:
-        raise DomainError(f"more than {_MAX_STEPS} Monte Carlo steps requested ({n})")
+    until the next one is asked for.  The counts are checked
+    (_check_counts) at the first draw, before anything is allocated."""
+    _check_counts(trials, n)
     blocks = list(_trial_blocks(rng, trials))
     if first is not None:
         yield np.concatenate([draw(g, first + (size,)) for g, size in blocks], axis=-1)

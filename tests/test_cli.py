@@ -245,11 +245,16 @@ def test_overflowing_model_exit_4_with_one_line(capsys, tmp_path, argv):
     ["jscc-sim", "--mode", "fb", "--alpha", "0.5", "--steps", "1000000000000"],
     ["jscc-sim", "--mode", "vector", "--model", "MODEL", "--d", "1.2",
      "--steps", "100000001"],
-], ids=["excess-trials", "sk-trials", "sk-steps", "fb-steps", "vector-steps"])
+    ["excess", "--p", "0.3", "--d", "0.1", "--gamma", "0.1",
+     "--n-grid", "100000000:100000000:1", "--trials", "10000000"],
+    ["jscc-sim", "--mode", "sk", "--steps", "10000000", "--trials", "10000000"],
+], ids=["excess-trials", "sk-trials", "sk-steps", "fb-steps", "vector-steps",
+        "excess-trial-steps", "sk-trial-steps"])
 def test_oversize_monte_carlo_request_exit_4_with_one_line(capsys, model_file, argv):
     # each asks for more memory than a run may hold (a 477 MiB draw per
     # block, or 74.5 GiB of analytic MSEs), or for hours of simulation (more
-    # than 10^8 steps); refused before any allocation
+    # than 10^8 steps, or more than 10^10 trials x steps, each count within
+    # its own cap); refused before any allocation
     argv = [model_file if a == "MODEL" else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 4
@@ -603,7 +608,7 @@ def test_excess_bounds(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/excess-bounds/v3"
+    assert payload["schema"] == "nardf/excess-bounds/v4"
     assert payload["hoeffding_threshold_n"] == pytest.approx(1466.666666, abs=1e-4)
     assert payload["lumped_lambda_2"] == pytest.approx(0.06417112299465248, abs=1e-12)
     rows = payload["rows"]
@@ -703,7 +708,11 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # 4-state eigensolve to the closed form on the two-state lump: I moves by
 # ~1e-14 and lambda_star by ~4e-7, which the printed digits show.  The
 # bounds json pin moved only by its schema string (v2 -> v3): its I_d kept
-# its bits here, but moves in the 16th digit on other inputs.
+# its bits here, but moves in the 16th digit on other inputs.  It was
+# recorded again for v4, when the lump's lambda_2 moved from an eigensolve
+# of the symmetrised chain to the closed form 1 - a - b: lumped_lambda_2
+# reads 0.1071428571428571 where v3 printed 0.10714285714285714 (3/28
+# rounded), and the reversible column keeps its bytes here.
 GOLDEN_ARGV = {
     ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
     ("excess", "theta-grid"): ["excess", "--p", "0.25", "--d", "0.1",
@@ -727,7 +736,7 @@ BSMS_GOLDEN_SHA256 = {
     ("excess", "theta-grid", "csv"): "0938bd7c1df193c2f8a6145f8065ec783f35f690bc0afac04917f2ba8bc4aae4",
     ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
-    ("excess", "bounds", "json"): "2b30eb25c5cdae883376ab8b54d702b66d633fd97282fa295583b17de5263dc4",
+    ("excess", "bounds", "json"): "4c0802b420b581c295abe1bbaa9f491059799b6d384686ea4961b144cfd0ebb7",
 }
 
 

@@ -38,6 +38,8 @@ THIN = (math.nan, math.inf, -0.3, 0.0, 5e-324, 0.5, 1.5, 1e300)
 # validity threshold (n > 587) for every edge gamma >= 0.25
 DESIGN = optimal_reproduction(0.3, 0.1)
 CHAIN = joint_chain(DESIGN)
+_SCALAR = GaussModel.scalar(0.5, 1.0)
+_SCALAR_SOLUTION = solve_realization(_SCALAR, 0.5)
 
 CASES = {
     "binary_entropy": (binary_entropy, 1, EDGES),
@@ -61,6 +63,10 @@ CASES = {
     "hoeffding_bound": (lambda gamma: hoeffding_bound(CHAIN, DESIGN, 2000, gamma), 1, EDGES),
     "reversible_bound": (lambda gamma: reversible_bound(lumped_distortion_chain(CHAIN),
                                                         2000, gamma), 1, EDGES),
+    # n = inf included: the bounds' limit is 0
+    "hoeffding_bound_n": (lambda n: hoeffding_bound(CHAIN, DESIGN, n, 0.25), 1, EDGES),
+    "reversible_bound_n": (lambda n: reversible_bound(lumped_distortion_chain(CHAIN),
+                                                      n, 0.25), 1, EDGES),
     "simulate_excess_bsms": (lambda p, D, d: simulate_excess_bsms(p, D, 4, d, 8, RngStream(1)),
                              3, EDGES),
 }
@@ -110,10 +116,29 @@ def test_edge_values_give_finite_result_or_documented_error(name):
     (simulate_excess_bsms, (0.3, 0.1, 10, math.nan, 10, RngStream(1))),  # counted no trial
     (RngStream, (-3,)),  # numpy's seeding raised ValueError at the first draw
     (RngStream, (3, -1)),
+    # counts that are NaN or not whole raised TypeError from range() or
+    # np.empty; a NaN or infinite Chernoff threshold passed `d <= 0` and
+    # ended in "no stable tilt"
+    (simulate_excess_bsms, (0.3, 0.1, math.nan, 0.2, 100, RngStream(1))),
+    (simulate_excess_bsms, (0.3, 0.1, 10, 0.2, math.nan, RngStream(1))),
+    (simulate_excess_bsms, (0.3, 0.1, 10.5, 0.2, 100, RngStream(1))),
+    (gaussian_chernoff_exponent, (_SCALAR, _SCALAR_SOLUTION, 0.6, math.nan, 100, RngStream(1))),
+    (gaussian_chernoff_exponent, (_SCALAR, _SCALAR_SOLUTION, 0.6, 10, math.nan, RngStream(1))),
+    (gaussian_chernoff_exponent, (_SCALAR, _SCALAR_SOLUTION, math.nan, 10, 100, RngStream(1))),
+    (gaussian_chernoff_exponent, (_SCALAR, _SCALAR_SOLUTION, math.inf, 10, 100, RngStream(1))),
+    (schalkwijk_kailath, (1.0, 1.0, 1.0, 5.5, RngStream(1))),
+    (schalkwijk_kailath, (1.0, 1.0, 1.0, 5, RngStream(1), math.nan)),
+    (jscc.simulate_scalar, (jscc.design_iid_scalar(1.0, 1.0, 1.0), 500.5, RngStream(1))),
 ])
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+def test_bounds_at_infinite_block_length_are_zero():
+    # the Hoeffding exponent was -inf/inf there, and the bound NaN
+    assert hoeffding_bound(CHAIN, DESIGN, math.inf, 0.1) == 0.0
+    assert reversible_bound(lumped_distortion_chain(CHAIN), math.inf, 0.1) == 0.0
 
 
 def test_capacity_waterfill_powers_the_quietest_channel_when_the_level_rounds_below_it():
@@ -127,7 +152,6 @@ def test_capacity_waterfill_powers_the_quietest_channel_when_the_level_rounds_be
 # would raise MemoryError on the first allocation, so a DomainError shows
 # that the refusal comes before any; more steps than _MAX_STEPS would run
 # for hours
-_SCALAR = GaussModel.scalar(0.5, 1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -141,8 +165,14 @@ _SCALAR = GaussModel.scalar(0.5, 1.0)
     lambda: simulate_excess_bsms(0.3, 0.1, 10**12, 0.2, 10, RngStream(1)),
     lambda: gaussian_chernoff_exponent(_SCALAR, solve_realization(_SCALAR, 0.5), 0.6, 10**12,
                                        100, RngStream(1)),
+    # each count within its own cap, but more than 10^10 trials x steps
+    lambda: schalkwijk_kailath(1.0, 1.0, 1.0, 10**7, RngStream(1), trials=10**7),
+    lambda: simulate_excess_bsms(0.3, 0.1, 10**8, 0.2, 10**7, RngStream(1)),
+    lambda: gaussian_chernoff_exponent(_SCALAR, solve_realization(_SCALAR, 0.5), 0.6, 10**5,
+                                       10**6, RngStream(1)),
 ], ids=["sk-trials", "sk-uses", "excess-trials", "chernoff-trials", "scalar-steps",
-        "vector-steps", "excess-steps", "chernoff-steps"])
+        "vector-steps", "excess-steps", "chernoff-steps", "sk-trial-steps",
+        "excess-trial-steps", "chernoff-trial-steps"])
 def test_oversize_monte_carlo_requests_are_refused_before_allocating(call):
     with pytest.raises(DomainError):
         call()
@@ -167,6 +197,16 @@ def test_monte_carlo_ceilings_are_inclusive(monkeypatch):
     assert 0.0 <= simulate_excess_bsms(0.3, 0.1, 30, 0.2, 10, RngStream(1)) <= 1.0
     with pytest.raises(DomainError):
         simulate_excess_bsms(0.3, 0.1, 31, 0.2, 10, RngStream(1))
+    monkeypatch.setattr(numerics, "_MAX_TRIAL_STEPS", 200)  # trials x steps of one call
+    assert 0.0 <= simulate_excess_bsms(0.3, 0.1, 20, 0.2, 10, RngStream(1)) <= 1.0
+    for n, trials in ((21, 10), (20, 11)):
+        with pytest.raises(DomainError, match="trial-steps"):
+            simulate_excess_bsms(0.3, 0.1, n, 0.2, trials, RngStream(1))
+
+
+def test_monte_carlo_work_ceiling_admits_the_largest_test_size():
+    # criterion 10 runs 10^5 trials at n = 4000
+    assert 10**5 * 4000 <= numerics._MAX_TRIAL_STEPS
 
 
 # an irreducible 4-state chain whose exit mass differs inside the class {f=0}
@@ -323,7 +363,7 @@ def test_singular_stationary_law_simulates():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(rec.cov + 1e-15 * np.eye(2))
     trials = 20_000
-    K, _ = next(excess._error_steps(model, sol, rec, 1, trials, RngStream(3)))
+    K, _ = next(excess._error_steps(rec, 1, trials, RngStream(3)))
     lam = sol.Lambda_inf
     se = np.sqrt((lam**2 + np.outer(np.diag(lam), np.diag(lam))) / trials)
     assert np.all(np.abs(K @ K.T / trials - lam) <= 4.0 * se)

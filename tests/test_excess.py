@@ -13,7 +13,6 @@ from nardf.excess import (
     gaussian_error_recursion,
     hoeffding_bound,
     hoeffding_constants,
-    is_reversible,
     lumped_distortion_chain,
     rate_function,
     rate_function_curve,
@@ -63,12 +62,19 @@ def test_hoeffding_bound_validity():
 # ------------------------------------------------- reversibility and lumping
 
 
+def _detailed_balance(chain):
+    # pi(i) Pi(j, i) = pi(j) Pi(i, j) within 1e-10
+    flow = chain.pi_matrix * chain.stationary[None, :]  # flow[j, i] = pi_i P(j|i)
+    return float(np.max(np.abs(flow - flow.T))) <= 1e-10
+
+
 def test_four_state_chain_not_reversible():
     # detailed balance fails for the asymmetric design (Kolmogorov cycle
-    # products differ); the symmetric p = 1/2 design is the exception
-    assert not is_reversible(CHAIN)
-    assert is_reversible(joint_chain(optimal_reproduction(0.5, 0.2)))
-    with pytest.raises(DomainError):
+    # products differ); the symmetric p = 1/2 design is the exception.  So
+    # the reversible-chain bound takes the lump, and refuses the 4 states
+    assert not _detailed_balance(CHAIN)
+    assert _detailed_balance(joint_chain(optimal_reproduction(0.5, 0.2)))
+    with pytest.raises(DomainError, match="lump the chain first"):
         second_eigenvalue(CHAIN)
 
 
@@ -82,7 +88,21 @@ def test_lumped_chain():
     rho_sub = (1.0 - DESIGN.beta) * 0.7 + (1.0 - DESIGN.alpha) * 0.3
     assert lump.pi_matrix[1, 1] == pytest.approx(rho_sub, abs=1e-12)
     # any two-state chain satisfies detailed balance
-    assert is_reversible(lump)
+    assert _detailed_balance(lump)
+
+
+def _symmetrised_lambda_2(chain):
+    # oracle: a reversible chain's Pi is similar to the symmetric
+    # D_pi^{-1/2} Pi D_pi^{1/2}; its smaller eigenvalue is lambda_2
+    rt = np.sqrt(chain.stationary)
+    S = chain.pi_matrix * (rt[None, :] / rt[:, None])
+    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+
+
+def _two_state(a, b):
+    # column-stochastic: a = P(0 -> 1), b = P(1 -> 0), stationary (b, a)/(a + b)
+    return JointChain(states=((0, 0), (0, 1)), pi_matrix=np.array([[1.0 - a, b], [a, 1.0 - b]]),
+                      stationary=np.array([b, a]) / (a + b), f=np.array([0.0, 1.0]))
 
 
 def test_lumped_second_eigenvalue_closed_form():
@@ -95,8 +115,28 @@ def test_lumped_second_eigenvalue_closed_form():
         assert second_eigenvalue(lump) == pytest.approx(
             (1.0 - 2.0 * p) * (des.alpha - des.beta), abs=1e-12
         )
+        assert abs(second_eigenvalue(lump) - _symmetrised_lambda_2(lump)) <= 1e-15
     lump = lumped_distortion_chain(CHAIN)
     assert second_eigenvalue(lump) == pytest.approx(0.06417112299465248, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.7, 0.6), (0.9, 0.95), (0.55, 0.5), (1.0, 1.0),
+                                  (0.2, 0.05), (0.01, 0.3)])
+def test_second_eigenvalue_of_hand_built_chains(a, b):
+    # a + b > 1 makes lambda_2 negative (anti-correlated); (1, 1) alternates
+    chain = _two_state(a, b)
+    assert _detailed_balance(chain)
+    assert abs(second_eigenvalue(chain) - _symmetrised_lambda_2(chain)) <= 1e-15
+
+
+@pytest.mark.parametrize("T", [[[0.5, 0.2], [0.6, 0.8]], [[1.2, 0.2], [-0.2, 0.8]],
+                               [[math.nan, 0.2], [0.5, 0.8]]],
+                         ids=["column-sum", "negative", "nan"])
+def test_second_eigenvalue_refuses_a_non_stochastic_chain(T):
+    chain = JointChain(states=((0, 0), (0, 1)), pi_matrix=np.array(T),
+                       stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0]))
+    with pytest.raises(DomainError, match="column-stochastic"):
+        second_eigenvalue(chain)
 
 
 def test_lumpability_rejection():
@@ -137,8 +177,8 @@ def test_reversible_bound_values():
     assert reversible_bound(lump5, 100, 0.1) == pytest.approx(math.exp(-2.0), rel=1e-12)
     with pytest.raises(DomainError):
         reversible_bound(lump, 100, 0.0)
-    with pytest.raises(DomainError):
-        reversible_bound(CHAIN, 100, 0.1)  # not reversible
+    with pytest.raises(DomainError, match="lump the chain first"):
+        reversible_bound(CHAIN, 100, 0.1)  # four states, not reversible
 
 
 def test_reversible_bound_beats_hoeffding_here():
@@ -504,8 +544,8 @@ def test_error_recursion_scalar():
     sol = solve_realization(model, 0.5)
     rec = gaussian_error_recursion(model, sol)
     assert rec.cov[0, 0] == pytest.approx(sol.Sigma_inf[0, 0], abs=1e-10)
-    assert rec.spectral_radius < 1.0
-    assert rec.B2.shape == (1, 0)  # no observation noise
+    assert abs(rec.step[0, 0]) < 1.0
+    assert rec.step.shape == (3, 3)  # columns e, W, z: no observation noise V
 
 
 def test_error_recursion_matches_iterated_lyapunov():
@@ -518,10 +558,13 @@ def test_error_recursion_matches_iterated_lyapunov():
     sol = solve_realization(model, 1.2)
     rec = gaussian_error_recursion(model, sol)
     assert float(np.max(np.abs(rec.cov - sol.Sigma_inf))) <= 1e-8
-    # brute-force oracle: iterate the covariance recursion to stationarity
+    # brute-force oracle: iterate the covariance recursion of the test's
+    # own step matrix, e' = A_tilde e + drive [W; V; z], to stationarity
+    M = step_matrix(model, sol)
+    A_tilde, drive = M[:2, :2], M[:2, 2:]
     P = np.zeros((2, 2))
     for _ in range(10_000):
-        P = rec.A_tilde @ P @ rec.A_tilde.T + rec.noise_cov
+        P = A_tilde @ P @ A_tilde.T + drive @ drive.T
     assert float(np.max(np.abs(P - rec.cov))) <= 1e-6
 
 
@@ -585,7 +628,7 @@ def _blockwise_distortion_sums(model, solution, rec, n, trials, rng):
     # of more trials is stepped as column 0 of a two-column copy, so that
     # numpy takes the same matrix-matrix product, not its matrix-vector one
     m, k, p, d = model.dims
-    M = step_matrix(model, solution, rec)
+    M = step_matrix(model, solution)
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
     out = []
     for g, size in numerics._trial_blocks(rng, trials):
@@ -614,7 +657,7 @@ def _sums_pair(model, D, n, trials, seed):
     sol = solve_realization(model, D)
     rec = gaussian_error_recursion(model, sol)
     got = np.zeros(trials)
-    for _, err in excess._error_steps(model, sol, rec, n, trials, RngStream(seed)):
+    for _, err in excess._error_steps(rec, n, trials, RngStream(seed)):
         got += np.sum(err * err, axis=0)
     ref = _blockwise_distortion_sums(model, sol, rec, n, trials, RngStream(seed))
     return got, ref

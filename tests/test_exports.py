@@ -15,7 +15,7 @@ PUBLIC = {
     "design_feedback_scalar", "design_iid_scalar", "design_nofeedback_scalar",
     "directed_info_rate", "exceedance_exponent", "gaussian_chernoff_exponent",
     "gaussian_error_recursion", "gray_critical_distortion", "hoeffding_bound",
-    "hoeffding_constants", "is_reversible", "joint_chain", "load_model",
+    "hoeffding_constants", "joint_chain", "load_model",
     "lumped_distortion_chain", "match_power", "matched_channel_noise", "max_rate_loss",
     "maximize_concave_1d", "optimal_reproduction", "parse_model_text",
     "partially_observed_sigma", "perron_eigenvalue", "rate_function", "rate_function_curve",
@@ -30,7 +30,7 @@ def test_package_all_is_the_module_lists():
     joined = [name for module in MODULES for name in module.__all__]
     assert nardf.__all__ == joined
     assert len(set(joined)) == len(joined)
-    assert set(nardf.__all__) == PUBLIC and len(PUBLIC) == 61
+    assert set(nardf.__all__) == PUBLIC and len(PUBLIC) == 60
 
 
 def test_each_public_name_is_its_module_object():

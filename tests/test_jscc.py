@@ -481,7 +481,7 @@ def _blockwise_vector(model, sol, n, rng):
     rec = excess.gaussian_error_recursion(model, sol)
     m, k, p, d = model.dims
     chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
-    M = step_matrix(model, sol, rec)
+    M = step_matrix(model, sol)
     to_channel = np.diag(_channel_gain(sol)) @ sol.E_inf
     sums = []
     for g, size in numerics._trial_blocks(rng, shards):
@@ -545,7 +545,7 @@ def test_error_recursion_is_the_realization_pathwise(model, D, Q):
     a_inf = _channel_gain(sol)
     steps = 0
     for (K, err), (ref_err, ref_in) in zip(
-            excess._error_steps(model, sol, rec, 100, 5, RngStream(6)),
+            excess._error_steps(rec, 100, 5, RngStream(6)),
             _realization_steps(model, sol, 100, 5, RngStream(6))):
         np.testing.assert_allclose(err, ref_err, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(a_inf[:, None] * (sol.E_inf @ K), ref_in, rtol=0.0, atol=1e-12)
