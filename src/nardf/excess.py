@@ -91,11 +91,16 @@ def second_eigenvalue(chain: JointChain):
 
 def reversible_bound(chain: JointChain, n, gamma):
     """exp(-2 ((1-lam0)/(1+lam0)) n gamma^2) with lam0 = max(0, lambda_2),
-    for a two-state chain (every two-state chain is reversible)."""
+    for a two-state chain (every two-state chain is reversible).  A chain
+    that never moves (lambda_2 = 1) has rate 0 and bound 1, also at n = inf
+    or gamma = inf, where the exponent would be 0 * inf."""
     if not (gamma > 0.0 and n >= 1):  # NaN fails too
         raise DomainError("reversible_bound: gamma > 0 and n >= 1 required")
     lam0 = max(0.0, second_eigenvalue(chain))
-    return math.exp(-2.0 * ((1.0 - lam0) / (1.0 + lam0)) * n * gamma * gamma)
+    rate = (1.0 - lam0) / (1.0 + lam0)
+    if rate == 0.0:
+        return 1.0
+    return math.exp(-2.0 * rate * n * gamma * gamma)
 
 
 def lumped_distortion_chain(chain: JointChain) -> JointChain:
@@ -131,16 +136,13 @@ def lumped_distortion_chain(chain: JointChain) -> JointChain:
     )
 
 
-def _log_perron_lumped(T, lam):
-    # log rho of the two-state chain T tilted by e^lam on state 1, with
+def _perron_lumped(T, lam):
+    # rho of the two-state chain T tilted by e^lam on state 1, with
     # a = T[1, 0], b = T[0, 1] and t11 = e^lam T[1, 1]:
     # rho = (t00 + t11 + sqrt((t00 - t11)^2 + 4 e^lam a b)) / 2, no cancellation
     tilt = np.exp(lam)
     t00, t11 = T[0, 0], tilt * T[1, 1]
-    rho = 0.5 * (t00 + t11 + np.sqrt((t00 - t11) ** 2 + 4.0 * tilt * (T[1, 0] * T[0, 1])))
-    if not np.all(np.isfinite(rho) & np.isfinite(tilt * T[1, 0])):
-        raise DomainError("rate_function: tilted chain is not finite")
-    return np.log(rho)
+    return 0.5 * (t00 + t11 + np.sqrt((t00 - t11) ** 2 + 4.0 * tilt * (T[1, 0] * T[0, 1])))
 
 
 def rate_function(chain: JointChain, theta):
@@ -151,14 +153,23 @@ def rate_function(chain: JointChain, theta):
     nonnegative, finite, irreducible and lumpable onto {f=0}, {f=1} (else
     DomainError); it is checked and lumped once, and each step takes the
     lump's tilted Perron root in closed form.  At theta = 0, the mean and 1
-    (lam* = -inf, 0, +inf) lam* is where the search stops on a flat objective."""
+    (lam* = -inf, 0, +inf) lam* is where the search stops on a flat objective.
+
+    The tilted lump is checked for finiteness once, at lam = -50 and 50,
+    not at every step: e^lam a, t00 + t11 and e^lam a b grow with lam, and
+    (t00 - t11)^2 + 4 e^lam a b is convex in e^lam, so each term of the
+    root is largest at an end of the bracket."""
     theta = np.asarray(theta, dtype=float)
-    if not np.all((theta >= 0.0) & (theta <= 1.0)):
+    if not ((theta >= 0.0) & (theta <= 1.0)).all():
         raise DomainError("rate_function: theta must lie in [0, 1]")
     perron_eigenvalue(chain.pi_matrix)  # the chain's checks, once; the root is unused
     T = lumped_distortion_chain(chain).pi_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = [(_perron_lumped(T, lam), np.exp(lam) * T[1, 0]) for lam in (-50.0, 50.0)]
+        if not all(math.isfinite(x) for end in ends for x in end):
+            raise DomainError("rate_function: tilted chain is not finite")
     lam_star, val = maximize_concave_1d(
-        lambda lam: lam * theta - _log_perron_lumped(T, lam),
+        lambda lam: lam * theta - np.log(_perron_lumped(T, lam)),
         np.full(theta.shape, -50.0), 50.0, tol=1e-9,
     )
     val = np.where(val < 0.0, 0.0, val)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import _eig_desc, _level, _sum, cubic_positive_root
+from .numerics import _eigh_desc, _level, _sign_rows, _sum, cubic_positive_root
 
 __all__ = [
     "GaussModel",
@@ -196,12 +196,15 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     """One Picard sweep: water-filled observation weight, then Riccati.
 
     Returns the new Sigma and (Lam, lam, E, xi, delta, eta, saturated),
-    with lam, delta and eta lists of floats equal to the array forms."""
+    with lam, delta and eta lists of floats equal to the array forms.  The
+    rows of E carry eigh's signs, not sym_eig's convention: the sweep uses
+    E only in S = C'E' diag(ratio) E C, whose every term is a product of
+    two entries of one row, so a row's sign cannot change a bit of S."""
     Lam = C @ Sigma @ C.T + NNt
     Lam = 0.5 * (Lam + Lam.T)
     if not np.isfinite(Lam).all():
         raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
-    w, E = _eig_desc(Lam)
+    w, E = _eigh_desc(Lam)
     lam = [x if x > 0.0 else 0.0 for x in w.tolist()]  # np.maximum(w, 0.0)
     if _sum(lam) > 0.0:
         xi, delta, saturated = _waterfill(lam, D)
@@ -226,6 +229,11 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
     the Riccati step, which replaces Sigma until the change drops below
     max(1e-11, 4 eps max|Sigma|).
+
+    The sweeps take Lambda's eigensystem up to the sign of each
+    eigenvector (see _sweep); sym_eig's sign convention is applied once,
+    after the last sweep, to the E_inf that the solution returns and that
+    the filter gain and closed loop are built from.
 
     D and Q are checked once, on entry (the model's matrices are finite by
     construction).  The sweeps call the unchecked cores of sym_eig and
@@ -267,6 +275,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
             )
 
     full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
+    E = _sign_rows(E)
     residual = float(np.max(np.abs(full - Sigma)))
     lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
     saturated = saturated or D >= float(lam.sum()) - 1e-15

@@ -68,22 +68,27 @@ def sym_eig(M):
     if not np.all(np.isfinite(M)):
         raise DomainError("sym_eig: non-finite entries")
     if M.shape[0] == 1:
-        return _eig_desc(M)
+        return _eigh_desc(M)
     scale = max(1.0, float(np.max(np.abs(M))))
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise DomainError("sym_eig: matrix is not symmetric")
-    return _eig_desc(0.5 * (M + M.T))
+    w, E = _eigh_desc(0.5 * (M + M.T))
+    return w, _sign_rows(E)
 
 
-def _eig_desc(M):
-    # sym_eig of a finite, exactly symmetric M, unchecked: one stable sort
-    # of eigh's spectrum (ties keep eigh's order), then the sign convention
-    # by a Python scan of the rows
+def _eigh_desc(M):
+    # sym_eig of a finite, exactly symmetric M, unchecked and without the
+    # sign convention: one stable sort of eigh's spectrum (ties keep eigh's
+    # order), each row of E an eigenvector up to its sign
     if M.shape[0] == 1:
         return M[0].copy(), np.ones((1, 1))
     w, V = np.linalg.eigh(M)
-    order = np.argsort(-w, kind="stable")
-    E = V[:, order].T.copy()
+    order = (-w).argsort(kind="stable")
+    return w[order], V.T[order]
+
+
+def _sign_rows(E):
+    # sym_eig's sign convention on the rows of E, in place, by a Python scan
     signs = []
     for row in E.tolist():
         cut = 1e-12 * max(map(abs, row))
@@ -91,7 +96,7 @@ def _eig_desc(M):
         signs.append(-1.0 if lead < 0.0 else 1.0)
     if -1.0 in signs:
         E *= np.array(signs)[:, None]
-    return w[order], E
+    return E
 
 
 def _sum(values):
@@ -251,7 +256,9 @@ def maximize_concave_1d(g, lo, hi, tol=1e-10):
     Runs elementwise over the broadcast lo, hi: g maps an array of points
     to the array of their values, and each entry follows the scalar iterate
     sequence until its own bracket is within tol (entries may stop an
-    iteration apart; a stopped entry's value is no longer read).  Returns
+    iteration apart; a stopped entry's value is no longer read).  Each
+    iteration picks the one new interior point per entry with a single
+    where and evaluates g once, on all entries together.  Returns
     (argmax, g(argmax)), floats for scalar bounds; the argmax is within tol
     of the true maximizer (boundary maxima included).
     """
@@ -262,16 +269,18 @@ def maximize_concave_1d(g, lo, hi, tol=1e-10):
     d = a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
     active = (b - a) > tol
-    while np.any(active):
+    while active.any():
+        # keep_lower: b, d, gd = d, c, gc and c is new; else a, c, gc = c,
+        # d, gd and d is new.  A stopped entry's bracket is frozen and its
+        # c, d, gc and gd are never read again, so only a and b are masked
         keep_lower = gc >= gd
-        move_b = active & keep_lower  # b, d, gd = d, c, gc; new c
-        move_a = active & ~keep_lower  # a, c, gc = c, d, gd; new d
-        a, b = np.where(move_a, c, a), np.where(move_b, d, b)
-        c, d = (np.where(move_b, b - _GOLDEN * (b - a), np.where(move_a, d, c)),
-                np.where(move_a, a + _GOLDEN * (b - a), np.where(move_b, c, d)))
-        gc, gd = np.where(move_a, gd, gc), np.where(move_b, gc, gd)
-        gx = g(np.where(move_b, c, d))
-        gc, gd = np.where(move_b, gx, gc), np.where(move_a, gx, gd)
+        a = np.where(active & ~keep_lower, c, a)
+        b = np.where(active & keep_lower, d, b)
+        step = _GOLDEN * (b - a)
+        x = np.where(keep_lower, b - step, a + step)
+        gx = g(x)
+        c, d = np.where(keep_lower, x, d), np.where(keep_lower, c, x)
+        gc, gd = np.where(keep_lower, gx, gd), np.where(keep_lower, gc, gx)
         active = (b - a) > tol
     x = 0.5 * (a + b)
     gx = g(x)

@@ -141,6 +141,19 @@ def test_bounds_at_infinite_block_length_are_zero():
     assert reversible_bound(lumped_distortion_chain(CHAIN), math.inf, 0.1) == 0.0
 
 
+def _two_state(T):
+    return JointChain(states=((0, 0), (0, 1)), pi_matrix=np.array(T, dtype=float),
+                      stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 10, math.inf])
+@pytest.mark.parametrize("gamma", [0.1, math.inf])
+def test_reversible_bound_of_a_frozen_lump_is_one(n, gamma):
+    # Pi = I: lambda_2 = 1 and the rate (1 - lam0)/(1 + lam0) is 0, so the
+    # bound is 1; at n = inf or gamma = inf its exponent was 0 * inf = NaN
+    assert reversible_bound(_two_state(np.eye(2)), n, gamma) == 1.0
+
+
 def test_capacity_waterfill_powers_the_quietest_channel_when_the_level_rounds_below_it():
     # exactly nu = 1e-323 and P* = (5e-324, 0); the computed level rounds
     # to 0, below every q, which left no active channel (ZeroDivisionError)
@@ -229,6 +242,29 @@ def _four_state(T, f):
 def test_rate_function_rejects_chains_it_cannot_check_or_lump(chain, match):
     with pytest.raises(DomainError, match=match):
         rate_function(chain, 0.7)
+
+
+@pytest.mark.parametrize("T", [
+    # e^lam T overflows on the upper half of the bracket
+    [[1e300, 1e300], [1e300, 1e300]],
+    # finite at lam = 50 (t11 ~ t00 there), but (t00 - t11)^2 overflows
+    # toward lam = -50, where t11 is small
+    [[1e200, 1.0], [1.0, 1e200 * math.exp(-50.0)]],
+])
+def test_rate_function_rejects_a_tilted_chain_that_is_not_finite(T):
+    # nonnegative, irreducible and (having two states) lumpable, so the
+    # tilt is the check that fires; the overflow warnings on the way are
+    # not what is tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="tilted chain is not finite"):
+            rate_function(_two_state(T), 0.5)
+
+
+def test_rate_function_checks_the_tilt_on_the_whole_bracket():
+    # e^lam a overflows only for lam > 19.0, where the search for theta = 0.5
+    # never looks; the check holds the chain to the bracket [-50, 50] all the same
+    with pytest.raises(DomainError, match="tilted chain is not finite"):
+        rate_function(_two_state([[1.0, 1.0], [1e300, 1.0]]), 0.5)
 
 
 def test_cubic_whose_companion_row_overflows_is_a_numeric_error():

@@ -441,12 +441,14 @@ def _array_step(A, BBt, C, NNt, Sigma, D):
     ratio = np.where(lam > 0.0, eta / np.where(lam > 0.0, lam, 1.0), 0.0)
     S = C.T @ E.T @ (ratio[:, None] * E) @ C
     new = A @ Sigma @ A.T - A @ Sigma @ S @ Sigma @ A.T + BBt
-    return 0.5 * (new + new.T), (lam, alloc, delta, eta)
+    return 0.5 * (new + new.T), (lam, alloc, delta, eta, E)
 
 
 def _array_solve(model, D, tol=1e-11, max_iter=100_000):
-    """(Sigma, delta, eta, xi, rate, iterations, residual) of the array-form
-    sweep, with its divergence check and its final extra sweep."""
+    """(Sigma, delta, eta, xi, rate, iterations, residual, E, gain, b_inf,
+    closed-loop radius) of the array-form sweep, with its divergence check
+    and its final extra sweep; E is the sym_eig eigensystem of the final
+    sweep, and gain, b_inf and the radius follow from it at Q = I."""
     m, p = model.A.shape[0], model.C.shape[0]
     A, B, C, N = model.A, model.B, model.C, model.N
     BBt = B @ B.T
@@ -463,11 +465,16 @@ def _array_solve(model, D, tol=1e-11, max_iter=100_000):
                 break
         else:
             raise NumericError("array-form sweep: no convergence")
-    full, (lam, alloc, delta, eta) = _array_step(A, BBt, C, NNt, Sigma, D)
+    full, (lam, alloc, delta, eta, E) = _array_step(A, BBt, C, NNt, Sigma, D)
     residual = float(np.max(np.abs(full - Sigma)))
     rate = 0.0 if alloc is None else _array_rate(lam, delta)
     xi = float(lam.max(initial=0.0)) if alloc is None else alloc[0]
-    return Sigma, delta, eta, xi, rate, iterations, residual
+    b_inf = np.sqrt(eta * delta / np.ones(p))
+    inv_active = np.where(eta > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
+    gain = A @ Sigma @ C.T @ E.T @ (inv_active[:, None] * E)
+    closed_loop = A - gain @ (E.T @ (eta[:, None] * E)) @ C
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
+    return Sigma, delta, eta, xi, rate, iterations, residual, E, gain, b_inf, radius
 
 
 def _oracle_model(rng, m, p):
@@ -495,13 +502,25 @@ def _oracle_cases():
     # Lambda = 0 (no observation at all): every sweep skips the water-filling
     cases.append((GaussModel(A=np.diag([0.5, -0.3]), B=np.eye(2), C=np.zeros((2, 2)),
                              N=np.empty((2, 0))), [0.7]))
+    # exact eigenvalue ties: C = B = I and N = 0 or sI make the first sweep's
+    # Lambda = (2 + s^2) I, so eigh's order and signs on a tied spectrum are
+    # pinned; A = 0.5 I keeps the tie in every sweep, a drawn A breaks it
+    tie_rng = np.random.default_rng(2025)
+    for m in (2, 4):
+        for N in (np.empty((m, 0)), 0.7 * np.eye(m)):
+            for A in (0.5 * np.eye(m), _oracle_model(tie_rng, m, m).A):
+                model = GaussModel(A=A, B=np.eye(m), C=np.eye(m), N=N)
+                total = _stationary_observation_trace(model)
+                cases.append((model, [f * total for f in (0.05, 0.4, 0.95, 1.5)] + [None]))
     return cases
 
 
 def test_sweep_is_bit_identical_to_array_form():
-    # 561 seeded (model, D) pairs, m, p in 1..4: four D per model, the last
+    # 601 seeded (model, D) pairs, m, p in 1..4: four D per model, the last
     # saturated, then (None) D exactly at the saturated spectrum total, the
-    # D >= total branch at equality
+    # D >= total branch at equality; 40 of them on exactly tied spectra.
+    # The sweep leaves eigenvector signs to eigh, so E_inf and what is built
+    # from it are compared too
     pairs = at_total = 0
     for model, ds in _oracle_cases():
         for D in ds:
@@ -512,14 +531,15 @@ def test_sweep_is_bit_identical_to_array_form():
             ref = _array_solve(model, D)
             sol = solve_realization(model, D)
             got = (sol.Sigma_inf, sol.delta, sol.eta, sol.xi, sol.rate, sol.iterations,
-                   sol.residual)
-            for name, a, b in zip(("Sigma_inf", "delta", "eta", "xi", "rate",
-                                   "iterations", "residual"), got, ref):
+                   sol.residual, sol.E_inf, sol.gain, sol.b_inf, sol.closed_loop_radius)
+            for name, a, b in zip(("Sigma_inf", "delta", "eta", "xi", "rate", "iterations",
+                                   "residual", "E_inf", "gain", "b_inf",
+                                   "closed_loop_radius"), got, ref):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, D)
             pairs += 1
             at_total += D == float(sol.spectrum.sum())
-    assert pairs >= 500
-    assert at_total > 0  # 11 pairs end exactly at the total, the rest within ulps
+    assert pairs == 601
+    assert at_total > 0  # 12 pairs end exactly at the total, the rest within ulps
 
 
 def _stationary_observation_trace(model):
