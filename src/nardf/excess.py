@@ -136,13 +136,22 @@ def lumped_distortion_chain(chain: JointChain) -> JointChain:
     )
 
 
-def _perron_lumped(T, lam):
-    # rho of the two-state chain T tilted by e^lam on state 1, with
+def _perron_lumped(T):
+    # lam -> rho of the two-state chain T tilted by e^lam on state 1, with
     # a = T[1, 0], b = T[0, 1] and t11 = e^lam T[1, 1]:
-    # rho = (t00 + t11 + sqrt((t00 - t11)^2 + 4 e^lam a b)) / 2, no cancellation
-    tilt = np.exp(lam)
-    t00, t11 = T[0, 0], tilt * T[1, 1]
-    return 0.5 * (t00 + t11 + np.sqrt((t00 - t11) ** 2 + 4.0 * tilt * (T[1, 0] * T[0, 1])))
+    # rho = (t00 + t11 + sqrt((t00 - t11)^2 + e^lam 4ab)) / 2, no cancellation.
+    # e^lam 4ab has the bits of 4 e^lam ab (scaling by 4 is exact) unless 4ab
+    # overflows, and then the root is infinite at lam = 50 either way.  The
+    # constants are 0-d arrays, cheaper in a ufunc on an array than scalars
+    t00, t11_base = np.array(T[0, 0]), np.array(T[1, 1])
+    four_ab, half = np.array(4.0 * (T[1, 0] * T[0, 1])), np.array(0.5)
+
+    def rho(lam):
+        tilt = np.exp(lam)
+        t11 = tilt * t11_base
+        return half * (t00 + t11 + np.sqrt((t00 - t11) ** 2 + tilt * four_ab))
+
+    return rho
 
 
 def rate_function(chain: JointChain, theta):
@@ -164,16 +173,22 @@ def rate_function(chain: JointChain, theta):
         raise DomainError("rate_function: theta must lie in [0, 1]")
     perron_eigenvalue(chain.pi_matrix)  # the chain's checks, once; the root is unused
     T = lumped_distortion_chain(chain).pi_matrix
+    rho = _perron_lumped(T)
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = [(_perron_lumped(T, lam), np.exp(lam) * T[1, 0]) for lam in (-50.0, 50.0)]
+        ends = [(rho(lam), np.exp(lam) * T[1, 0]) for lam in (-50.0, 50.0)]
         if not all(math.isfinite(x) for end in ends for x in end):
             raise DomainError("rate_function: tilted chain is not finite")
+    # a scalar theta runs as a one-entry array: the golden section's where,
+    # copyto and 0-d constants cost less on arrays than on numpy scalars
+    flat = theta.reshape(-1)
     lam_star, val = maximize_concave_1d(
-        lambda lam: lam * theta - np.log(_perron_lumped(T, lam)),
-        np.full(theta.shape, -50.0), 50.0, tol=1e-9,
+        lambda lam: lam * flat - np.log(rho(lam)),
+        np.full(flat.shape, -50.0), 50.0, tol=1e-9,
     )
     val = np.where(val < 0.0, 0.0, val)
-    return (float(val), lam_star) if theta.ndim == 0 else (val, lam_star)
+    if theta.ndim == 0:
+        return float(val[0]), float(lam_star[0])
+    return val.reshape(theta.shape), lam_star.reshape(theta.shape)
 
 
 def exceedance_exponent(chain: JointChain, d):

@@ -199,8 +199,14 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     with lam, delta and eta lists of floats equal to the array forms.  The
     rows of E carry eigh's signs, not sym_eig's convention: the sweep uses
     E only in S = C'E' diag(ratio) E C, whose every term is a product of
-    two entries of one row, so a row's sign cannot change a bit of S."""
-    Lam = C @ Sigma @ C.T + NNt
+    two entries of one row, so a row's sign cannot change a bit of S.
+
+    The products use ndarray.dot: the same BLAS product as @, without the
+    gufunc dispatch that dominates at these sizes.  The two differ only in
+    the sign of a 1x1 product that is zero (dot keeps -0.0), and every such
+    product is summed with NN' or BB' (sums of squares, never -0.0) before
+    it reaches Lambda or Sigma, so both keep their bits."""
+    Lam = C.dot(Sigma).dot(C.T) + NNt
     Lam = 0.5 * (Lam + Lam.T)
     if not np.isfinite(Lam).all():
         raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
@@ -215,9 +221,9 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
         e = 1.0 - d / x if x > 0.0 else 0.0  # in [0, 1], as 0 <= delta_i <= lambda_i
         eta.append(e)
         ratio.append(e / x if x > 0.0 else 0.0)
-    S = C.T @ E.T @ (np.array(ratio)[:, None] * E) @ C
-    ASigma = A @ Sigma
-    new = ASigma @ A.T - ASigma @ S @ Sigma @ A.T + BBt
+    S = C.T.dot(E.T).dot(np.array(ratio)[:, None] * E).dot(C)
+    ASigma = A.dot(Sigma)
+    new = ASigma.dot(A.T) - ASigma.dot(S).dot(Sigma).dot(A.T) + BBt
     return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
 
 

@@ -258,30 +258,37 @@ def maximize_concave_1d(g, lo, hi, tol=1e-10):
     sequence until its own bracket is within tol (entries may stop an
     iteration apart; a stopped entry's value is no longer read).  Each
     iteration picks the one new interior point per entry with a single
-    where and evaluates g once, on all entries together.  Returns
-    (argmax, g(argmax)), floats for scalar bounds; the argmax is within tol
-    of the true maximizer (boundary maxima included).
+    where and evaluates g once, on all entries together.  The bracket ends
+    move in place (copyto).  For array bounds the constants are 0-d arrays,
+    which a ufunc applies with less overhead than Python floats and the
+    same float64 arithmetic; scalar bounds keep floats, cheaper on numpy
+    scalars.  Returns (argmax, g(argmax)), floats for scalar bounds; the
+    argmax is within tol of the true maximizer (boundary maxima included).
     """
     a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if not np.all(a < b):
         raise DomainError("maximize_concave_1d: need lo < hi")
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    a, b = a.copy(), b.copy()
+    golden, tol = (np.array(_GOLDEN), np.array(tol, dtype=float)) if a.ndim else (_GOLDEN, tol)
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
     gc, gd = g(c), g(d)
     active = (b - a) > tol
     while active.any():
         # keep_lower: b, d, gd = d, c, gc and c is new; else a, c, gc = c,
         # d, gd and d is new.  A stopped entry's bracket is frozen and its
         # c, d, gc and gd are never read again, so only a and b are masked
+        # (active > keep_lower is active & ~keep_lower on booleans)
         keep_lower = gc >= gd
-        a = np.where(active & ~keep_lower, c, a)
-        b = np.where(active & keep_lower, d, b)
-        step = _GOLDEN * (b - a)
+        np.copyto(a, c, where=active > keep_lower)
+        np.copyto(b, d, where=active & keep_lower)
+        width = b - a
+        step = golden * width
         x = np.where(keep_lower, b - step, a + step)
         gx = g(x)
         c, d = np.where(keep_lower, x, d), np.where(keep_lower, c, x)
         gc, gd = np.where(keep_lower, gx, gd), np.where(keep_lower, gc, gx)
-        active = (b - a) > tol
+        active = width > tol
     x = 0.5 * (a + b)
     gx = g(x)
     if x.ndim == 0:

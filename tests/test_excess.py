@@ -271,7 +271,7 @@ def test_log_perron_lumped_is_the_four_state_log_perron_root():
         chain = joint_chain(optimal_reproduction(p, D))
         tilted = chain.pi_matrix * np.exp(np.outer(lams, chain.f))[:, :, None]
         ref = np.log(perron_eigenvalue(tilted))
-        got = np.log(excess._perron_lumped(lumped_distortion_chain(chain).pi_matrix, lams))
+        got = np.log(excess._perron_lumped(lumped_distortion_chain(chain).pi_matrix)(lams))
         # the absolute slack covers lam near 0, where log rho is 0 to rounding
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 1e-15)
 

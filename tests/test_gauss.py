@@ -542,6 +542,25 @@ def test_sweep_is_bit_identical_to_array_form():
     assert at_total > 0  # 12 pairs end exactly at the total, the rest within ulps
 
 
+def test_sweep_products_keep_the_bits_of_zero_products():
+    # the sweep multiplies with ndarray.dot, which keeps -0.0 for a zero 1x1
+    # product where @ gives +0.0: signed-zero A, zero or empty noise and
+    # saturated D (eta = 0) make such products, m = 1 with p = 1 and p = 2
+    for a in (0.0, -0.0, 0.6):
+        for c in ([[1.2]], [[0.8], [-0.5]]):
+            p = len(c)
+            for N in (np.empty((p, 0)), 0.5 * np.eye(p)):
+                model = GaussModel(A=[[a]], B=[[1.0]], C=c, N=N)
+                total = _stationary_observation_trace(model)
+                for D in (0.3 * total, 0.9 * total, 1.5 * total):
+                    ref = _array_solve(model, D)
+                    sol = solve_realization(model, D)
+                    got = (sol.Sigma_inf, sol.delta, sol.eta, sol.xi, sol.rate, sol.iterations,
+                           sol.residual, sol.E_inf, sol.gain, sol.b_inf, sol.closed_loop_radius)
+                    for x, y in zip(got, ref):
+                        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (a, c, D)
+
+
 def _stationary_observation_trace(model):
     # trace(C P C' + NN'), P the stationary state covariance: D at which Lambda saturates
     P = solve_discrete_lyapunov(model.A, model.B @ model.B.T)
