@@ -25,7 +25,7 @@ import numpy as np
 from .bsms import BsmsDesign, JointChain, joint_chain, optimal_reproduction
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution
-from .numerics import (RngStream, _lockstep_draws, logsumexp, maximize_concave_1d,
+from .numerics import (RngStream, _lockstep_draws, _sum, logsumexp, maximize_concave_1d,
                        perron_eigenvalue, solve_discrete_lyapunov, sym_eig)
 
 __all__ = [
@@ -110,23 +110,28 @@ def lumped_distortion_chain(chain: JointChain) -> JointChain:
     when the chain is lumpable for this partition (the optimal BSMS chain
     always is) the two-state lump carries the full exceedance problem --
     and being a two-state chain it is automatically reversible, which the
-    four-state chain generally is not.
+    four-state chain generally is not.  A chain that already is the lump
+    (f = (0, 1)) comes back with its own arrays.
     """
     f = np.asarray(chain.f, dtype=float)
-    classes = [np.flatnonzero(f == v) for v in (0.0, 1.0)]
-    if any(c.size == 0 for c in classes) or classes[0].size + classes[1].size != f.size:
+    values = f.reshape(-1).tolist()
+    classes = [[k for k, x in enumerate(values) if x == v] for v in (0.0, 1.0)]
+    if not all(classes) or len(classes[0]) + len(classes[1]) != len(values):
         raise DomainError("lumped_distortion_chain: f must be 0/1 with both values present")
     P = np.asarray(chain.pi_matrix, dtype=float)
+    pi = np.asarray(chain.stationary, dtype=float)
+    if classes == [[0], [1]]:
+        return JointChain(states=((0, 0), (0, 1)), pi_matrix=P, stationary=pi, f=f)
+    into = [P[dst].sum(axis=0).tolist() for dst in classes]  # class mass out of each state
     T = np.empty((2, 2))
     for j, src in enumerate(classes):
-        for i, dst in enumerate(classes):
-            mass = P[np.ix_(dst, src)].sum(axis=0)  # class mass out of each source state
-            if float(mass.max() - mass.min()) > 1e-12:
+        for i in range(2):
+            mass = [into[i][s] for s in src]
+            if max(mass) - min(mass) > 1e-12:
                 raise DomainError(
                     "lumped_distortion_chain: chain is not lumpable for the distortion partition"
                 )
-            T[i, j] = float(mass.mean())
-    pi = np.asarray(chain.stationary, dtype=float)
+            T[i, j] = _sum(mass) / len(mass)  # mass.mean()
     stat = np.array([float(pi[c].sum()) for c in classes])
     return JointChain(
         states=((0, 0), (0, 1)),
@@ -136,15 +141,25 @@ def lumped_distortion_chain(chain: JointChain) -> JointChain:
     )
 
 
-def _perron_lumped(T):
+def _perron_lumped(T, floats=False):
     # lam -> rho of the two-state chain T tilted by e^lam on state 1, with
     # a = T[1, 0], b = T[0, 1] and t11 = e^lam T[1, 1]:
     # rho = (t00 + t11 + sqrt((t00 - t11)^2 + e^lam 4ab)) / 2, no cancellation.
     # e^lam 4ab has the bits of 4 e^lam ab (scaling by 4 is exact) unless 4ab
-    # overflows, and then the root is infinite at lam = 50 either way.  The
-    # constants are 0-d arrays, cheaper in a ufunc on an array than scalars
-    t00, t11_base = np.array(T[0, 0]), np.array(T[1, 1])
-    four_ab, half = np.array(4.0 * (T[1, 0] * T[0, 1])), np.array(0.5)
+    # overflows, and then the root is infinite at lam = 50 either way.  Array
+    # constants are 0-d arrays, cheaper in a ufunc than scalars; on floats
+    # e^lam stays numpy's, as math.exp rounds differently
+    t00, t11_base = float(T[0, 0]), float(T[1, 1])
+    four_ab = 4.0 * (float(T[1, 0]) * float(T[0, 1]))
+    if floats:
+        def rho(lam):
+            tilt = float(np.exp(lam))
+            t11 = tilt * t11_base
+            diff = t00 - t11
+            return 0.5 * (t00 + t11 + math.sqrt(diff * diff + tilt * four_ab))
+
+        return rho
+    t00, t11_base, four_ab, half = map(np.array, (t00, t11_base, four_ab, 0.5))
 
     def rho(lam):
         tilt = np.exp(lam)
@@ -157,8 +172,9 @@ def _perron_lumped(T):
 def rate_function(chain: JointChain, theta):
     """Large-deviations rate I(theta) = sup_lam {lam*theta - log rho(Pi_lam)}
     in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}, lam in [-50, 50] to
-    1e-9.  Returns (I, lam*): floats for a scalar theta, arrays shaped like
-    theta otherwise (every theta in one golden section).  The chain must be
+    1e-9.  Returns (I, lam*): floats for a scalar theta (a golden section
+    on Python floats), arrays shaped like theta otherwise (every theta in
+    one golden section); both give the same bits.  The chain must be
     nonnegative, finite, irreducible and lumpable onto {f=0}, {f=1} (else
     DomainError); it is checked and lumped once, and each step takes the
     lump's tilted Perron root in closed form.  At theta = 0, the mean and 1
@@ -173,21 +189,22 @@ def rate_function(chain: JointChain, theta):
         raise DomainError("rate_function: theta must lie in [0, 1]")
     perron_eigenvalue(chain.pi_matrix)  # the chain's checks, once; the root is unused
     T = lumped_distortion_chain(chain).pi_matrix
-    rho = _perron_lumped(T)
+    rho = _perron_lumped(T, floats=theta.ndim == 0)
     with np.errstate(over="ignore", invalid="ignore"):
         ends = [(rho(lam), np.exp(lam) * T[1, 0]) for lam in (-50.0, 50.0)]
         if not all(math.isfinite(x) for end in ends for x in end):
             raise DomainError("rate_function: tilted chain is not finite")
-    # a scalar theta runs as a one-entry array: the golden section's where,
-    # copyto and 0-d constants cost less on arrays than on numpy scalars
+    if theta.ndim == 0:
+        t = float(theta)
+        lam_star, val = maximize_concave_1d(
+            lambda lam: lam * t - float(np.log(rho(lam))), -50.0, 50.0, tol=1e-9)
+        return (0.0 if val < 0.0 else val), lam_star
     flat = theta.reshape(-1)
     lam_star, val = maximize_concave_1d(
         lambda lam: lam * flat - np.log(rho(lam)),
         np.full(flat.shape, -50.0), 50.0, tol=1e-9,
     )
     val = np.where(val < 0.0, 0.0, val)
-    if theta.ndim == 0:
-        return float(val[0]), float(lam_star[0])
     return val.reshape(theta.shape), lam_star.reshape(theta.shape)
 
 

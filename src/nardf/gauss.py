@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import _eigh_desc, _level, _sign_rows, _sum, cubic_positive_root
+from .numerics import (_eigh_desc, _level, _sign_rows, _spectral_radius, _sum,
+                       cubic_positive_root)
 
 __all__ = [
     "GaussModel",
@@ -227,6 +228,25 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
 
 
+def _sweep_1x1(a, bb, c, nn, s, D):
+    """_sweep at m = p = 1 on floats, operation for operation: E = [[1]],
+    a 1x1 dot is one rounded product (a zero keeps its sign, as in dot),
+    and the water-filling is the same _waterfill.  Returns the new Sigma."""
+    lam = (c * s) * c + nn
+    lam = 0.5 * (lam + lam)
+    if not math.isfinite(lam):
+        raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
+    if lam > 0.0:
+        _, (delta,), _ = _waterfill([lam], D)
+        ratio = (1.0 - delta / lam) / lam
+    else:  # np.maximum(w, 0.0) is 0 and the sweep skips the water-filling
+        ratio = 0.0
+    S = (c * ratio) * c
+    a_s = a * s
+    new = a_s * a - ((a_s * S) * s) * a + bb
+    return 0.5 * (new + new)
+
+
 def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     """Joint fixed point of the modified Riccati equation and reverse
     water-filling (undamped Picard iteration on Sigma_inf from BB' + I).
@@ -234,7 +254,9 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
     the Riccati step, which replaces Sigma until the change drops below
-    max(1e-11, 4 eps max|Sigma|).
+    max(1e-11, 4 eps max|Sigma|).  With m = p = 1 the loop runs on Python
+    floats (_sweep_1x1, the same operations and checks as _sweep); the
+    last sweep and what follows it run in numpy in either case.
 
     The sweeps take Lambda's eigensystem up to the sign of each
     eigenvector (see _sweep); sym_eig's sign convention is applied once,
@@ -245,10 +267,11 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     construction).  The sweeps call the unchecked cores of sym_eig and
     reverse_waterfill and keep only the checks that can fire mid-loop:
     DomainError for a non-finite Lambda (the covariances overflow) or a D so
-    small that lambda_i/delta_i overflows; NumericError for an allocation
-    that misses D, a Sigma that is non-finite or exceeds _DIVERGENCE_CAP, or
-    no convergence in _MAX_ITER sweeps.  After the loop, a decoder scaling
-    or filter gain outside the float range raises DomainError.
+    small that lambda_i/delta_i overflows; NumericError for a failed
+    eigensolve, an allocation that misses D, a Sigma that is non-finite or
+    exceeds _DIVERGENCE_CAP, or no convergence in _MAX_ITER sweeps.  After
+    the loop, a decoder scaling or filter gain outside the float range
+    raises DomainError, and a failed closed-loop eigensolve NumericError.
     """
     if not 0.0 < D < math.inf:
         raise DomainError("solve_realization: distortion must be positive and finite")
@@ -259,18 +282,26 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     BBt = B @ B.T
     NNt = N @ N.T
 
-    Sigma = BBt + np.eye(m)
+    scalar = m == p == 1
+    if scalar:
+        a, bb, c, nn = (float(X[0, 0]) for X in (A, BBt, C, NNt))
+    Sigma = bb + 1.0 if scalar else BBt + np.eye(m)
+    # invalid="ignore" also covers _eigh_desc, which checks its own result
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
-            new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
+            if scalar:
+                new = _sweep_1x1(a, bb, c, nn, Sigma, D)
+                scale, change = abs(new), abs(new - Sigma)
+            else:
+                new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
+                scale = float(abs(new).max())
+                change = float(abs(new - Sigma).max())
             # NaN fails this comparison, so it also rejects non-finite entries
-            scale = float(abs(new).max())
             if not scale <= _DIVERGENCE_CAP:
                 raise NumericError(
                     "solve_realization: iteration diverged "
                     "(model may violate detectability/stabilizability)"
                 )
-            change = float(abs(new - Sigma).max())
             Sigma = new
             if change < max(_TOL, _ULP_TOL * scale):
                 break
@@ -279,8 +310,8 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
                 f"solve_realization: no convergence in {_MAX_ITER} iterations "
                 f"(last change {change:.3e})"
             )
-
-    full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
+        Sigma = np.array([[Sigma]]) if scalar else Sigma
+        full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
     E = _sign_rows(E)
     residual = float(np.max(np.abs(full - Sigma)))
     lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
@@ -296,7 +327,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     if not all(np.isfinite(X).all() for X in (b_inf, gain, closed_loop)):
         raise DomainError("solve_realization: decoder or filter gain leaves the float range "
                           "(channel noise Q or a lambda_i too small)")
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed_loop))))
+    radius = _spectral_radius(closed_loop)
 
     return RealizationSolution(
         model=model,

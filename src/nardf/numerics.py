@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NumericError
 
@@ -25,6 +26,12 @@ LN2 = math.log(2.0)
 BITS_PER_NAT = 1.0 / LN2
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# the gufuncs behind np.linalg.eigh and np.linalg.eigvals, without the
+# wrapper, whose checks cost more than a 2x2 to 4x4 solve.  A failed solve
+# sets the invalid flag and returns NaNs; the callers raise NumericError
+_eigh_lo = _umath_linalg.eigh_lo
+_eigvals = _umath_linalg.eigvals
 
 
 def _entropy_inner(q):
@@ -72,19 +79,39 @@ def sym_eig(M):
     scale = max(1.0, float(np.max(np.abs(M))))
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise DomainError("sym_eig: matrix is not symmetric")
-    w, E = _eigh_desc(0.5 * (M + M.T))
+    with np.errstate(invalid="ignore"):
+        w, E = _eigh_desc(0.5 * (M + M.T))
     return w, _sign_rows(E)
 
 
 def _eigh_desc(M):
     # sym_eig of a finite, exactly symmetric M, unchecked and without the
-    # sign convention: one stable sort of eigh's spectrum (ties keep eigh's
-    # order), each row of E an eigenvector up to its sign
+    # sign convention: eigh's spectrum in stable descending order (ties keep
+    # eigh's order), each row of E an eigenvector up to its sign.  Call it
+    # under np.errstate(invalid="ignore"): the NaNs of a failed solve (in w
+    # and V alike) raise NumericError here, not a warning
     if M.shape[0] == 1:
         return M[0].copy(), np.ones((1, 1))
-    w, V = np.linalg.eigh(M)
+    w, V = _eigh_lo(M)
+    spectrum = w.tolist()
+    if not all(map(math.isfinite, spectrum)):
+        raise NumericError("sym_eig: eigensolve failed (non-finite eigensystem)")
+    if all(x < y for x, y in zip(spectrum, spectrum[1:])):
+        # no ties: the stable argsort's order, as contiguous copies
+        return w[::-1].copy(), V.T[::-1].copy()
     order = (-w).argsort(kind="stable")
     return w[order], V.T[order]
+
+
+def _spectral_radius(M):
+    # max |eigenvalue| of a finite square M, as np.abs of np.linalg.eigvals
+    # gives it: a real spectrum comes back with zero imaginary parts, and
+    # |x + 0j| = |x| exactly
+    with np.errstate(invalid="ignore"):
+        radius = float(abs(_eigvals(M)).max())
+    if not math.isfinite(radius):
+        raise NumericError("spectral radius: eigensolve failed (non-finite eigenvalues)")
+    return radius
 
 
 def _sign_rows(E):
@@ -259,17 +286,20 @@ def maximize_concave_1d(g, lo, hi, tol=1e-10):
     iteration apart; a stopped entry's value is no longer read).  Each
     iteration picks the one new interior point per entry with a single
     where and evaluates g once, on all entries together.  The bracket ends
-    move in place (copyto).  For array bounds the constants are 0-d arrays,
-    which a ufunc applies with less overhead than Python floats and the
-    same float64 arithmetic; scalar bounds keep floats, cheaper on numpy
-    scalars.  Returns (argmax, g(argmax)), floats for scalar bounds; the
-    argmax is within tol of the true maximizer (boundary maxima included).
+    move in place (copyto), and the constants are 0-d arrays, which a ufunc
+    applies with less overhead than Python floats and the same float64
+    arithmetic.  Scalar (0-d) bounds run the same iterates on Python
+    floats, and g maps a float to its value.  Returns (argmax, g(argmax)),
+    floats for scalar bounds; the argmax is within tol of the true
+    maximizer (boundary maxima included).
     """
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        return _golden_section(g, float(lo), float(hi), tol)
     a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if not np.all(a < b):
         raise DomainError("maximize_concave_1d: need lo < hi")
     a, b = a.copy(), b.copy()
-    golden, tol = (np.array(_GOLDEN), np.array(tol, dtype=float)) if a.ndim else (_GOLDEN, tol)
+    golden, tol = np.array(_GOLDEN), np.array(tol, dtype=float)
     c = b - golden * (b - a)
     d = a + golden * (b - a)
     gc, gd = g(c), g(d)
@@ -290,10 +320,28 @@ def maximize_concave_1d(g, lo, hi, tol=1e-10):
         gc, gd = np.where(keep_lower, gx, gd), np.where(keep_lower, gc, gx)
         active = width > tol
     x = 0.5 * (a + b)
-    gx = g(x)
-    if x.ndim == 0:
-        return float(x), float(gx)
-    return x, gx
+    return x, g(x)
+
+
+def _golden_section(g, a, b, tol):
+    # maximize_concave_1d of one bracket on floats: the elementwise form's
+    # iterates, each where a branch (gc >= gd is False on a NaN in both)
+    if not a < b:
+        raise DomainError("maximize_concave_1d: need lo < hi")
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    gc, gd = g(c), g(d)
+    while b - a > tol:
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - _GOLDEN * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + _GOLDEN * (b - a)
+            gd = g(d)
+    x = 0.5 * (a + b)
+    return x, float(g(x))
 
 
 _SHARD_FANOUT = 2**20

@@ -212,6 +212,8 @@ def test_rate_loss_rises_toward_the_crease():
 
 def test_max_rate_loss():
     p, D, val = max_rate_loss()
+    # pinned bit for bit: the golden section on floats keeps the array run's iterates
+    assert (p, D, val) == (0.12109133307249685, 0.12109133307249685, 0.21441761436357254)
     assert val == pytest.approx(0.2144176, abs=2e-6)
     assert p == pytest.approx(0.1211, abs=2e-4)
     assert D == pytest.approx(p, abs=2e-4)  # the maximum sits on the crease D = p

@@ -388,6 +388,85 @@ def test_rate_function_curve_is_pinned_bit_for_bit(p, D, kind):
     assert [float(v).hex() for v in curve.lambda_star] == lambda_star
 
 
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_scalar_theta_equals_the_one_entry_array_bit_for_bit():
+    # a float theta runs the tilted root and the golden section on Python
+    # floats; a one-entry array runs them on arrays.  ~200 random (p, D,
+    # theta) with theta = 0, the mean and 1 among them, on the joint chain
+    # and its lump, and hand-built two-state chains with a + b > 1
+    rng = np.random.default_rng(29)
+    chains = []
+    for p, D in _random_designs(31, 25):
+        full = joint_chain(optimal_reproduction(p, D))
+        chains += [full, lumped_distortion_chain(full)]
+    for _ in range(10):
+        a = rng.uniform(0.5, 1.0)
+        chains.append(_two_state(a, rng.uniform(1.0 - a, 1.0)))
+    for k, chain in enumerate(chains):
+        special = (0.0, chain.mean_distortion, 1.0)[k % 3]
+        for theta in (special, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform()):
+            got = rate_function(chain, theta)
+            vals, lams = rate_function(chain, np.array([theta]))
+            assert all(type(v) is float for v in got)
+            assert _bits(*got) == _bits(vals[0], lams[0]), (k, theta)
+
+
+def test_tilt_check_rejects_on_both_paths():
+    # e^50 T[1, 1] overflows: the tilted root is infinite at lam = 50
+    huge = JointChain(states=((0, 0), (0, 1)), pi_matrix=np.full((2, 2), 1e300),
+                      stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0]))
+    for theta in (0.7, np.array([0.7]), np.array([0.2, 0.7])):
+        with pytest.raises(DomainError, match="tilted chain is not finite"):
+            rate_function(huge, theta)
+
+
+def _ix_lump(chain):
+    # lumped_distortion_chain as it gathered each block with np.ix_
+    f = np.asarray(chain.f, dtype=float)
+    classes = [np.flatnonzero(f == v) for v in (0.0, 1.0)]
+    P = np.asarray(chain.pi_matrix, dtype=float)
+    T = np.empty((2, 2))
+    for j, src in enumerate(classes):
+        for i, dst in enumerate(classes):
+            T[i, j] = float(P[np.ix_(dst, src)].sum(axis=0).mean())
+    pi = np.asarray(chain.stationary, dtype=float)
+    return T, np.array([float(pi[c].sum()) for c in classes])
+
+
+def test_lump_equals_the_ix_gathers_and_keeps_a_lump():
+    # plain indexing gives the bits of the np.ix_ gathers, also with the
+    # states in another order and with classes of one and three states; a
+    # chain that already is the lump comes back with its own arrays
+    rng = np.random.default_rng(41)
+    chains = [joint_chain(optimal_reproduction(p, D)) for p, D in _random_designs(43, 40)]
+    for chain in chains[:10]:
+        perm = rng.permutation(4)
+        chains.append(JointChain(states=tuple(chain.states[k] for k in perm),
+                                 pi_matrix=chain.pi_matrix[np.ix_(perm, perm)],
+                                 stationary=chain.stationary[perm], f=chain.f[perm]))
+    # one mismatch state and three matching ones whose exit masses agree
+    P = np.array([[0.1, 0.2, 0.3, 0.35], [0.2, 0.1, 0.2, 0.2],
+                  [0.3, 0.5, 0.25, 0.15], [0.4, 0.2, 0.25, 0.3]])
+    f = np.array([0.0, 1.0, 0.0, 0.0])
+    w, V = np.linalg.eig(P)
+    pi = np.real(V[:, np.argmax(w.real)])
+    chains.append(JointChain(states=_STATES4, pi_matrix=P, stationary=pi / pi.sum(), f=f))
+    for chain in chains:
+        lump = lumped_distortion_chain(chain)
+        T, stat = _ix_lump(chain)
+        assert lump.pi_matrix.tobytes() == T.tobytes()
+        assert lump.stationary.tobytes() == stat.tobytes()
+        again = lumped_distortion_chain(lump)
+        assert (again.pi_matrix is lump.pi_matrix and again.stationary is lump.stationary
+                and again.f is lump.f)
+
+
+_STATES4 = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def test_reducible_chain_is_rejected_before_the_search():
     # two absorbing states: tilting cannot connect them, so the chain is
     # checked once, on entry, and every entry point raises

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nardf import numerics
 from nardf.errors import DomainError, NumericError
 from nardf.gauss import (
     GaussModel,
@@ -444,11 +445,14 @@ def _array_step(A, BBt, C, NNt, Sigma, D):
     return 0.5 * (new + new.T), (lam, alloc, delta, eta, E)
 
 
-def _array_solve(model, D, tol=1e-11, max_iter=100_000):
+def _array_solve(model, D, tol=1e-11, max_iter=100_000, ulp_tol=0.0):
     """(Sigma, delta, eta, xi, rate, iterations, residual, E, gain, b_inf,
     closed-loop radius) of the array-form sweep, with its divergence check
     and its final extra sweep; E is the sym_eig eigensystem of the final
-    sweep, and gain, b_inf and the radius follow from it at Q = I."""
+    sweep, and gain, b_inf and the radius follow from it at Q = I.  The
+    loop stops once the change is below max(tol, ulp_tol max|Sigma|);
+    solve_realization's ulp_tol is 4 eps, which matters from max|Sigma| ~
+    1e4 on, where the change can stall near one ulp of Sigma."""
     m, p = model.A.shape[0], model.C.shape[0]
     A, B, C, N = model.A, model.B, model.C, model.N
     BBt = B @ B.T
@@ -457,11 +461,12 @@ def _array_solve(model, D, tol=1e-11, max_iter=100_000):
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
             new, _ = _array_step(A, BBt, C, NNt, Sigma, D)
-            if not np.all(np.isfinite(new)) or float(np.max(np.abs(new))) > 1e12:
+            scale = float(np.max(np.abs(new)))
+            if not np.all(np.isfinite(new)) or scale > 1e12:
                 raise NumericError("array-form sweep diverged")
             change = float(np.max(np.abs(new - Sigma)))
             Sigma = new
-            if change < tol:
+            if change < max(tol, ulp_tol * scale):
                 break
         else:
             raise NumericError("array-form sweep: no convergence")
@@ -559,6 +564,119 @@ def test_sweep_products_keep_the_bits_of_zero_products():
                            sol.residual, sol.E_inf, sol.gain, sol.b_inf, sol.closed_loop_radius)
                     for x, y in zip(got, ref):
                         assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (a, c, D)
+
+
+_ORACLE_FIELDS = ("Sigma_inf", "delta", "eta", "xi", "rate", "iterations", "residual", "E_inf",
+                  "gain", "b_inf", "closed_loop_radius")
+
+
+def _scalar_oracle_cases(models):
+    # m = p = 1 models with alpha in {0, -0, +-1, drawn, |alpha| > 1}, C = +-0
+    # in one model of seven, N empty or 1 x d and B 1 x k (d, k up to 3),
+    # and B, N scaled by 1, 10 or 1e3 (covariances up to ~1e6, where the
+    # ulp stopping rule decides).  C = 0 at |alpha| = 1 is left out: Sigma
+    # then grows by BB' per sweep until the 10^5-sweep cap, ~6 s in the
+    # array form, and at |alpha| = 1 |c| >= 1 keeps the sweeps to hundreds.
+    # Five D per model: three below, at and near saturation of a reference
+    # variance, 1.5 x it (saturated when stable), and a tiny D, down to the
+    # smallest subnormal, where lambda/delta overflows
+    rng = np.random.default_rng(2026)
+    for i in range(models):
+        alpha = (0.0, -0.0, 1.0, -1.0, None, None, None, "unstable")[i % 8]
+        if alpha is None:
+            alpha = rng.uniform(-0.95, 0.95)
+        elif alpha == "unstable":
+            alpha = rng.choice([-1.0, 1.0]) * rng.uniform(1.01, 1.5)
+        if i % 7 == 0 and abs(alpha) != 1.0:
+            c = (0.0, -0.0)[i % 2]
+        else:
+            c = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 if abs(alpha) == 1.0 else 0.3, 2.0)
+        s = (1.0, 10.0, 1e3)[i % 3]
+        B = rng.normal(size=(1, int(rng.integers(1, 4)))) * s
+        N = rng.normal(size=(1, int(rng.integers(0, 4)))) * s
+        model = GaussModel(A=[[alpha]], B=B, C=[[c]], N=N)
+        bb, nn = float((B @ B.T)[0, 0]), float((N @ N.T)[0, 0])
+        var = bb / (1.0 - alpha * alpha) if abs(alpha) < 1.0 else 4.0 * bb
+        ref = c * c * var + nn or bb
+        tiny = (1e-12 * ref, 1e-300 * ref, 5e-324)[i % 3]
+        for D in (rng.uniform(0.01, 0.3) * ref, rng.uniform(0.3, 0.9) * ref,
+                  rng.uniform(0.9, 1.1) * ref, 1.5 * ref, tiny):
+            yield model, D
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (DomainError, NumericError) as exc:
+        return type(exc)
+
+
+def test_scalar_loop_is_bit_identical_to_array_form():
+    # solve_realization runs m = p = 1 on Python floats; every field the
+    # 601-pair oracle compares must keep the array form's bits, and where
+    # either raises, both raise the same class.  The array form's post-loop
+    # runs outside its errstate, so its warnings are silenced here; the
+    # solver's are not
+    eps4 = 4.0 * np.finfo(float).eps
+    pairs = raised = 0
+    for model, D in _scalar_oracle_cases(120):
+        with np.errstate(all="ignore"):
+            ref = _outcome(lambda: _array_solve(model, D, ulp_tol=eps4))
+        got = _outcome(lambda: solve_realization(model, D))
+        case = (model.A[0, 0], model.C[0, 0], model.B.shape, model.N.shape, D)
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref, case
+            raised += 1
+        else:
+            for name, b in zip(_ORACLE_FIELDS, ref):
+                a = getattr(got, name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, case)
+        pairs += 1
+    assert pairs == 600 and raised > 0
+
+
+def test_eigh_gufunc_equals_numpy_eigh_on_the_oracle_lambdas():
+    # _eigh_desc calls LAPACK without numpy's wrapper and reverses a strictly
+    # ascending spectrum by slicing: on the Lambda_inf of the 601 oracle
+    # pairs (the 40 on tied spectra included) it must give eigh's bits in
+    # the stable descending order
+    lambdas, ties, sol = [], 0, None
+    for model, ds in _oracle_cases():
+        for D in ds:
+            if D is None:  # as the oracle sets it: the previous pair's spectrum total
+                Lam = model.C @ sol.Sigma_inf @ model.C.T + model.N @ model.N.T
+                D = float(np.maximum(_array_sym_eig(0.5 * (Lam + Lam.T))[0], 0.0).sum())
+            sol = solve_realization(model, D)
+            lambdas.append(sol.Lambda_inf)
+    for Lam in lambdas:
+        with np.errstate(invalid="ignore"):
+            w, E = numerics._eigh_desc(Lam)
+        w_ref, V = np.linalg.eigh(Lam)
+        order = np.argsort(-w_ref, kind="stable")
+        assert w.tobytes() == w_ref[order].tobytes()
+        assert E.tobytes() == V[:, order].T.tobytes()
+        ties += len(set(w.tolist())) < len(w)
+    assert len(lambdas) == 601 and ties >= 20
+
+
+@pytest.mark.parametrize("binding", ["_eigh_lo", "_eigvals"])
+@pytest.mark.parametrize("model", [TEST_MODEL, GaussModel.scalar(0.5, 1.0, 1.0, 0.5)],
+                         ids=["2x2", "scalar"])
+def test_failed_eigensolve_in_the_solver_is_numeric_error(monkeypatch, binding, model):
+    # NaNs from either LAPACK gufunc, with the invalid flag raised as a
+    # failed solve raises it: NumericError, never a RuntimeWarning (an error
+    # here), a LinAlgError or a NaN in the solution.  The scalar model's
+    # sweeps take no eigh; its closed-loop radius still takes eigvals
+    def failed(M):
+        return np.full(M.shape[:-1], np.inf) - np.inf, np.full(M.shape, np.inf) - np.inf
+
+    fake = failed if binding == "_eigh_lo" else (lambda M: failed(M)[0] + 0j)
+    monkeypatch.setattr(numerics, binding, fake)
+    if binding == "_eigh_lo" and model.dims[0] == 1:
+        assert solve_realization(model, 0.4).iterations > 0
+        return
+    with pytest.raises(NumericError):
+        solve_realization(model, 0.4)
 
 
 def _stationary_observation_trace(model):

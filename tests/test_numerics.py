@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nardf import numerics
 from nardf.bsms import joint_chain, optimal_reproduction
 from nardf.errors import DomainError, NumericError
 from nardf.excess import lumped_distortion_chain
@@ -331,6 +332,72 @@ def test_elementwise_golden_section_equals_scalar_runs(tol):
         maximize_concave_1d(g, lo, np.full(6, -60.0))
     with pytest.raises(DomainError):
         maximize_concave_1d(g, np.nan, 1.0)
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 10.0])
+def test_scalar_golden_section_equals_reference_and_one_entry_array(tol):
+    # scalar bounds run on Python floats: the reference run and the
+    # one-entry-array call give the same bits, also where tol >= hi - lo
+    # (no step), on flat tops (gc == gd) and where g is NaN (gc >= gd fails)
+    rng = np.random.default_rng(19)
+    for k in range(60):
+        t, lo = rng.uniform(-6.0, 6.0), rng.uniform(-5.0, 0.0)
+        hi = lo + rng.uniform(0.5, 8.0)
+        w = rng.uniform(0.0, 2.0) if k % 3 == 0 else 0.0
+        cut = t + 0.5 if k % 4 == 1 else math.inf  # g is NaN above the cut
+
+        def g(v):
+            return np.where(v > cut, math.nan, _concave(v, t, w))
+
+        def g_float(v):
+            assert type(v) is float
+            return float(g(v))
+
+        got = maximize_concave_1d(g_float, lo, hi, tol=tol)
+        ref = _golden_section_scalar(lambda v: float(g(v)), lo, hi, tol)
+        x, gx = maximize_concave_1d(g, np.array([lo]), hi, tol=tol)
+        assert all(type(v) is float for v in got)
+        assert _bits(*got) == _bits(*ref) == _bits(x[0], gx[0]), (k, tol)
+        # 0-d arrays and numpy scalars are scalar bounds too
+        assert _bits(*maximize_concave_1d(g_float, np.array(lo), np.float64(hi), tol=tol)) \
+            == _bits(*got)
+    with pytest.raises(DomainError):
+        maximize_concave_1d(g_float, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        maximize_concave_1d(g_float, 0.0, math.nan)
+
+
+def _nan_eigh(M):
+    # what the eigh gufunc returns when LAPACK fails: NaNs, with the invalid
+    # flag raised (inf - inf), which warns unless the caller ignores it
+    return np.full(M.shape[:-1], np.inf) - np.inf, np.full(M.shape, np.inf) - np.inf
+
+
+def test_failed_eigensolve_is_numeric_error(monkeypatch):
+    # the gufuncs are called without numpy's wrapper: a failed solve must
+    # still end in NumericError, not a NaN result, a RuntimeWarning (an
+    # error here) or a LinAlgError
+    monkeypatch.setattr(numerics, "_eigh_lo", _nan_eigh)
+    with pytest.raises(NumericError):
+        sym_eig(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    monkeypatch.setattr(numerics, "_eigvals", lambda M: _nan_eigh(M)[0] + 0j)
+    with pytest.raises(NumericError):
+        numerics._spectral_radius(np.array([[0.5, 1.0], [-1.0, 0.5]]))
+
+
+def test_spectral_radius_equals_the_eigvals_route():
+    # real, complex and repeated spectra, 1x1 to 4x4
+    rng = np.random.default_rng(13)
+    mats = [rng.normal(size=(n, n)) for n in (1, 2, 3, 4) for _ in range(25)]
+    mats += [np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([[-0.0]]),
+             np.diag([0.5, -0.5])]
+    for M in mats:
+        ref = float(np.max(np.abs(np.linalg.eigvals(M))))
+        assert _bits(numerics._spectral_radius(M)) == _bits(ref)
 
 
 def test_bits_per_nat():
