@@ -141,30 +141,21 @@ def lumped_distortion_chain(chain: JointChain) -> JointChain:
     )
 
 
-def _perron_lumped(T, floats=False):
+def _perron_lumped(T):
     # lam -> rho of the two-state chain T tilted by e^lam on state 1, with
     # a = T[1, 0], b = T[0, 1] and t11 = e^lam T[1, 1]:
     # rho = (t00 + t11 + sqrt((t00 - t11)^2 + e^lam 4ab)) / 2, no cancellation.
     # e^lam 4ab has the bits of 4 e^lam ab (scaling by 4 is exact) unless 4ab
-    # overflows, and then the root is infinite at lam = 50 either way.  Array
-    # constants are 0-d arrays, cheaper in a ufunc than scalars; on floats
-    # e^lam stays numpy's, as math.exp rounds differently
+    # overflows, and then the root is infinite at lam = 50 either way.  On
+    # floats e^lam stays numpy's, as math.exp rounds differently
     t00, t11_base = float(T[0, 0]), float(T[1, 1])
     four_ab = 4.0 * (float(T[1, 0]) * float(T[0, 1]))
-    if floats:
-        def rho(lam):
-            tilt = float(np.exp(lam))
-            t11 = tilt * t11_base
-            diff = t00 - t11
-            return 0.5 * (t00 + t11 + math.sqrt(diff * diff + tilt * four_ab))
-
-        return rho
-    t00, t11_base, four_ab, half = map(np.array, (t00, t11_base, four_ab, 0.5))
 
     def rho(lam):
-        tilt = np.exp(lam)
+        tilt = float(np.exp(lam))
         t11 = tilt * t11_base
-        return half * (t00 + t11 + np.sqrt((t00 - t11) ** 2 + tilt * four_ab))
+        diff = t00 - t11
+        return 0.5 * (t00 + t11 + math.sqrt(diff * diff + tilt * four_ab))
 
     return rho
 
@@ -172,13 +163,13 @@ def _perron_lumped(T, floats=False):
 def rate_function(chain: JointChain, theta):
     """Large-deviations rate I(theta) = sup_lam {lam*theta - log rho(Pi_lam)}
     in nats, with Pi_lam(j,i) = Pi(j,i) e^{lam f(j)}, lam in [-50, 50] to
-    1e-9.  Returns (I, lam*): floats for a scalar theta (a golden section
-    on Python floats), arrays shaped like theta otherwise (every theta in
-    one golden section); both give the same bits.  The chain must be
-    nonnegative, finite, irreducible and lumpable onto {f=0}, {f=1} (else
-    DomainError); it is checked and lumped once, and each step takes the
-    lump's tilted Perron root in closed form.  At theta = 0, the mean and 1
-    (lam* = -inf, 0, +inf) lam* is where the search stops on a flat objective.
+    1e-9.  Each theta runs its own golden section on Python floats.
+    Returns (I, lam*): floats for a scalar theta, arrays shaped like theta
+    otherwise.  The chain must be nonnegative, finite, irreducible and
+    lumpable onto {f=0}, {f=1} (else DomainError); it is checked and lumped
+    once, and each step takes the lump's tilted Perron root in closed form.
+    At theta = 0, the mean and 1 (lam* = -inf, 0, +inf) lam* is where the
+    search stops on a flat objective.
 
     The tilted lump is checked for finiteness once, at lam = -50 and 50,
     not at every step: e^lam a, t00 + t11 and e^lam a b grow with lam, and
@@ -189,23 +180,20 @@ def rate_function(chain: JointChain, theta):
         raise DomainError("rate_function: theta must lie in [0, 1]")
     perron_eigenvalue(chain.pi_matrix)  # the chain's checks, once; the root is unused
     T = lumped_distortion_chain(chain).pi_matrix
-    rho = _perron_lumped(T, floats=theta.ndim == 0)
+    rho = _perron_lumped(T)
     with np.errstate(over="ignore", invalid="ignore"):
         ends = [(rho(lam), np.exp(lam) * T[1, 0]) for lam in (-50.0, 50.0)]
         if not all(math.isfinite(x) for end in ends for x in end):
             raise DomainError("rate_function: tilted chain is not finite")
-    if theta.ndim == 0:
-        t = float(theta)
+    vals, lams = [], []
+    for t in theta.reshape(-1).tolist():
         lam_star, val = maximize_concave_1d(
             lambda lam: lam * t - float(np.log(rho(lam))), -50.0, 50.0, tol=1e-9)
-        return (0.0 if val < 0.0 else val), lam_star
-    flat = theta.reshape(-1)
-    lam_star, val = maximize_concave_1d(
-        lambda lam: lam * flat - np.log(rho(lam)),
-        np.full(flat.shape, -50.0), 50.0, tol=1e-9,
-    )
-    val = np.where(val < 0.0, 0.0, val)
-    return val.reshape(theta.shape), lam_star.reshape(theta.shape)
+        vals.append(0.0 if val < 0.0 else val)
+        lams.append(lam_star)
+    if theta.ndim == 0:
+        return vals[0], lams[0]
+    return np.array(vals).reshape(theta.shape), np.array(lams).reshape(theta.shape)
 
 
 def exceedance_exponent(chain: JointChain, d):

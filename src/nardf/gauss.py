@@ -191,6 +191,7 @@ _DIVERGENCE_CAP = 1e12
 _TOL = 1e-11
 _ULP_TOL = 4.0 * np.finfo(float).eps  # a large Sigma stalls the change near one ulp
 _MAX_ITER = 100_000
+_LINEAR_LAG = 1000  # sweeps between the changes that the linear-growth check compares
 
 
 def _sweep(A, BBt, C, NNt, Sigma, D):
@@ -269,9 +270,11 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     DomainError for a non-finite Lambda (the covariances overflow) or a D so
     small that lambda_i/delta_i overflows; NumericError for a failed
     eigensolve, an allocation that misses D, a Sigma that is non-finite or
-    exceeds _DIVERGENCE_CAP, or no convergence in _MAX_ITER sweeps.  After
-    the loop, a decoder scaling or filter gain outside the float range
-    raises DomainError, and a failed closed-loop eigensolve NumericError.
+    exceeds _DIVERGENCE_CAP, a change equal (to a relative 1e-9) to the
+    change _LINEAR_LAG sweeps earlier (Sigma grows linearly), or no
+    convergence in _MAX_ITER sweeps.  After the loop, a decoder scaling or
+    filter gain outside the float range raises DomainError, and a failed
+    closed-loop eigensolve NumericError.
     """
     if not 0.0 < D < math.inf:
         raise DomainError("solve_realization: distortion must be positive and finite")
@@ -305,6 +308,13 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
             Sigma = new
             if change < max(_TOL, _ULP_TOL * scale):
                 break
+            if iterations % _LINEAR_LAG == 1:
+                # a mode that neither the observation nor the decay reaches
+                # grows Sigma by a fixed step per sweep, far below the cap
+                if iterations > 1 and abs(change - lagged) <= 1e-9 * lagged:
+                    raise NumericError("solve_realization: Sigma grows linearly: "
+                                       "undetectable or unstabilizable mode")
+                lagged = change
         else:
             raise NumericError(
                 f"solve_realization: no convergence in {_MAX_ITER} iterations "

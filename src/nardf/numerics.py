@@ -1,7 +1,9 @@
 """Numerical kernel: entropy, deterministic eigensolves, the exact water
 level, the discrete Lyapunov equation, log-sum-exp, the cubic root, the
-Perron root, 1-d concave maximization, RNG streams, and the one block
-layout through which every Monte Carlo simulator draws (_lockstep_draws).
+Perron root of one matrix, 1-d concave maximization (one float golden
+section per problem: every theta of a rate-function curve runs its own),
+RNG streams, and the one block layout through which every Monte Carlo
+simulator draws (_lockstep_draws).
 
 All rates in this package are in bits (base-2 logs).  Large-deviations
 exponents are natural-log objects; BITS_PER_NAT converts for display.
@@ -244,88 +246,47 @@ def cubic_positive_root(c3, c2, c1, c0):
 
 
 def _reachable_everywhere(mask):
-    # per-matrix reachability closure of a (..., n, n) boolean stack by
-    # repeated squaring; matrices here are tiny
-    n = mask.shape[-1]
+    # reachability closure of an (n, n) boolean matrix by repeated
+    # squaring; matrices here are tiny
+    n = mask.shape[0]
     reach = mask | np.eye(n, dtype=bool)
     for _ in range(max(1, int(math.ceil(math.log2(max(n, 2)))))):
         reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-    return reach.all(axis=(-2, -1))
+    return bool(reach.all())
 
 
 def perron_eigenvalue(M):
     """Spectral radius of an irreducible nonnegative matrix: the largest real
-    part of its spectrum, which Perron-Frobenius makes equal to rho(M).
-
-    M may be a (..., n, n) stack: every matrix is checked, the stack is
-    solved in one eigvals call, and the roots come back in an array of
-    shape M.shape[:-2] (a float for one matrix)."""
+    part of its spectrum, which Perron-Frobenius makes equal to rho(M)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError("perron_eigenvalue: square matrix required")
     if np.any(M < 0.0) or not np.all(np.isfinite(M)):
         raise DomainError("perron_eigenvalue: nonnegative finite matrix required")
     positive = M > 0.0
-    if not np.all(np.any(positive, axis=(-2, -1))):
+    if not positive.any():
         raise DomainError("perron_eigenvalue: zero matrix")
-    if not np.all(_reachable_everywhere(positive)):
+    if not _reachable_everywhere(positive):
         raise DomainError("perron_eigenvalue: matrix is reducible")
     try:
-        rho = np.max(np.linalg.eigvals(M).real, axis=-1)
+        return float(np.max(np.linalg.eigvals(M).real))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"perron_eigenvalue: eigensolve failed ({exc})") from None
-    return float(rho) if rho.ndim == 0 else rho
 
 
 def maximize_concave_1d(g, lo, hi, tol=1e-10):
     """Golden-section maximization of a concave function on [lo, hi].
 
-    Runs elementwise over the broadcast lo, hi: g maps an array of points
-    to the array of their values, and each entry follows the scalar iterate
-    sequence until its own bracket is within tol (entries may stop an
-    iteration apart; a stopped entry's value is no longer read).  Each
-    iteration picks the one new interior point per entry with a single
-    where and evaluates g once, on all entries together.  The bracket ends
-    move in place (copyto), and the constants are 0-d arrays, which a ufunc
-    applies with less overhead than Python floats and the same float64
-    arithmetic.  Scalar (0-d) bounds run the same iterates on Python
-    floats, and g maps a float to its value.  Returns (argmax, g(argmax)),
-    floats for scalar bounds; the argmax is within tol of the true
-    maximizer (boundary maxima included).
+    One problem per call, on Python floats: the bounds are scalars (Python
+    or NumPy scalars, 0-d arrays; anything else is a DomainError) and g maps
+    a float to its value, so rate_function runs one golden section per
+    theta.  Returns floats (argmax, g(argmax)); the argmax is within tol of
+    the true maximizer (boundary maxima included).  gc >= gd is False where
+    either is NaN, and the bracket then moves up.
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        return _golden_section(g, float(lo), float(hi), tol)
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if not np.all(a < b):
-        raise DomainError("maximize_concave_1d: need lo < hi")
-    a, b = a.copy(), b.copy()
-    golden, tol = np.array(_GOLDEN), np.array(tol, dtype=float)
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    gc, gd = g(c), g(d)
-    active = (b - a) > tol
-    while active.any():
-        # keep_lower: b, d, gd = d, c, gc and c is new; else a, c, gc = c,
-        # d, gd and d is new.  A stopped entry's bracket is frozen and its
-        # c, d, gc and gd are never read again, so only a and b are masked
-        # (active > keep_lower is active & ~keep_lower on booleans)
-        keep_lower = gc >= gd
-        np.copyto(a, c, where=active > keep_lower)
-        np.copyto(b, d, where=active & keep_lower)
-        width = b - a
-        step = golden * width
-        x = np.where(keep_lower, b - step, a + step)
-        gx = g(x)
-        c, d = np.where(keep_lower, x, d), np.where(keep_lower, c, x)
-        gc, gd = np.where(keep_lower, gx, gd), np.where(keep_lower, gc, gx)
-        active = width > tol
-    x = 0.5 * (a + b)
-    return x, g(x)
-
-
-def _golden_section(g, a, b, tol):
-    # maximize_concave_1d of one bracket on floats: the elementwise form's
-    # iterates, each where a branch (gc >= gd is False on a NaN in both)
+    if np.ndim(lo) != 0 or np.ndim(hi) != 0:
+        raise DomainError("maximize_concave_1d: scalar bounds required")
+    a, b = float(lo), float(hi)
     if not a < b:
         raise DomainError("maximize_concave_1d: need lo < hi")
     c = b - _GOLDEN * (b - a)

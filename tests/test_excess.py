@@ -225,8 +225,8 @@ def test_rate_function_shape_and_lump_agreement():
 
 @pytest.mark.parametrize("p,D", [(0.3, 0.1), (0.1, 0.05), (0.45, 0.3)])
 def test_rate_function_curve_is_pointwise_rate_function(p, D):
-    # one lockstep golden section over all theta gives, bit for bit, what
-    # one golden section per theta gives
+    # a curve is, bit for bit, its thetas one at a time, in any shape of
+    # theta, 0-size shapes included
     full = joint_chain(optimal_reproduction(p, D))
     thetas = np.concatenate(([0.0, full.mean_distortion, 1.0], np.linspace(D, 0.95, 9)))
     for chain in (full, lumped_distortion_chain(full)):
@@ -238,6 +238,11 @@ def test_rate_function_curve_is_pointwise_rate_function(p, D):
         vals, lams = rate_function(chain, thetas.reshape(3, 4))
         assert vals.shape == lams.shape == (3, 4)
         assert vals.tobytes() == curve.values.tobytes()
+        assert lams.tobytes() == curve.lambda_star.tobytes()
+        for shape in ((0,), (0, 3)):
+            vals, lams = rate_function(chain, np.empty(shape))
+            assert vals.shape == lams.shape == shape
+            assert vals.dtype == lams.dtype == np.float64
     with pytest.raises(DomainError):
         rate_function(full, np.array([0.2, math.nan]))
     with pytest.raises(DomainError):
@@ -245,17 +250,20 @@ def test_rate_function_curve_is_pointwise_rate_function(p, D):
 
 
 def _four_state_rate_function(chain, theta):
-    # the retired route, kept as an oracle: the stacked Perron root of the
-    # chain tilted by e^{lam f}, in the same golden section as rate_function
-    theta = np.asarray(theta, dtype=float)
+    # the retired route, kept as an oracle: per theta, one golden section on
+    # the log Perron root of the 4-state chain tilted by e^{lam f}, the
+    # largest real part of its eigenvalues (no lump, no closed form)
+    def log_rho(lam):
+        tilted = chain.pi_matrix * np.exp(lam * chain.f)[:, None]
+        return math.log(float(np.max(np.linalg.eigvals(tilted).real)))
 
-    def g(lam):
-        tilted = chain.pi_matrix * np.exp(np.asarray(lam)[..., None] * chain.f)[..., :, None]
-        return lam * theta - np.log(perron_eigenvalue(tilted))
-
-    lam_star, val = numerics.maximize_concave_1d(
-        g, np.full(theta.shape, -50.0), 50.0, tol=1e-9)
-    return np.maximum(val, 0.0), lam_star
+    vals, lams = [], []
+    for t in np.asarray(theta, dtype=float).tolist():
+        lam_star, val = numerics.maximize_concave_1d(
+            lambda lam: lam * t - log_rho(lam), -50.0, 50.0, tol=1e-9)
+        vals.append(max(val, 0.0))
+        lams.append(lam_star)
+    return np.array(vals), np.array(lams)
 
 
 def _random_designs(seed, count):
@@ -270,8 +278,9 @@ def test_log_perron_lumped_is_the_four_state_log_perron_root():
     for p, D in [(0.1, 0.05), (0.25, 0.1), (0.4, 0.2), (0.45, 0.3)]:
         chain = joint_chain(optimal_reproduction(p, D))
         tilted = chain.pi_matrix * np.exp(np.outer(lams, chain.f))[:, :, None]
-        ref = np.log(perron_eigenvalue(tilted))
-        got = np.log(excess._perron_lumped(lumped_distortion_chain(chain).pi_matrix)(lams))
+        ref = np.log([perron_eigenvalue(M) for M in tilted])
+        rho = excess._perron_lumped(lumped_distortion_chain(chain).pi_matrix)
+        got = np.log([rho(lam) for lam in lams.tolist()])
         # the absolute slack covers lam near 0, where log rho is 0 to rounding
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 1e-15)
 
@@ -393,8 +402,8 @@ def _bits(*values):
 
 
 def test_scalar_theta_equals_the_one_entry_array_bit_for_bit():
-    # a float theta runs the tilted root and the golden section on Python
-    # floats; a one-entry array runs them on arrays.  ~200 random (p, D,
+    # a float theta gives floats, a one-entry array a one-entry array, with
+    # the same bits.  ~200 random (p, D,
     # theta) with theta = 0, the mean and 1 among them, on the joint chain
     # and its lump, and hand-built two-state chains with a + b > 1
     rng = np.random.default_rng(29)

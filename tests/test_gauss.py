@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -753,6 +754,37 @@ def test_undetectable_unstable_model_raises_like_reference():
             _reference_solve(bad, D)
         with pytest.raises(NumericError):
             solve_realization(bad, D)
+
+
+@pytest.mark.parametrize("model", [
+    GaussModel(A=np.diag([1.0, 0.5]), B=np.eye(2), C=np.array([[0.0, 1.0]]),
+               N=np.array([[0.3]])),
+    GaussModel(A=[[1.0]], B=[[1.0]], C=[[0.0]], N=[[0.3]]),
+    GaussModel(A=[[1.0]], B=[[1.0]], C=[[0.0]], N=np.empty((1, 0))),
+], ids=["2x2", "scalar", "scalar-noiseless"])
+def test_linear_growth_raises_within_a_tenth_of_a_second(model):
+    # an unobserved unit-root mode grows Sigma by BB' per sweep, so the
+    # change stays exactly 1.0 and Sigma stays far below the divergence cap;
+    # the loop stops once the change equals the change 1000 sweeps earlier,
+    # not after all 10^5 sweeps (the best of three runs is timed)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="grows linearly"):
+            solve_realization(model, 0.5)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.1
+
+
+def test_slow_rotating_model_still_converges():
+    # complex modes at radius 0.999: the change falls by only 0.998 per
+    # sweep and turns with the rotation, and the linear-growth check must
+    # not stop the 12,659 sweeps to the saturated fixed point
+    model = GaussModel(A=_rotation(0.999, 0.3), B=np.eye(2), C=np.eye(2), N=np.empty((2, 0)))
+    sol = solve_realization(model, 1e4)
+    assert sol.saturated and sol.iterations == 12_659
+    Sigma = solve_discrete_lyapunov(model.A, np.eye(2))
+    assert np.max(np.abs(sol.Sigma_inf - Sigma)) <= 1e-8 * float(np.max(np.abs(Sigma)))
 
 
 def test_undamped_sweep_needs_fewer_sweeps_than_reference():
