@@ -99,12 +99,13 @@ def optimal_reproduction(p, D):
 
 @dataclass(frozen=True)
 class JointChain:
-    """Stationary joint chain of (x_t, y_t) with states (0,0),(0,1),(1,0),(1,1).
+    """Stationary joint chain of (x_t, y_t), states in the order (0,0),
+    (0,1), (1,0), (1,1).
 
-    pi_matrix is column-stochastic: pi_matrix[next, prev].
+    pi_matrix is column-stochastic: pi_matrix[next, prev].  stationary is
+    its stationary law and f the distortion of each state.
     """
 
-    states: tuple
     pi_matrix: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
@@ -119,7 +120,9 @@ _STATES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def joint_chain(design: BsmsDesign) -> JointChain:
     """Joint transition matrix Pi[(x,y),(x',y')] = P(x|x') Q*(y|y',x) and its
-    stationary vector (eigenvector of Pi at eigenvalue 1)."""
+    stationary law.  The optimal chain is symmetric under flipping both bits
+    and has P(x != y) = D, so the law is ((1-D)/2, D/2, D/2, (1-D)/2) in
+    closed form; NumericError if Pi does not keep it (to 1e-12)."""
     p = design.p
     Pi = np.empty((4, 4))
     for j, (xp, yp) in enumerate(_STATES):
@@ -128,27 +131,19 @@ def joint_chain(design: BsmsDesign) -> JointChain:
             Pi[i, j] = px * design.kernel[y, yp, x]
     if float(np.max(np.abs(Pi.sum(axis=0) - 1.0))) > 1e-12:
         raise NumericError("joint_chain: columns do not sum to 1")
-    # eigenvector at eigenvalue 1, computed exactly: (Pi - I) pi = 0, sum pi = 1
-    A = Pi - np.eye(4)
-    A[3, :] = 1.0
-    # a p near 0 leaves the chain nearly reducible and this system singular
-    try:
-        pi = np.linalg.solve(A, np.array([0.0, 0.0, 0.0, 1.0]))
-    except np.linalg.LinAlgError:
-        raise NumericError("joint_chain: singular stationary system") from None
-    f = np.array([0.0, 1.0, 1.0, 0.0])
-    if not np.isfinite(pi).all() or abs(float(pi @ f) - design.D) > 1e-9:
-        raise NumericError("joint_chain: stationary mean distortion != D")
-    return JointChain(states=_STATES, pi_matrix=Pi, stationary=pi, f=f)
+    D = design.D
+    pi = np.array([0.5 * (1.0 - D), 0.5 * D, 0.5 * D, 0.5 * (1.0 - D)])
+    if float(np.max(np.abs(Pi @ pi - pi))) > 1e-12:
+        raise NumericError("joint_chain: closed-form law is not stationary")
+    return JointChain(pi_matrix=Pi, stationary=pi, f=np.array([0.0, 1.0, 1.0, 0.0]))
 
 
 def verify_tilted_form(design: BsmsDesign):
     """Check the exponential-family form of the optimal kernel.
 
     Q*(y|y',x) must equal e^{s rho(x,y)} P*(y|y') / Phi(x,y') with the
-    normalizer Phi(x,y') = sum_y e^{s rho(x,y)} P*(y|y'), and the associated
-    lambda = 1/Phi must integrate to 1 against e^{s rho} P*(dy|y').  Returns
-    (s, max relative deviation); s <= 0 in nats.
+    normalizer Phi(x,y') = sum_y e^{s rho(x,y)} P*(y|y').  Returns (s, max
+    relative deviation) as floats; s <= 0 in nats.
     """
     ratio = (1.0 - design.alpha) / design.alpha * (1.0 - design.p) / design.p
     s = math.log(ratio)
@@ -157,14 +152,12 @@ def verify_tilted_form(design: BsmsDesign):
         for yp in (0, 1):
             weights = [math.exp(s * (x != y)) * design.marginal[y, yp] for y in (0, 1)]
             phi = weights[0] + weights[1]
-            lam = 1.0 / phi
-            dev = max(dev, abs(lam * phi - 1.0))
             for y in (0, 1):
                 q = design.kernel[y, yp, x]
                 dev = max(dev, abs(q - weights[y] / phi) / max(q, 1e-300))
     if not (s <= 0.0) or dev > 1e-8:
         raise NumericError("verify_tilted_form: no consistent multiplier s")
-    return s, dev
+    return s, float(dev)
 
 
 def directed_info_rate(chain: JointChain, design: BsmsDesign):

@@ -268,10 +268,11 @@ def perron_eigenvalue(M):
         raise DomainError("perron_eigenvalue: zero matrix")
     if not _reachable_everywhere(positive):
         raise DomainError("perron_eigenvalue: matrix is reducible")
-    try:
-        return float(np.max(np.linalg.eigvals(M).real))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"perron_eigenvalue: eigensolve failed ({exc})") from None
+    with np.errstate(invalid="ignore"):
+        root = float(_eigvals(M).real.max())
+    if not math.isfinite(root):
+        raise NumericError("perron_eigenvalue: eigensolve failed (non-finite eigenvalues)")
+    return root
 
 
 def maximize_concave_1d(g, lo, hi, tol=1e-10):

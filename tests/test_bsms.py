@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from nardf.bsms import (
     rate_loss_bound,
     rna_bsms,
 )
-from nardf.errors import DomainError
+from nardf.errors import DomainError, NumericError
 from nardf.numerics import binary_entropy
 
 
@@ -82,6 +83,32 @@ def test_joint_chain_stationary_distortion():
         # stationary distribution is flip-symmetric
         assert ch.stationary[0] == pytest.approx(ch.stationary[3], abs=1e-12)
         assert ch.stationary[1] == pytest.approx(ch.stationary[2], abs=1e-12)
+        # and is the eigenvector of Pi at eigenvalue 1, normalized
+        w, V = np.linalg.eig(ch.pi_matrix)
+        v = V[:, np.argmin(abs(w - 1.0))].real
+        assert np.allclose(ch.stationary, v / v.sum(), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, D", [(1e-12, 0.1), (1e-20, 1e-12), (1e-20, 0.49),
+                                  (1.0 - 1e-12, 0.3), (0.3, 1e-15)])
+def test_joint_chain_law_is_closed_form_at_extreme_p_and_d(p, D):
+    # a p near 0 leaves the chain nearly reducible, where a linear solve for
+    # the stationary law fails or returns negative entries
+    pi = joint_chain(optimal_reproduction(p, D)).stationary
+    assert pi.tolist() == [0.5 * (1.0 - D), 0.5 * D, 0.5 * D, 0.5 * (1.0 - D)]
+    assert np.all(pi >= 0.0) and pi[0] == pi[3] and pi[1] == pi[2]
+
+
+def test_joint_chain_rejects_a_kernel_that_does_not_keep_the_law():
+    design = optimal_reproduction(0.3, 0.1)
+    a, b = design.alpha, design.beta
+    swapped = np.empty((2, 2, 2))  # the kernel with alpha and beta swapped
+    swapped[0] = [[b, 1.0 - a], [a, 1.0 - b]]
+    swapped[1] = 1.0 - swapped[0]
+    for bad in (dataclasses.replace(design, kernel=swapped),
+                dataclasses.replace(design, p=1.0 - design.p)):
+        with pytest.raises(NumericError, match="not stationary"):
+            joint_chain(bad)
 
 
 def test_directed_info_equals_closed_form():
@@ -115,7 +142,11 @@ def test_tilted_form():
         s, dev = verify_tilted_form(optimal_reproduction(p, D))
         assert s == pytest.approx(math.log(D / (1.0 - D)), abs=1e-12)
         assert s < 0.0
-        assert dev < 1e-10
+        assert type(dev) is float and dev < 1e-10
+    # an alpha that disagrees with the kernel gives no consistent s
+    design = optimal_reproduction(0.3, 0.1)
+    with pytest.raises(NumericError):
+        verify_tilted_form(dataclasses.replace(design, alpha=1.01 * design.alpha))
 
 
 def test_classical_gray():

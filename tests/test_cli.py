@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -78,11 +79,19 @@ def test_parse_model_without_observation_noise():
         ("m 0\nk 1\np 1\nd 0\nA\nB\nC\n", "at least 1"),
         ("m 1.5\nk 1\np 1\nd 0\nA 0.5\nB 1\nC 1\n", "expects an integer"),
         ("m 1\nk 1\np 1\nd\n", "has no value"),
+        ("m 1\nk 1\np 1\nd 0\nA 0.5\nB 1\nA 0.4\nC 1\n", "matrix 'A' declared twice"),
+        ("m 1\nk -1\np 1\nd 0\nA 0.5\nB\nC 1\n", "'k' must be nonnegative"),
     ],
 )
-def test_parse_model_errors(text, match):
+def test_parse_model_errors(capsys, tmp_path, text, match):
     with pytest.raises(ModelFormatError, match=match):
         parse_model_text(text)
+    # the CLI reports a malformed model file as a usage error
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, ["gauss-rate", "--model", str(path), "--d", "0.5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("nardf: error:") and re.search(match, err)
 
 
 def test_load_model(model_file, tmp_path):
@@ -344,18 +353,47 @@ def test_jscc_sim_vector_unstable_source_with_a_stable_loop(capsys, tmp_path):
     assert abs(emp["distortion"] - 0.5) <= 4.0 * emp["distortion_se"]
 
 
-def test_jscc_sim_csv_flattens(capsys):
-    argv = [
-        "jscc-sim", "--mode", "iid", "--steps", "2000", "--seed", "3", "--format", "csv",
-    ]
-    code, out, _ = run(capsys, argv)
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "key,value"
-    keys = {line.split(",", 1)[0] for line in lines[1:]}
-    assert "analytic.D_min" in keys
-    assert "empirical.distortion" in keys
-    assert "schema" in keys
+def _flat_json(obj, prefix=""):
+    # dotted keys of a JSON payload, list entries by index
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [(prefix, obj)]
+    return [pair for k, v in items for pair in _flat_json(v, f"{prefix}.{k}" if prefix else str(k))]
+
+
+def _csv_cell(v):
+    if v is None:  # a NaN, null in JSON
+        return "nan"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "%.12g" % v if isinstance(v, float) else str(v)
+
+
+_CSV_CASES = [
+    (["--mode", "iid", "--steps", "2000"], ["analytic.D_min", "empirical.distortion"]),
+    (["--mode", "sk", "--steps", "5", "--trials", "200"],
+     ["analytic.mse_per_step.3", "empirical.mse_se.5"]),
+    # one shard: the standard errors are NaN
+    (["--mode", "vector", "--model", "MODEL", "--d", "1.2", "--steps", "300"],
+     ["analytic.Lambda_inf.0.1", "empirical.cov_K_se.1.0"]),
+]
+
+
+def test_jscc_sim_csv_flattens(capsys, model_file):
+    for argv, keys in _CSV_CASES:
+        argv = ["jscc-sim", "--seed", "3"] + [model_file if a == "MODEL" else a for a in argv]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "key,value"
+        code, payload, _ = run(capsys, argv)
+        assert code == 0
+        expect = [f"{k},{_csv_cell(v)}" for k, v in _flat_json(json.loads(payload))]
+        assert lines[1:] == expect
+        assert {"schema", *keys} <= {line.split(",", 1)[0] for line in lines[1:]}
 
 
 @pytest.mark.parametrize(
@@ -622,6 +660,16 @@ def test_excess_bounds(capsys):
     assert 0.0 < rows[1]["reversible"] < 1.0
     assert "empirical" not in rows[0]
     assert rows[0]["I_d"] == pytest.approx(0.03800311946851247, abs=1e-9)
+
+
+def test_excess_bounds_at_a_nearly_reducible_chain(capsys):
+    # p = 1e-12 barely mixes the joint chain; its stationary law is exact
+    argv = ["excess", "--p", "1e-12", "--d", "0.1", "--gamma", "0.1",
+            "--n-grid", "100:200:100", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert 0.0 < row["reversible"] <= 1.0 and row["I_d"] >= 0.0
 
 
 def test_excess_bounds_with_trials_csv(capsys):

@@ -142,7 +142,7 @@ def test_bounds_at_infinite_block_length_are_zero():
 
 
 def _two_state(T):
-    return JointChain(states=((0, 0), (0, 1)), pi_matrix=np.array(T, dtype=float),
+    return JointChain(pi_matrix=np.array(T, dtype=float),
                       stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0]))
 
 
@@ -228,7 +228,7 @@ _UNLUMPABLE = np.array([[0.7, 0.4, 0.2, 0.2], [0.2, 0.3, 0.2, 0.2],
 
 
 def _four_state(T, f):
-    return JointChain(states=tuple((0, i) for i in range(4)), pi_matrix=T,
+    return JointChain(pi_matrix=T,
                       stationary=np.linalg.matrix_power(T, 200)[:, 0], f=np.array(f))
 
 
@@ -236,7 +236,7 @@ def _four_state(T, f):
     (_four_state(_UNLUMPABLE, [0.0, 0.0, 1.0, 1.0]), "not lumpable"),
     (_four_state(CHAIN.pi_matrix, [0.0, 0.5, 1.0, 1.0]), "must be 0/1"),
     # two absorbing states: no tilt connects them
-    (JointChain(states=((0, 0), (0, 1)), pi_matrix=np.eye(2),
+    (JointChain(pi_matrix=np.eye(2),
                 stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0])), "reducible"),
 ])
 def test_rate_function_rejects_chains_it_cannot_check_or_lump(chain, match):

@@ -172,10 +172,8 @@ def test_perron_eigenvalue():
 
 
 def test_perron_eigensolve_failure_is_numeric_error(monkeypatch):
-    def fail(M):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    # a failed solve of the eigvals gufunc: NaNs with the invalid flag raised
+    monkeypatch.setattr(numerics, "_eigvals", lambda M: _nan_eigh(M)[0] + 0j)
     with pytest.raises(NumericError):
         perron_eigenvalue(np.ones((2, 2)))
 
@@ -349,6 +347,9 @@ def test_spectral_radius_equals_the_eigvals_route():
     for M in mats:
         ref = float(np.max(np.abs(np.linalg.eigvals(M))))
         assert _bits(numerics._spectral_radius(M)) == _bits(ref)
+        # positive matrices for the Perron root, as np.linalg.eigvals gives it
+        P = np.abs(M) + 1e-3
+        assert _bits(perron_eigenvalue(P)) == _bits(float(np.max(np.linalg.eigvals(P).real)))
 
 
 def test_bits_per_nat():
@@ -370,6 +371,15 @@ def test_rng_stream_reproducible_and_disjoint():
         a.shard(3).shard(2).generator().standard_normal(4),
         RngStream(123).shard(3).shard(2).generator().standard_normal(4),
     )
+
+
+def test_rng_shard_index_range():
+    # stream 2's shards take the ids 2 * 2**20 + 1 .. 3 * 2**20 - 1
+    a = RngStream(123, 2)
+    assert a.shard(2**20 - 2).stream_id == 3 * 2**20 - 1
+    for index in (2**20 - 1, -1):
+        with pytest.raises(DomainError, match="index out of range"):
+            a.shard(index)
 
 
 # ---------------------------------------------------------------- water level
