@@ -142,11 +142,11 @@ def verify_tilted_form(design: BsmsDesign):
     """Check the exponential-family form of the optimal kernel.
 
     Q*(y|y',x) must equal e^{s rho(x,y)} P*(y|y') / Phi(x,y') with the
-    normalizer Phi(x,y') = sum_y e^{s rho(x,y)} P*(y|y').  Returns (s, max
-    relative deviation) as floats; s <= 0 in nats.
-    """
-    ratio = (1.0 - design.alpha) / design.alpha * (1.0 - design.p) / design.p
-    s = math.log(ratio)
+    normalizer Phi(x,y') = sum_y e^{s rho(x,y)} P*(y|y') and s = log(D/(1-D)).
+    Returns (s, max relative deviation) as floats; s <= 0 in nats.
+    NumericError above 1e-8, also where the stored 1 - alpha has lost its
+    relative precision (alpha near 1)."""
+    s = math.log(design.D) - math.log1p(-design.D)
     dev = 0.0
     for x in (0, 1):
         for yp in (0, 1):

@@ -13,9 +13,9 @@ excess       excess-distortion bounds (Hoeffding / reversible-chain),
 rate-loss    the BSMS rate-loss upper bound and its maximizer
 
 Exit codes: 0 success, 2 usage error, 3 numeric non-convergence, 4 domain
-error.  Unless --seed is given, the seed comes from the NARDF_SEED
-environment variable, falling back to DEFAULT_SEED.  Output under a fixed
-seed is byte-identical across runs.
+error.  jscc-sim and excess take --seed; without it the seed comes from
+the NARDF_SEED environment variable, falling back to DEFAULT_SEED.  Output
+under a fixed seed is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _cmd_gauss_rate(args):
             + [float(v) for v in sol.delta]
         )
     meta = {"model": path, "dims": dict(zip(("m", "k", "p", "d"), model.dims))}
-    return _table(header, rows, meta, "nardf/gauss-rate/v2", args.format)
+    return _table(header, rows, meta, "nardf/gauss-rate/v3", args.format)
 
 
 def _scalar_design_payload(design):
@@ -260,7 +260,7 @@ def _cmd_jscc_sim(args):
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     payload = {
-        "schema": "nardf/jscc-sim/v5",
+        "schema": "nardf/jscc-sim/v6",
         "mode": mode,
         "seed": seed,
     }
@@ -404,13 +404,14 @@ def _cmd_rate_loss(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sp, default_format):
+def _add_common(sp, default_format, seeded=False):
     sp.add_argument("--format", choices=("csv", "json"), default=default_format,
                     help=f"output format (default: {default_format})")
     sp.add_argument("--out", metavar="PATH", default=None,
                     help="write output to PATH instead of stdout")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    if seeded:
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
 
 
 def build_parser():
@@ -427,7 +428,9 @@ def build_parser():
     _add_common(sp, "csv")
     sp.set_defaults(func=_cmd_bsms_curve)
 
-    sp = sub.add_parser("gauss-rate", help="Gaussian nonanticipative RDF from a model file")
+    about = ("rate of the paper's Gaussian realization from a model file: achievable, "
+             "not always the infimum of the sequential RDF program")
+    sp = sub.add_parser("gauss-rate", help=about, description=about)
     sp.add_argument("--model", metavar="FILE", help="state-space model file")
     sp.add_argument("--d", type=float, help="single distortion level")
     sp.add_argument("--d-grid", metavar="LO:HI:STEP", help="distortion grid")
@@ -446,7 +449,7 @@ def build_parser():
     sp.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (sk)")
     sp.add_argument("--model", metavar="FILE", help="state-space model file (vector)")
     sp.add_argument("--d", type=float, help="distortion level (vector)")
-    _add_common(sp, "json")
+    _add_common(sp, "json", seeded=True)
     sp.set_defaults(func=_cmd_jscc_sim)
 
     sp = sub.add_parser("excess", help="excess-distortion bounds and rate function")
@@ -458,7 +461,7 @@ def build_parser():
                     help="emit the rate-function curve on this grid instead of bounds")
     sp.add_argument("--trials", type=int, default=None,
                     help="Monte Carlo trials per n (0 omits the empirical column)")
-    _add_common(sp, "csv")
+    _add_common(sp, "csv", seeded=True)
     sp.set_defaults(func=_cmd_excess)
 
     sp = sub.add_parser("rate-loss", help="BSMS rate-loss bound (point, curve, or maximizer)")

@@ -277,10 +277,8 @@ def gaussian_error_recursion(
     ])
     drive = step[:m, m:]
     cov = solve_discrete_lyapunov(step[:m, :m], drive @ drive.T)
-    # 1e-8 relative to the largest entry once that exceeds 1: the fixed
-    # point's own rounding grows with the covariance scale
-    scale = max(1.0, float(np.max(np.abs(solution.Sigma_inf))))
-    if float(np.max(np.abs(cov - solution.Sigma_inf))) > 1e-8 * scale:
+    Sigma = solution.Sigma_inf
+    if float(np.max(np.abs(cov - Sigma))) > 1e-8 * float(np.max(np.abs(Sigma))):
         raise NumericError(
             "gaussian_error_recursion: stationary covariance does not match Sigma_inf"
         )
@@ -309,13 +307,8 @@ def _error_steps(rec: GaussianErrorRecursion, n, trials, rng):
     m = rec.cov.shape[0]
     rows, cols = rec.step.shape
     p = (rows - m) // 2
-    try:
-        root = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
-    except np.linalg.LinAlgError:
-        # noise that excites only a subspace makes cov singular, and rounding
-        # can leave it slightly indefinite: cut those eigenvalues to 0
-        w, V = sym_eig(rec.cov)
-        root = V.T * np.sqrt(np.maximum(w, 0.0))
+    w, V = sym_eig(rec.cov)  # cut at 0: noise on a subspace leaves cov singular
+    root = V.T * np.sqrt(np.maximum(w, 0.0))
     # per step, in stream order: W (k rows), V (d rows), z (p rows); e_0 first
     normals = _lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
                               rows=(cols - m,), first=(m,))

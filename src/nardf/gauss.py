@@ -4,7 +4,12 @@ Solves the coupled fixed point of the modified Kalman-Riccati equation,
 eigendecomposition and reverse water-filling by one undamped Picard loop
 from Sigma = BB' + I, plus the scalar closed forms (fully observed,
 partially observed via the cubic) and the classical references for the
-alpha = 1 autoregressive source.
+alpha = 1 autoregressive source.  The vector rate is that of the paper's
+realization, whose error covariance shares the innovations' eigenvectors:
+achievable and equal to R^na on scalar sources, but not always the
+infimum of the sequential RDF program (A = diag(0.9, 0.2), B = C = I at
+D = 1: 1.259570 bits, where the best split of D over the two scalar
+closed forms needs 1.246108).
 
 State model:  Z_{t+1} = A Z_t + B W_t,  X_t = C Z_t + N V_t,
 with W, V unit-covariance IID Gaussians.
@@ -108,7 +113,7 @@ def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
     scale = float(np.max(np.abs(lam), initial=0.0))  # NaN propagates
     if lam.size == 0 or not math.isfinite(scale):
         raise DomainError("reverse_waterfill: spectrum must be nonempty and finite")
-    if np.any(lam < -1e-12 * max(1.0, scale)):
+    if np.any(lam < -1e-12 * scale):
         raise DomainError("reverse_waterfill: spectrum must be nonnegative")
     lam = np.maximum(lam, 0.0)
     if not D > 0.0:
@@ -187,9 +192,9 @@ def _as_noise_diagonal(Q, p):
     return q.copy()
 
 
-_DIVERGENCE_CAP = 1e12
-_TOL = 1e-11
-_ULP_TOL = 4.0 * np.finfo(float).eps  # a large Sigma stalls the change near one ulp
+# every rule is relative, so scaling B, N by s and D by s^2 keeps the rate
+_DIVERGENCE_CAP = 1e12  # times max|Sigma| at the start
+_TOL = 1e-11  # times max|Sigma|
 _MAX_ITER = 100_000
 _LINEAR_LAG = 1000  # sweeps between the changes that the linear-growth check compares
 
@@ -197,7 +202,7 @@ _LINEAR_LAG = 1000  # sweeps between the changes that the linear-growth check co
 def _sweep(A, BBt, C, NNt, Sigma, D):
     """One Picard sweep: water-filled observation weight, then Riccati.
 
-    Returns the new Sigma and (Lam, lam, E, xi, delta, eta, saturated),
+    Returns the new Sigma and (Lam, lam, E, xi, delta, eta),
     with lam, delta and eta lists of floats equal to the array forms.  The
     rows of E carry eigh's signs, not sym_eig's convention: the sweep uses
     E only in S = C'E' diag(ratio) E C, whose every term is a product of
@@ -215,9 +220,9 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     w, E = _eigh_desc(Lam)
     lam = [x if x > 0.0 else 0.0 for x in w.tolist()]  # np.maximum(w, 0.0)
     if _sum(lam) > 0.0:
-        xi, delta, saturated = _waterfill(lam, D)
+        xi, delta, _ = _waterfill(lam, D)
     else:
-        xi, delta, saturated = 0.0, [0.0] * len(lam), True
+        xi, delta = 0.0, [0.0] * len(lam)
     eta, ratio = [], []
     for x, d in zip(lam, delta):
         e = 1.0 - d / x if x > 0.0 else 0.0  # in [0, 1], as 0 <= delta_i <= lambda_i
@@ -226,7 +231,7 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     S = C.T.dot(E.T).dot(np.array(ratio)[:, None] * E).dot(C)
     ASigma = A.dot(Sigma)
     new = ASigma.dot(A.T) - ASigma.dot(S).dot(Sigma).dot(A.T) + BBt
-    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
+    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta)
 
 
 def _sweep_1x1(a, bb, c, nn, s, D):
@@ -250,14 +255,15 @@ def _sweep_1x1(a, bb, c, nn, s, D):
 
 def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     """Joint fixed point of the modified Riccati equation and reverse
-    water-filling (undamped Picard iteration on Sigma_inf from BB' + I).
+    water-filling (undamped Picard iteration on Sigma_inf from BB' + I), whose
+    rate is achievable but not always the sequential RDF infimum (module doc).
 
     Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
-    the Riccati step, which replaces Sigma until the change drops below
-    max(1e-11, 4 eps max|Sigma|).  With m = p = 1 the loop runs on Python
-    floats (_sweep_1x1, the same operations and checks as _sweep); the
-    last sweep and what follows it run in numpy in either case.
+    the Riccati step, which replaces Sigma until the change is at most
+    1e-11 max|Sigma|.  With m = p = 1 the loop runs on Python floats
+    (_sweep_1x1, the same operations and checks as _sweep); the last sweep
+    and what follows it run in numpy in either case.
 
     The sweeps take Lambda's eigensystem up to the sign of each
     eigenvector (see _sweep); sym_eig's sign convention is applied once,
@@ -270,7 +276,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     DomainError for a non-finite Lambda (the covariances overflow) or a D so
     small that lambda_i/delta_i overflows; NumericError for a failed
     eigensolve, an allocation that misses D, a Sigma that is non-finite or
-    exceeds _DIVERGENCE_CAP, a change equal (to a relative 1e-9) to the
+    exceeds _DIVERGENCE_CAP max|BB' + I|, a change equal (to 1e-9) to the
     change _LINEAR_LAG sweeps earlier (Sigma grows linearly), or no
     convergence in _MAX_ITER sweeps.  After the loop, a decoder scaling or
     filter gain outside the float range raises DomainError, and a failed
@@ -289,6 +295,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     if scalar:
         a, bb, c, nn = (float(X[0, 0]) for X in (A, BBt, C, NNt))
     Sigma = bb + 1.0 if scalar else BBt + np.eye(m)
+    cap = _DIVERGENCE_CAP * (Sigma if scalar else float(Sigma.max()))  # PSD: max = max|.|
     # invalid="ignore" also covers _eigh_desc, which checks its own result
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
@@ -300,13 +307,11 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
                 scale = float(abs(new).max())
                 change = float(abs(new - Sigma).max())
             # NaN fails this comparison, so it also rejects non-finite entries
-            if not scale <= _DIVERGENCE_CAP:
-                raise NumericError(
-                    "solve_realization: iteration diverged "
-                    "(model may violate detectability/stabilizability)"
-                )
+            if not scale <= cap:
+                raise NumericError("solve_realization: iteration diverged "
+                                   "(model may violate detectability/stabilizability)")
             Sigma = new
-            if change < max(_TOL, _ULP_TOL * scale):
+            if change <= _TOL * scale:
                 break
             if iterations % _LINEAR_LAG == 1:
                 # a mode that neither the observation nor the decay reaches
@@ -316,16 +321,14 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
                                        "undetectable or unstabilizable mode")
                 lagged = change
         else:
-            raise NumericError(
-                f"solve_realization: no convergence in {_MAX_ITER} iterations "
-                f"(last change {change:.3e})"
-            )
+            raise NumericError(f"solve_realization: no convergence in {_MAX_ITER} "
+                               f"iterations (last change {change:.3e})")
         Sigma = np.array([[Sigma]]) if scalar else Sigma
-        full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
+        full, (Lam, lam, E, xi, delta, eta) = _sweep(A, BBt, C, NNt, Sigma, D)
     E = _sign_rows(E)
     residual = float(np.max(np.abs(full - Sigma)))
     lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
-    saturated = saturated or D >= float(lam.sum()) - 1e-15
+    saturated = D >= float(lam.sum()) * (1.0 - 1e-15)  # one rounding of slack
     rate = _waterfill_rate(lam, delta)  # 0 when every delta_i is 0 or lambda_i
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -78,8 +78,7 @@ def sym_eig(M):
         raise DomainError("sym_eig: non-finite entries")
     if M.shape[0] == 1:
         return _eigh_desc(M)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
+    if float(np.max(np.abs(M - M.T))) > 1e-12 * float(np.max(np.abs(M))):
         raise DomainError("sym_eig: matrix is not symmetric")
     with np.errstate(invalid="ignore"):
         w, E = _eigh_desc(0.5 * (M + M.T))

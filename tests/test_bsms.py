@@ -143,10 +143,29 @@ def test_tilted_form():
         assert s == pytest.approx(math.log(D / (1.0 - D)), abs=1e-12)
         assert s < 0.0
         assert type(dev) is float and dev < 1e-10
-    # an alpha that disagrees with the kernel gives no consistent s
+    # a D that disagrees with the kernel gives no consistent s
     design = optimal_reproduction(0.3, 0.1)
     with pytest.raises(NumericError):
-        verify_tilted_form(dataclasses.replace(design, alpha=1.01 * design.alpha))
+        verify_tilted_form(dataclasses.replace(design, D=1.01 * design.D))
+
+
+def test_tilted_form_raises_only_library_errors_down_to_1e_12():
+    # s comes from D in closed form: the log of the cancelled ratio
+    # (1 - alpha)/alpha * (1 - p)/p would raise a math domain error at
+    # (1e-11, 6e-10).  Where the kernel's 1 - alpha has lost its precision
+    # the check raises NumericError
+    from nardf.bsms import verify_tilted_form
+
+    rng = np.random.default_rng(11)
+    pairs = np.exp(rng.uniform(math.log(1e-12), 0.0, size=(3000, 2)))
+    passed = 0
+    for p, D in [(1e-11, 6e-10)] + pairs.tolist():
+        try:
+            verify_tilted_form(optimal_reproduction(p, D))
+            passed += 1
+        except (DomainError, NumericError):
+            pass
+    assert passed > 0
 
 
 def test_classical_gray():

@@ -189,7 +189,7 @@ def test_gauss_rate_json(capsys, model_file):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/gauss-rate/v2"
+    assert payload["schema"] == "nardf/gauss-rate/v3"
     assert payload["dims"] == {"m": 2, "k": 2, "p": 2, "d": 2}
     row = payload["rows"][0]
     assert row["rate"] == pytest.approx(1.0556672772317302, abs=1e-9)
@@ -271,6 +271,31 @@ def test_oversize_monte_carlo_request_exit_4_with_one_line(capsys, model_file, a
     assert err.startswith("nardf: domain error:") and err.count("\n") == 1
 
 
+def _scaled_model_text(s):
+    # MODEL_TEXT with B and N scaled by s
+    return MODEL_TEXT.replace("B  1 0\n   0 1", f"B  {s!r} 0\n   0 {s!r}").replace(
+        "N  0.4 0.0\n   0.0 0.4", f"N  {0.4 * s!r} 0.0\n   0.0 {0.4 * s!r}")
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_gauss_rate_is_unit_free(capsys, tmp_path, model_file, s):
+    # B, N scaled by s and the D grid by s^2 (crossing saturation near 3.37):
+    # the same rates; an absolute stop or cap would end early or diverge
+    grid = (0.2, 3.4, 0.8)
+    unit = run(capsys, ["gauss-rate", "--model", model_file, "--d-grid", "%r:%r:%r" % grid])
+    path = tmp_path / "scaled.txt"
+    path.write_text(_scaled_model_text(s))
+    scaled = run(capsys, ["gauss-rate", "--model", str(path),
+                          "--d-grid", ":".join(repr(x * s * s) for x in grid)])
+    assert unit[0] == scaled[0] == 0
+    unit_rows = [line.split(",") for line in unit[1].splitlines()[1:]]
+    scaled_rows = [line.split(",") for line in scaled[1].splitlines()[1:]]
+    assert len(unit_rows) == len(scaled_rows) == 5
+    for u, v in zip(unit_rows, scaled_rows):
+        assert abs(float(v[1]) - float(u[1])) <= 1e-11
+        assert v[5] == u[5]  # saturated
+
+
 # ------------------------------------------------------------------- jscc-sim
 
 
@@ -279,7 +304,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v5"
+    assert payload["schema"] == "nardf/jscc-sim/v6"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]
@@ -308,6 +333,18 @@ def test_jscc_sim_deterministic_and_seeded(capsys, monkeypatch):
     monkeypatch.setenv("NARDF_SEED", "not-a-number")
     code5, _, _ = run(capsys, argv)
     assert code5 == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bsms-curve", "--p", "0.3", "--d", "0.1"],
+    ["gauss-rate", "--model", "MODEL", "--d", "1.2"],
+    ["rate-loss", "--p", "0.3", "--d", "0.1"],
+], ids=lambda argv: argv[0])
+def test_seed_is_refused_where_no_seed_is_read(capsys, model_file, argv):
+    argv = [model_file if a == "MODEL" else a for a in argv]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--seed", "5"])
+    assert code == 2 and out == "" and "--seed" in err
 
 
 def test_jscc_sim_sk(capsys):
@@ -760,7 +797,10 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # recorded again for v4, when the lump's lambda_2 moved from an eigensolve
 # of the symmetrised chain to the closed form 1 - a - b: lumped_lambda_2
 # reads 0.1071428571428571 where v3 printed 0.10714285714285714 (3/28
-# rounded), and the reversible column keeps its bytes here.
+# rounded), and the reversible column keeps its bytes here.  The gauss-rate
+# pins were recorded again for its schema v3, when the Picard stop rule
+# became relative to max|Sigma|: 854 -> 837 sweeps over the 50 rows, the
+# rate within 1.3e-11 relative and the spectrum within 4.4e-12.
 GOLDEN_ARGV = {
     ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
     ("excess", "theta-grid"): ["excess", "--p", "0.25", "--d", "0.1",
@@ -779,8 +819,8 @@ BSMS_GOLDEN_SHA256 = {
     ("rate-loss", "0.3333", "json"): "0ce2469266fbc8836ebd38020ac5deb697ff625971c75a218cd118609f4ddc68",
     ("rate-loss", None, "csv"): "066553d547285f5d792cb36495b98e7f79bb6f1a15b5a78e3586ac09df02afae",
     ("rate-loss", None, "json"): "1f3c6e31d21be6f306fcbcf13f7ca3dfe7f472afb43e78e5b2af6c522a657260",
-    ("gauss-rate", "model", "csv"): "5505180f3dd7c41f1991a0a079eec7cbbd8ebbf6136b7b28ca3e2bdf6b5f0aaf",
-    ("gauss-rate", "model", "json"): "3e3d1df898a7a0a329801a7acd2186b78a90c26b0a15371be8c3550310464ff4",
+    ("gauss-rate", "model", "csv"): "09a405be93f90129c92b2916d4d8e578bf8c666e94e0f700c1dfc043c7d72529",
+    ("gauss-rate", "model", "json"): "f3fb0e8685d21276c9fc65715f3b91eb9ad898a8ee306090b748124c9340ab32",
     ("excess", "theta-grid", "csv"): "0938bd7c1df193c2f8a6145f8065ec783f35f690bc0afac04917f2ba8bc4aae4",
     ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",

@@ -664,6 +664,19 @@ def test_error_recursion_at_a_large_covariance_scale():
         gaussian_error_recursion(model, off)
 
 
+def test_error_recursion_check_is_relative_at_a_small_covariance_scale():
+    # B = 1e-6 I puts Sigma_inf near 1e-12: a Sigma_inf off by 1e-6 relative
+    # (1e-18 absolute) is refused, which a check floored at 1e-8 would pass
+    model = GaussModel(A=np.array([[0.6, 0.2], [0.0, 0.5]]), B=1e-6 * np.eye(2),
+                       C=np.array([[1.0, 0.0], [0.3, 0.9]]), N=0.4e-6 * np.eye(2))
+    sol = solve_realization(model, 1.2e-12)
+    rec = gaussian_error_recursion(model, sol)
+    assert np.max(np.abs(rec.cov - sol.Sigma_inf)) <= 1e-12 * np.max(np.abs(sol.Sigma_inf))
+    off = dataclasses.replace(sol, Sigma_inf=sol.Sigma_inf * (1.0 + 1e-6))
+    with pytest.raises(NumericError, match="does not match"):
+        gaussian_error_recursion(model, off)
+
+
 # ----------------------------------------------------------- Chernoff exponent
 
 
@@ -711,11 +724,12 @@ def _blockwise_distortion_sums(model, solution, rec, n, trials, rng):
     # numpy takes the same matrix-matrix product, not its matrix-vector one
     m, k, p, d = model.dims
     M = step_matrix(model, solution)
-    chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
+    w, V = numerics.sym_eig(rec.cov)  # the PSD root the library starts from
+    root = V.T * np.sqrt(np.maximum(w, 0.0))
     out = []
     for g, size in numerics._trial_blocks(rng, trials):
         x = np.zeros((m + k + d + p, 2 if size == 1 < trials else size))
-        x[:m, :size] = chol @ g.standard_normal((m, size))
+        x[:m, :size] = root @ g.standard_normal((m, size))
         S = np.zeros(size)
         for _ in range(n):
             x[m:, :size] = g.standard_normal((k + d + p, size))

@@ -317,6 +317,25 @@ def test_simulate_vector_unstable_source_with_a_stable_loop(model, D):
     assert abs(rep.distortion - D) <= 4.0 * rep.distortion_se
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_simulate_vector_is_invariant_under_covariance_scaling(s):
+    # (A, sB, C, sN) at s^2 D: the same seed gives s^2 times the distortion,
+    # through the relative rules of the fixed point and the PSD start root
+    unit = simulate_vector(TEST_MODEL, solve_realization(TEST_MODEL, 1.2), 4000, RngStream(8))
+    scaled = GaussModel(A=TEST_MODEL.A, B=s * TEST_MODEL.B, C=TEST_MODEL.C, N=s * TEST_MODEL.N)
+    sol = solve_realization(scaled, 1.2 * s * s)
+    rep = simulate_vector(scaled, sol, 4000, RngStream(8))
+    assert rep.distortion / (s * s) == pytest.approx(unit.distortion, rel=1e-9)
+
+
+def test_saturation_slack_is_relative():
+    # lambda_1 = 1.025e-20 exceeds D = 1e-21 tenfold; an absolute 1e-15
+    # slack would call this saturated, with a nonzero rate
+    sol = solve_realization(GaussModel.scalar(0.5, 1e-10, 1.0, 0.0), 1e-21)
+    assert not sol.saturated
+    assert sol.rate == pytest.approx(0.5 * math.log2(0.25 + 10.0), rel=1e-12)
+
+
 def test_simulate_vector_unstable_closed_loop_rejected():
     sol = solve_realization(UNSTABLE_SOURCE, 0.5)
     with pytest.raises(NumericError, match="unstable"):
@@ -476,17 +495,23 @@ def _channel_gain(sol):
     return np.sqrt(np.where(delta > 0.0, sol.q * sol.eta / np.where(delta > 0.0, delta, 1.0), 0.0))
 
 
+def _psd_root(cov):
+    # the root the library starts from: eigenvalues cut at 0
+    w, V = numerics.sym_eig(cov)
+    return V.T * np.sqrt(np.maximum(w, 0.0))
+
+
 def _blockwise_vector(model, sol, n, rng):
     shards, per_shard = jscc._shard_layout(n)
     rec = excess.gaussian_error_recursion(model, sol)
     m, k, p, d = model.dims
-    chol = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m))
+    root = _psd_root(rec.cov)
     M = step_matrix(model, sol)
     to_channel = np.diag(_channel_gain(sol)) @ sol.E_inf
     sums = []
     for g, size in numerics._trial_blocks(rng, shards):
         x = np.empty((m + k + d + p, size))
-        x[:m] = chol @ g.standard_normal((m, size))
+        x[:m] = root @ g.standard_normal((m, size))
         d_sum = np.zeros((p, size))
         p_sum = np.zeros((p, size))
         covK = np.zeros((p, p, size))
@@ -516,7 +541,7 @@ def _realization_steps(model, sol, n, trials, rng):
     E, q, a_inf = sol.E_inf, sol.q, _channel_gain(sol)
     normals = numerics._lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
                                        rows=(k + d + p,), first=(m,))
-    Z = np.linalg.cholesky(rec.cov + 1e-15 * np.eye(m)) @ next(normals)
+    Z = _psd_root(rec.cov) @ next(normals)
     zhat = np.zeros((m, trials))
     for z in normals:
         W, V, Vc = z[:k], z[k:k + d], np.sqrt(q)[:, None] * z[k + d:]
