@@ -128,8 +128,9 @@ def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
 
 def _waterfill(lam, D):
     # reverse_waterfill of a nonnegative finite list at D > 0, unchecked and
-    # without the rate: (xi, delta list, saturated).  The sums run in numpy's
-    # order, so every value is the one the array expressions give.
+    # without the rate: (xi, delta list, D > sum(lam)), the saturated flag that
+    # solve_realization reports too.  The sums run in numpy's order, so every
+    # value is the one the array expressions give.
     total = _sum(lam)
     if D >= total:
         return max(lam), list(lam), D > total
@@ -202,7 +203,7 @@ _LINEAR_LAG = 1000  # sweeps between the changes that the linear-growth check co
 def _sweep(A, BBt, C, NNt, Sigma, D):
     """One Picard sweep: water-filled observation weight, then Riccati.
 
-    Returns the new Sigma and (Lam, lam, E, xi, delta, eta),
+    Returns the new Sigma and (Lam, lam, E, xi, delta, eta, saturated),
     with lam, delta and eta lists of floats equal to the array forms.  The
     rows of E carry eigh's signs, not sym_eig's convention: the sweep uses
     E only in S = C'E' diag(ratio) E C, whose every term is a product of
@@ -219,10 +220,7 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
         raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
     w, E = _eigh_desc(Lam)
     lam = [x if x > 0.0 else 0.0 for x in w.tolist()]  # np.maximum(w, 0.0)
-    if _sum(lam) > 0.0:
-        xi, delta, _ = _waterfill(lam, D)
-    else:
-        xi, delta = 0.0, [0.0] * len(lam)
+    xi, delta, saturated = _waterfill(lam, D)  # lam = 0: delta = lam, saturated
     eta, ratio = [], []
     for x, d in zip(lam, delta):
         e = 1.0 - d / x if x > 0.0 else 0.0  # in [0, 1], as 0 <= delta_i <= lambda_i
@@ -231,7 +229,7 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     S = C.T.dot(E.T).dot(np.array(ratio)[:, None] * E).dot(C)
     ASigma = A.dot(Sigma)
     new = ASigma.dot(A.T) - ASigma.dot(S).dot(Sigma).dot(A.T) + BBt
-    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta)
+    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
 
 
 def _sweep_1x1(a, bb, c, nn, s, D):
@@ -261,9 +259,9 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
     the Riccati step, which replaces Sigma until the change is at most
-    1e-11 max|Sigma|.  With m = p = 1 the loop runs on Python floats
-    (_sweep_1x1, the same operations and checks as _sweep); the last sweep
-    and what follows it run in numpy in either case.
+    1e-11 max|Sigma| (from Sigma = 0 if BB' = 0 and A is stable).  With
+    m = p = 1 the loop runs on Python floats (_sweep_1x1, the same operations
+    and checks as _sweep); the last sweep and what follows run in numpy.
 
     The sweeps take Lambda's eigensystem up to the sign of each
     eigenvector (see _sweep); sym_eig's sign convention is applied once,
@@ -296,6 +294,9 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
         a, bb, c, nn = (float(X[0, 0]) for X in (A, BBt, C, NNt))
     Sigma = bb + 1.0 if scalar else BBt + np.eye(m)
     cap = _DIVERGENCE_CAP * (Sigma if scalar else float(Sigma.max()))  # PSD: max = max|.|
+    if not BBt.any() and _spectral_radius(A) < 1.0:
+        # Sigma_inf = 0, which a relative stop reaches only at underflow
+        Sigma = 0.0 * Sigma
     # invalid="ignore" also covers _eigh_desc, which checks its own result
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
@@ -324,11 +325,10 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
             raise NumericError(f"solve_realization: no convergence in {_MAX_ITER} "
                                f"iterations (last change {change:.3e})")
         Sigma = np.array([[Sigma]]) if scalar else Sigma
-        full, (Lam, lam, E, xi, delta, eta) = _sweep(A, BBt, C, NNt, Sigma, D)
+        full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
     E = _sign_rows(E)
     residual = float(np.max(np.abs(full - Sigma)))
     lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
-    saturated = D >= float(lam.sum()) * (1.0 - 1e-15)  # one rounding of slack
     rate = _waterfill_rate(lam, delta)  # 0 when every delta_i is 0 or lambda_i
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,7 +358,7 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
         rate=rate,
         iterations=iterations,
         residual=residual,
-        saturated=bool(saturated),
+        saturated=saturated,
         closed_loop_radius=radius,
     )
 

@@ -149,23 +149,23 @@ def test_tilted_form():
         verify_tilted_form(dataclasses.replace(design, D=1.01 * design.D))
 
 
-def test_tilted_form_raises_only_library_errors_down_to_1e_12():
+@pytest.mark.parametrize("p, D, error", [
+    (0.3, 0.1, None), (0.5, 0.49, None), (0.3, 0.5, DomainError),
+    (1e-11, 6e-10, NumericError), (1e-12, 1e-12, NumericError),
+    (0.3, 1e-9, NumericError), (1e-9, 0.1, NumericError)])
+def test_tilted_form_at_the_edges_raises_library_errors(p, D, error):
     # s comes from D in closed form: the log of the cancelled ratio
-    # (1 - alpha)/alpha * (1 - p)/p would raise a math domain error at
-    # (1e-11, 6e-10).  Where the kernel's 1 - alpha has lost its precision
-    # the check raises NumericError
+    # (1 - alpha)/alpha * (1 - p)/p leaked a math domain error at
+    # (1e-11, 6e-10) and (1e-12, 1e-12).  Where the kernel's stored
+    # 1 - alpha has lost its relative precision the check still raises
+    # NumericError; a closed-form complement would let those pairs pass
     from nardf.bsms import verify_tilted_form
 
-    rng = np.random.default_rng(11)
-    pairs = np.exp(rng.uniform(math.log(1e-12), 0.0, size=(3000, 2)))
-    passed = 0
-    for p, D in [(1e-11, 6e-10)] + pairs.tolist():
-        try:
+    if error is None:
+        verify_tilted_form(optimal_reproduction(p, D))
+    else:
+        with pytest.raises(error):
             verify_tilted_form(optimal_reproduction(p, D))
-            passed += 1
-        except (DomainError, NumericError):
-            pass
-    assert passed > 0
 
 
 def test_classical_gray():

@@ -652,29 +652,19 @@ def test_error_recursion_matches_iterated_lyapunov():
 
 def test_error_recursion_at_a_large_covariance_scale():
     # B = 1e4 I puts Sigma_inf near 1e8, where an absolute 1e-8 match of
-    # the two covariances is below rounding; the check scales with Sigma_inf,
-    # and a mismatched Sigma_inf is still refused
-    model = GaussModel(A=np.array([[0.6, 0.2], [0.0, 0.5]]), B=1e4 * np.eye(2),
-                       C=np.array([[1.0, 0.0], [0.3, 0.9]]), N=0.4 * np.eye(2))
-    sol = solve_realization(model, 2e8)
-    rec = gaussian_error_recursion(model, sol)
-    assert np.max(np.abs(rec.cov - sol.Sigma_inf)) <= 1e-12 * np.max(np.abs(sol.Sigma_inf))
-    off = dataclasses.replace(sol, Sigma_inf=sol.Sigma_inf * (1.0 + 1e-6))
-    with pytest.raises(NumericError, match="does not match"):
-        gaussian_error_recursion(model, off)
-
-
-def test_error_recursion_check_is_relative_at_a_small_covariance_scale():
-    # B = 1e-6 I puts Sigma_inf near 1e-12: a Sigma_inf off by 1e-6 relative
-    # (1e-18 absolute) is refused, which a check floored at 1e-8 would pass
-    model = GaussModel(A=np.array([[0.6, 0.2], [0.0, 0.5]]), B=1e-6 * np.eye(2),
-                       C=np.array([[1.0, 0.0], [0.3, 0.9]]), N=0.4e-6 * np.eye(2))
-    sol = solve_realization(model, 1.2e-12)
-    rec = gaussian_error_recursion(model, sol)
-    assert np.max(np.abs(rec.cov - sol.Sigma_inf)) <= 1e-12 * np.max(np.abs(sol.Sigma_inf))
-    off = dataclasses.replace(sol, Sigma_inf=sol.Sigma_inf * (1.0 + 1e-6))
-    with pytest.raises(NumericError, match="does not match"):
-        gaussian_error_recursion(model, off)
+    # the two covariances is below rounding; B = 1e-6 I puts it near 1e-12,
+    # where a Sigma_inf off by 1e-6 relative (1e-18 absolute) would pass a
+    # check floored at 1e-8.  The check scales with Sigma_inf, and a
+    # mismatched Sigma_inf is refused at both scales
+    for b, n, D in ((1e4, 0.4, 2e8), (1e-6, 0.4e-6, 1.2e-12)):
+        model = GaussModel(A=np.array([[0.6, 0.2], [0.0, 0.5]]), B=b * np.eye(2),
+                           C=np.array([[1.0, 0.0], [0.3, 0.9]]), N=n * np.eye(2))
+        sol = solve_realization(model, D)
+        rec = gaussian_error_recursion(model, sol)
+        assert np.max(np.abs(rec.cov - sol.Sigma_inf)) <= 1e-12 * np.max(np.abs(sol.Sigma_inf))
+        off = dataclasses.replace(sol, Sigma_inf=sol.Sigma_inf * (1.0 + 1e-6))
+        with pytest.raises(NumericError, match="does not match"):
+            gaussian_error_recursion(model, off)
 
 
 # ----------------------------------------------------------- Chernoff exponent

@@ -813,30 +813,36 @@ def test_large_covariance_scale_converges(s, f):
     assert float(np.max(np.abs(sol.Sigma_inf))) > 1e6
 
 
-@pytest.mark.parametrize("s", [1e3, 1e4, 3e5])
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-3, 1e3, 1e4, 3e5, 1e6, 1e9])
 def test_rate_is_invariant_under_covariance_scaling(s):
-    # (A, sB, C, sN) at s^2 D scales Sigma by s^2 and leaves the rate unchanged
-    unit = solve_realization(TEST_MODEL, 0.3)
+    # (A, sB, C, sN) at s^2 D scales Sigma by s^2 and leaves the rate and the
+    # saturated flag unchanged: every rule of the loop (stop, divergence cap,
+    # saturation) is relative.  An absolute stop would end the 1e-6 model
+    # after 2 sweeps, 5e-4 bit off, and an absolute cap would call the 1e6
+    # model diverged
     scaled = GaussModel(A=TEST_MODEL.A, B=s * TEST_MODEL.B, C=TEST_MODEL.C, N=s * TEST_MODEL.N)
-    assert solve_realization(scaled, 0.3 * s * s).rate == pytest.approx(unit.rate, abs=1e-9)
-
-
-def test_every_stopping_rule_is_relative_to_the_covariance_scale():
-    # from micro- to giga-units: every rule of the loop (stop, divergence
-    # cap, saturation slack) is relative, so the rate, the saturated flag
-    # and Sigma_inf / s^2 are those of the unit model.  An absolute stop
-    # would end the 1e-6 model after 2 sweeps, 5e-4 bit off, and an
-    # absolute cap would call the 1e6 model diverged
-    for D in (0.1, 0.4, 1.0, 3.0, 6.0):
+    for D in (0.1, 0.3, 0.4, 1.0, 3.0, 6.0):
         unit = solve_realization(TEST_MODEL, D)
+        sol = solve_realization(scaled, D * s * s)
+        assert abs(sol.rate - unit.rate) <= 1e-12, D
+        assert sol.saturated == unit.saturated, D
         size = float(np.max(np.abs(unit.Sigma_inf)))
-        for s in (1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e9):
-            scaled = GaussModel(A=TEST_MODEL.A, B=s * TEST_MODEL.B, C=TEST_MODEL.C,
-                                N=s * TEST_MODEL.N)
-            sol = solve_realization(scaled, D * s * s)
-            assert abs(sol.rate - unit.rate) <= 1e-12, (s, D)
-            assert sol.saturated == unit.saturated, (s, D)
-            assert np.max(np.abs(sol.Sigma_inf / (s * s) - unit.Sigma_inf)) <= 1e-10 * size
+        assert np.max(np.abs(sol.Sigma_inf / (s * s) - unit.Sigma_inf)) <= 1e-10 * size, D
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stable_source_without_process_noise_has_zero_error_covariance(m):
+    # BB' = 0 and a stable A: Sigma_inf = 0, which a stop relative to
+    # max|Sigma| reaches only at underflow (A = 0.999 I ran into the
+    # 10^5-sweep cap).  Lambda = NN' = 0.16 I, saturated above D = 0.16 m
+    for B in (np.zeros((m, 1)), np.empty((m, 0))):
+        model = GaussModel(A=0.999 * np.eye(m), B=B, C=np.eye(m), N=0.4 * np.eye(m))
+        for D in (0.1, 0.5):
+            sol = solve_realization(model, D)
+            assert sol.iterations == 1 and not sol.Sigma_inf.any()
+            assert sol.saturated == (D > 0.16 * m)
+            assert sol.rate == pytest.approx(reverse_waterfill([0.16] * m, D).rate, abs=1e-12)
+            assert sol.rate == 0.0 or not sol.saturated
 
 
 def test_realization_rate_is_achievable_not_the_sequential_infimum():

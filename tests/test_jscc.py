@@ -328,9 +328,9 @@ def test_simulate_vector_is_invariant_under_covariance_scaling(s):
     assert rep.distortion / (s * s) == pytest.approx(unit.distortion, rel=1e-9)
 
 
-def test_saturation_slack_is_relative():
-    # lambda_1 = 1.025e-20 exceeds D = 1e-21 tenfold; an absolute 1e-15
-    # slack would call this saturated, with a nonzero rate
+def test_saturation_rule_has_no_absolute_slack():
+    # lambda_1 = 1.025e-20 exceeds D = 1e-21 tenfold; a rule with an
+    # absolute 1e-15 slack would call this saturated, with a nonzero rate
     sol = solve_realization(GaussModel.scalar(0.5, 1e-10, 1.0, 0.0), 1e-21)
     assert not sol.saturated
     assert sol.rate == pytest.approx(0.5 * math.log2(0.25 + 10.0), rel=1e-12)
