@@ -6,8 +6,9 @@ rate function and the empirical exceedance of the uncoded transmission on the
 two-state lump of the chain onto its distortion classes (it must be lumpable).
 
 For the Gaussian realization: the reproduction-error recursion as one step
-matrix, the one loop that steps it from its stationary law (shared with
-jscc.simulate_vector), and a Monte Carlo Chernoff exponent for P(S_n/n >= d).
+matrix, the one loop that steps such a recursion from its stationary law
+(shared with every Gaussian JSCC simulator in jscc), and a Monte Carlo
+Chernoff exponent for P(S_n/n >= d).
 
 Exponents and rate functions are in nats; convert with BITS_PER_NAT for
 display.  Exceedance uses the ">= n d" convention throughout (the strict
@@ -238,8 +239,11 @@ def simulate_excess_bsms(p, D, n, d, trials, rng: RngStream):
 
 @dataclass(frozen=True)
 class GaussianErrorRecursion:
-    """The matched closed loop as the recursion of its filter error
-    e = Z - Zhat, one fixed step matrix on the stacked state and draws:
+    """A linear recursion [e'; err; K] = step [e; draws] on a state e and
+    standard normal draws, run from its stationary law N(0, cov): err is
+    the reproduction error and K the encoder input.  A scalar JSCC design
+    is one on e = K with draws [W; z]; gaussian_error_recursion makes the
+    matched vector loop one on its filter error e = Z - Zhat:
 
         [e'; err; K] = step [e; W; V; z],   Vc = sqrt(q) z,
 
@@ -301,8 +305,8 @@ class ChernoffEstimate(NamedTuple):
 def _error_steps(rec: GaussianErrorRecursion, n, trials, rng):
     """`trials` independent chains of rec in lockstep, each started from the
     stationary law N(0, rec.cov) and run for n steps.  Yields per step the
-    innovation K and the reproduction error err, each (p, trials) and valid
-    until the next step is asked for.  Each step is one product of
+    encoder input K and the reproduction error err, each (p, trials) and
+    valid until the next step is asked for.  Each step is one product of
     rec.step with the stacked state and draws."""
     m = rec.cov.shape[0]
     rows, cols = rec.step.shape

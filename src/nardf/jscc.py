@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .excess import _error_steps, gaussian_error_recursion
+from .excess import GaussianErrorRecursion, _error_steps, gaussian_error_recursion
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
 from .numerics import _MAX_STEPS, RngStream, _check_counts, _lockstep_draws, water_level
 
@@ -243,11 +244,10 @@ def _checked(design: JsccScalarDesign):
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Monte Carlo summary; means carry shard-based standard errors.
-
-    Vector runs also report per-coordinate distortion in the decorrelated
-    basis (targets delta_i), per-channel input power (targets P*_i), and the
-    empirical innovation covariance (target Lambda_inf).
+    """Monte Carlo summary of a linear recursion run from its stationary
+    law; means carry shard-based standard errors.  Per coordinate: the
+    distortion (targets delta_i of a vector run), the channel input power
+    (targets P*_i) and the covariance of K (target Lambda_inf or input_var).
     """
 
     samples: int
@@ -257,12 +257,12 @@ class SimulationReport:
     power_se: float
     seed: int
     stream_id: int
-    per_coordinate_distortion: Optional[np.ndarray] = field(default=None, repr=False)
-    per_coordinate_distortion_se: Optional[np.ndarray] = field(default=None, repr=False)
-    per_channel_power: Optional[np.ndarray] = field(default=None, repr=False)
-    per_channel_power_se: Optional[np.ndarray] = field(default=None, repr=False)
-    cov_K: Optional[np.ndarray] = field(default=None, repr=False)
-    cov_K_se: Optional[np.ndarray] = field(default=None, repr=False)
+    per_coordinate_distortion: np.ndarray = field(repr=False)
+    per_coordinate_distortion_se: np.ndarray = field(repr=False)
+    per_channel_power: np.ndarray = field(repr=False)
+    per_channel_power_se: np.ndarray = field(repr=False)
+    cov_K: np.ndarray = field(repr=False)
+    cov_K_se: np.ndarray = field(repr=False)
 
 
 _MAX_SHARDS = 1024  # each lockstep step's width: at 64, long runs were bound by per-step overhead
@@ -272,10 +272,12 @@ MIN_STEPS_WITH_SE = 2 * _MIN_SHARD  # fewer steps run one shard, whose standard 
 
 def _shard_layout(n):
     """(shards, steps per shard): at most _MAX_SHARDS independent chains of
-    at least _MIN_SHARD steps, together >= n steps.  DomainError unless
-    1 <= n <= _MAX_STEPS."""
-    if not 1 <= n <= _MAX_STEPS:
-        raise DomainError(f"simulation length must lie in [1, {_MAX_STEPS}] steps, got {n}")
+    at least _MIN_SHARD steps, together >= n steps.  DomainError unless n
+    is an integer with 1 <= n <= _MAX_STEPS."""
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= _MAX_STEPS):
+        raise DomainError(f"simulation length must be an integer in [1, {_MAX_STEPS}] steps, "
+                          f"got {n}")
+    n = int(n)  # a numpy integer would make `samples` one too
     shards = min(_MAX_SHARDS, max(1, n // _MIN_SHARD))
     return shards, -(-n // shards)  # ceil
 
@@ -291,15 +293,23 @@ def _mean_and_se(shard_means):
     return m, se
 
 
-def _shard_report(who, rng, per_shard, **sums):
-    """SimulationReport of per-shard sums over per_shard steps, shard axis
-    last: <name> and <name>_se are the mean of sum/per_shard over the shards
-    and its standard error, floats when 0-d.  NumericError if a mean, or
-    with two or more shards a standard error, is not finite."""
-    stats = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+def _simulate(who, rec: GaussianErrorRecursion, to_channel, n, rng) -> SimulationReport:
+    """Report of rec run for (at least) n steps as _shard_layout shards in
+    lockstep, the channel input being to_channel @ K: each shard sums err^2
+    and K K', and channel i's power is row i of to_channel (a_i E_i) applied
+    to sum K K' on both sides.  NumericError if a mean, or with two or more
+    shards a standard error, is not finite."""
+    shards, per_shard = _shard_layout(n)
+    p = to_channel.shape[0]
+    d_sum, covK, stats = np.zeros((p, shards)), np.zeros((p, p, shards)), {}
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
+        for K, err in _error_steps(rec, per_shard, shards, rng):
+            d_sum += err * err
+            covK += K[:, None] * K
+        p_sum = np.einsum("ij,jks,ik->is", to_channel, covK, to_channel)
+        sums = {"distortion": d_sum.sum(axis=0), "power": p_sum.sum(axis=0),
+                "per_coordinate_distortion": d_sum, "per_channel_power": p_sum, "cov_K": covK}
         for name, total in sums.items():
-            shards = total.shape[-1]
             mean, se = _mean_and_se(np.moveaxis(total / per_shard, -1, 0))
             if not (np.all(np.isfinite(mean)) and (shards == 1 or np.all(np.isfinite(se)))):
                 raise NumericError(f"{who}: the simulated sums leave the float range")
@@ -310,40 +320,27 @@ def _shard_report(who, rng, per_shard, **sums):
                             stream_id=rng.stream_id, **stats)
 
 
-def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream) -> SimulationReport:
-    """Simulate the scalar design for (at least) n steps.
-
-    One recursion on the encoder input K (the innovation X_t - Xhat_t in
-    feedback mode, X_t otherwise): K' = alpha (K - Ktil if feedback else K)
-    + sigma_W W, with Ktil the decoder's estimate of K from the channel
-    output and K - Ktil the reproduction error.  Each chain starts at its
-    stationary law N(0, design.input_var), so every step is stationary,
-    however slowly the chain mixes.  Runs as shards (independent chains)
-    in lockstep, drawn through the numerics block layout; statistics use
-    shard means.  Below MIN_STEPS_WITH_SE steps there is one shard and both
-    standard errors are NaN.  DomainError for more than 10^8 steps, before
-    any allocation; NumericError if the simulated sums leave the float range.
-    """
-    shards, per_shard = _shard_layout(n)
-    # per step, in stream order: W, Vc; the initial state first
-    normals = _lockstep_draws(rng, shards, per_shard,
-                              np.random.Generator.standard_normal, rows=(2,), first=())
-
-    feedback = design.mode == "feedback"
+def _scalar_recursion(design: JsccScalarDesign) -> GaussianErrorRecursion:
+    """The design's loop on its encoder input K (the innovation in feedback
+    mode, X_t otherwise) with draws [W; z]: err = K - dec (enc K + sigma_Vc z)
+    and K' = alpha (err if feedback else K) + sigma_W W, from N(0, input_var)."""
     alpha, enc, dec = design.alpha, design.encoder_gain, design.decoder_gain
-    sW, sVc = design.sigma_W, design.sigma_Vc
-    K = next(normals) * math.sqrt(design.input_var)
-    d_sum = np.zeros(shards)
-    p_sum = np.zeros(shards)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
-        for z in normals:
-            A_t = enc * K
-            B_t = A_t + sVc * z[1]
-            err = K - dec * B_t
-            d_sum += err**2
-            p_sum += A_t**2
-            K = alpha * (err if feedback else K) + sW * z[0]
-    return _shard_report("simulate_scalar", rng, per_shard, distortion=d_sum, power=p_sum)
+    err_row = [1.0 - dec * enc, 0.0, -dec * design.sigma_Vc]
+    if design.mode == "feedback":
+        next_row = [alpha * err_row[0], design.sigma_W, alpha * err_row[2]]
+    else:
+        next_row = [alpha, design.sigma_W, 0.0]
+    return GaussianErrorRecursion(step=np.array([next_row, err_row, [1.0, 0.0, 0.0]]),
+                                  cov=np.array([[design.input_var]]))
+
+
+def simulate_scalar(design: JsccScalarDesign, n, rng: RngStream) -> SimulationReport:
+    """Simulate the scalar design's recursion (_scalar_recursion) for (at
+    least) n steps, like simulate_vector (shards, NaN standard errors below
+    MIN_STEPS_WITH_SE, errors): every step is stationary, however slowly the
+    chain mixes."""
+    return _simulate("simulate_scalar", _scalar_recursion(design),
+                     np.array([[design.encoder_gain]]), n, rng)
 
 
 def simulate_vector(
@@ -360,26 +357,16 @@ def simulate_vector(
     simulates as long as the closed loop is stable (NumericError otherwise).
     Runs as shards in lockstep, like simulate_scalar.  Below
     MIN_STEPS_WITH_SE steps there is one shard and every standard error is
-    NaN.  DomainError for more than 10^8 steps, before any allocation;
-    NumericError if the simulated sums leave the float range.
+    NaN.  DomainError unless n is an integer in [1, 10^8], before the
+    simulation allocates; NumericError if the simulated sums leave the float
+    range.
     """
-    shards, per_shard = _shard_layout(n)
     rec = gaussian_error_recursion(model, solution)
-    E, eta, delta, q = solution.E_inf, solution.eta, solution.delta, solution.q
-    p = model.dims[2]
-    d_sum = np.zeros((p, shards))
-    p_sum = np.zeros((p, shards))
-    covK = np.zeros((p, p, shards))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
-        a_inf = np.sqrt(np.where(delta > 0.0, q * eta / np.where(delta > 0.0, delta, 1.0), 0.0))
-        to_channel = a_inf[:, None] * E  # the channel input is a_inf E K
-        for K, err in _error_steps(rec, per_shard, shards, rng):
-            d_sum += err * err
-            p_sum += (to_channel @ K) ** 2
-            covK += np.einsum("is,js->ijs", K, K)
-        return _shard_report("simulate_vector", rng, per_shard, distortion=d_sum.sum(axis=0),
-                             power=p_sum.sum(axis=0), per_coordinate_distortion=d_sum,
-                             per_channel_power=p_sum, cov_K=covK)
+    delta, q = solution.delta, solution.q
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gain raises in _simulate
+        a_inf = np.sqrt(np.where(delta > 0.0, q * solution.eta / np.where(delta > 0.0, delta, 1.0),
+                                 0.0))
+    return _simulate("simulate_vector", rec, a_inf[:, None] * solution.E_inf, n, rng)
 
 
 class SkResult(NamedTuple):

@@ -304,7 +304,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v6"
+    assert payload["schema"] == "nardf/jscc-sim/v7"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]

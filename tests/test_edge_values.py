@@ -129,10 +129,30 @@ def test_edge_values_give_finite_result_or_documented_error(name):
     (schalkwijk_kailath, (1.0, 1.0, 1.0, 5.5, RngStream(1))),
     (schalkwijk_kailath, (1.0, 1.0, 1.0, 5, RngStream(1), math.nan)),
     (jscc.simulate_scalar, (jscc.design_iid_scalar(1.0, 1.0, 1.0), 500.5, RngStream(1))),
+    # a float count raised TypeError from np.zeros
+    (simulate_vector, (_SCALAR, _SCALAR_SOLUTION, 500.5, RngStream(1))),
+    (simulate_vector, (_SCALAR, _SCALAR_SOLUTION, np.float64(600.0), RngStream(1))),
 ])
 def test_reported_edge_cases_are_domain_errors(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+@pytest.mark.parametrize("n", [500.5, np.float64(600.0), math.nan])
+def test_simulation_length_error_names_the_callers_count(n):
+    # the scalar message named the derived (shards, steps per shard) = (2.0, 251.0)
+    design = jscc.design_iid_scalar(1.0, 1.0, 1.0)
+    for run in (lambda: jscc.simulate_scalar(design, n, RngStream(1)),
+                lambda: simulate_vector(_SCALAR, _SCALAR_SOLUTION, n, RngStream(1))):
+        with pytest.raises(DomainError, match=f"integer .*got {n}$"):
+            run()
+
+
+def test_simulation_length_may_be_a_numpy_integer():
+    design = jscc.design_iid_scalar(1.0, 1.0, 1.0)
+    for report in (jscc.simulate_scalar(design, np.int64(400), RngStream(1)),
+                   simulate_vector(_SCALAR, _SCALAR_SOLUTION, np.int64(400), RngStream(1))):
+        assert report.samples == 400 and type(report.samples) is int  # JSON-serializable
 
 
 def test_bounds_at_infinite_block_length_are_zero():

@@ -466,29 +466,6 @@ def test_min_steps_with_se_is_the_two_shard_threshold_for_vector_runs():
 # for all blocks together.  Shards of the same block must see the same draws.
 
 
-def _blockwise_scalar(design, n, rng):
-    shards, per_shard = jscc._shard_layout(n)
-    feedback = design.mode == "feedback"
-    alpha, enc, dec = design.alpha, design.encoder_gain, design.decoder_gain
-    d_sums, p_sums = [], []
-    for g, size in numerics._trial_blocks(rng, shards):
-        K = g.standard_normal(size) * math.sqrt(design.input_var)
-        d_sum = np.zeros(size)
-        p_sum = np.zeros(size)
-        for _ in range(per_shard):
-            W, Vc = g.standard_normal((2, size))
-            A_t = enc * K
-            err = K - dec * (A_t + design.sigma_Vc * Vc)
-            d_sum += err**2
-            p_sum += A_t**2
-            K = alpha * (err if feedback else K) + design.sigma_W * W
-        d_sums.append(d_sum)
-        p_sums.append(p_sum)
-    dist = jscc._mean_and_se(np.concatenate(d_sums) / per_shard)
-    power = jscc._mean_and_se(np.concatenate(p_sums) / per_shard)
-    return shards * per_shard, dist, power
-
-
 def _channel_gain(sol):
     # a_inf = sqrt(q eta / delta), 0 on coordinates with delta = 0
     delta = sol.delta
@@ -501,33 +478,46 @@ def _psd_root(cov):
     return V.T * np.sqrt(np.maximum(w, 0.0))
 
 
-def _blockwise_vector(model, sol, n, rng):
+def _blockwise(step, cov, to_channel, n, rng):
+    # the report's statistics from the recursion (step, cov) stepped one
+    # block at a time.  The lockstep loop multiplies by all shards at once;
+    # a one-shard block of more shards is stepped as column 0 of a
+    # two-column copy, so that numpy takes the same matrix-matrix product,
+    # not its matrix-vector one
     shards, per_shard = jscc._shard_layout(n)
-    rec = excess.gaussian_error_recursion(model, sol)
-    m, k, p, d = model.dims
-    root = _psd_root(rec.cov)
-    M = step_matrix(model, sol)
-    to_channel = np.diag(_channel_gain(sol)) @ sol.E_inf
-    sums = []
+    m, p = cov.shape[0], to_channel.shape[0]
+    root = _psd_root(cov)
+    d_sums, covs = [], []
     for g, size in numerics._trial_blocks(rng, shards):
-        x = np.empty((m + k + d + p, size))
-        x[:m] = root @ g.standard_normal((m, size))
+        x = np.zeros((step.shape[1], 2 if size == 1 < shards else size))
+        x[:m, :size] = g.standard_normal((m, size))
+        x[:m] = root @ x[:m]
         d_sum = np.zeros((p, size))
-        p_sum = np.zeros((p, size))
         covK = np.zeros((p, p, size))
         for _ in range(per_shard):
-            x[m:] = g.standard_normal((k + d + p, size))
-            y = M @ x
-            err, K = y[m:m + p], y[m + p:]
+            x[m:, :size] = g.standard_normal((step.shape[1] - m, size))
+            y = step @ x
+            err, K = y[m:m + p, :size], y[m + p:, :size]
             d_sum += err * err
-            p_sum += (to_channel @ K) ** 2
-            covK += np.einsum("is,js->ijs", K, K)
+            covK += K[:, None] * K
             x[:m] = y[:m]
-        sums.append((d_sum, p_sum, covK))
-    d_sum, p_sum, covK = (np.concatenate(parts, axis=-1) for parts in zip(*sums))
-    return (jscc._mean_and_se(d_sum.sum(axis=0) / per_shard),
-            jscc._mean_and_se(p_sum.T / per_shard),
-            jscc._mean_and_se(np.moveaxis(covK, 2, 0) / per_shard))
+        d_sums.append(d_sum)
+        covs.append(covK)
+    d_sum, covK = np.concatenate(d_sums, axis=-1), np.concatenate(covs, axis=-1)
+    power = np.einsum("ij,jks,ik->is", to_channel, covK, to_channel)
+    sums = {"distortion": d_sum.sum(axis=0), "power": power.sum(axis=0),
+            "per_coordinate_distortion": d_sum, "per_channel_power": power, "cov_K": covK}
+    stats = {}
+    for name, total in sums.items():
+        stats[name], stats[name + "_se"] = jscc._mean_and_se(np.moveaxis(total / per_shard, -1, 0))
+    return shards * per_shard, stats
+
+
+def _matches_blocks(report, step, cov, to_channel, n, seed):
+    samples, stats = _blockwise(step, cov, to_channel, n, RngStream(seed))
+    assert report.samples == samples
+    for name, value in stats.items():
+        assert np.array_equal(getattr(report, name), value, equal_nan=True), name
 
 
 def _realization_steps(model, sol, n, trials, rng):
@@ -568,14 +558,59 @@ def test_error_recursion_is_the_realization_pathwise(model, D, Q):
     sol = solve_realization(model, D, Q)
     rec = excess.gaussian_error_recursion(model, sol)
     a_inf = _channel_gain(sol)
-    steps = 0
+    steps, power = 0, 0.0
     for (K, err), (ref_err, ref_in) in zip(
             excess._error_steps(rec, 100, 5, RngStream(6)),
             _realization_steps(model, sol, 100, 5, RngStream(6))):
         np.testing.assert_allclose(err, ref_err, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(a_inf[:, None] * (sol.E_inf @ K), ref_in, rtol=0.0, atol=1e-12)
+        power += ref_in[:, 0] ** 2
         steps += 1
     assert steps == 100
+    # a one-shard run draws what trial 0 of the five drew
+    report = simulate_vector(model, sol, 100, RngStream(6))
+    np.testing.assert_allclose(report.per_channel_power * 100, power, rtol=1e-12, atol=0.0)
+
+
+def _scalar_loop(design, n, trials, rng):
+    # oracle: the design's loop as an explicit recursion on the encoder
+    # input K, on the draws of the library's one-state recursion; yields
+    # (reproduction error, channel input) per step
+    normals = numerics._lockstep_draws(rng, trials, n, np.random.Generator.standard_normal,
+                                       rows=(2,), first=(1,))
+    K = next(normals)[0] * math.sqrt(design.input_var)
+    enc, dec, feedback = design.encoder_gain, design.decoder_gain, design.mode == "feedback"
+    for W, z in normals:
+        A_t = enc * K
+        err = K - dec * (A_t + design.sigma_Vc * z)
+        yield err, A_t
+        K = design.alpha * (err if feedback else K) + design.sigma_W * W
+
+
+@pytest.mark.parametrize("design", [design_feedback_scalar(0.7, 1.1, 0.9, 1.5),
+                                    design_nofeedback_scalar(-0.6, 1.2, 0.8, 1.5),
+                                    design_iid_scalar(1.3, 0.7, 2.0),
+                                    design_nofeedback_scalar(0.99999999, 1.0, 1.0, 1.0)],
+                         ids=["fb", "nfb", "iid", "nfb-unit-root"])
+def test_scalar_recursion_is_the_explicit_loop_pathwise(design):
+    rec = jscc._scalar_recursion(design)
+    a, drive = rec.step[0, 0], rec.step[0, 1:]
+    v = float(rec.cov[0, 0])
+    assert v == design.input_var
+    assert abs(a * a * v + drive @ drive - v) <= 1e-12 * v  # stationary: v = a^2 v + |drive|^2
+    # 1e-12 in units of each value's standard deviation: at alpha = 0.99999999
+    # K and err reach 10^4, where one ulp is 1.8e-12
+    err_tol, in_tol = 1e-12 * math.sqrt(v), 1e-12 * math.sqrt(design.P)
+    steps, power = 0, 0.0
+    for (K, err), (ref_err, ref_in) in zip(excess._error_steps(rec, 100, 5, RngStream(6)),
+                                           _scalar_loop(design, 100, 5, RngStream(6))):
+        np.testing.assert_allclose(err[0], ref_err, rtol=0.0, atol=err_tol)
+        np.testing.assert_allclose(design.encoder_gain * K[0], ref_in, rtol=0.0, atol=in_tol)
+        power += ref_in[0] ** 2
+        steps += 1
+    assert steps == 100
+    report = simulate_scalar(design, 100, RngStream(6))
+    np.testing.assert_allclose(report.per_channel_power * 100, [power], rtol=1e-12, atol=0.0)
 
 
 def _blockwise_sk(sigma_X, sigma_Vc, P, n, rng, trials):
@@ -598,12 +633,9 @@ def _blockwise_sk(sigma_X, sigma_Vc, P, n, rng, trials):
 
 
 def _scalar_matches_blocks(design, n, seed):
-    report = simulate_scalar(design, n, RngStream(seed))
-    samples, (dist, dist_se), (power, power_se) = _blockwise_scalar(design, n, RngStream(seed))
-    assert report.samples == samples
-    got = (report.distortion, report.distortion_se, report.power, report.power_se)
-    ref = tuple(float(v) for v in (dist, dist_se, power, power_se))
-    assert np.array_equal(got, ref, equal_nan=True)
+    rec = jscc._scalar_recursion(design)
+    _matches_blocks(simulate_scalar(design, n, RngStream(seed)), rec.step, rec.cov,
+                    np.array([[design.encoder_gain]]), n, seed)
 
 
 LOCKSTEP_DESIGNS = {
@@ -612,7 +644,7 @@ LOCKSTEP_DESIGNS = {
 }
 
 
-@pytest.mark.parametrize("shards", [1, 15, 16, 17, 64])
+@pytest.mark.parametrize("shards", [1, 15, 16, 17, 64, 1000])
 @pytest.mark.parametrize("mode", ["fb", "nfb"])
 def test_lockstep_scalar_matches_block_loop(mode, shards):
     design = LOCKSTEP_DESIGNS[mode]
@@ -636,20 +668,12 @@ def _vector_matches_blocks(n, shards, seed):
     sol = solve_realization(TEST_MODEL, 1.2)
     assert jscc._shard_layout(n)[0] == shards
     report = simulate_vector(TEST_MODEL, sol, n, RngStream(seed))
-    total, power, cov = _blockwise_vector(TEST_MODEL, sol, n, RngStream(seed))
-    got = [report.distortion, report.distortion_se, report.per_channel_power,
-           report.per_channel_power_se, report.cov_K, report.cov_K_se]
-    for a, b in zip(got, [*total, *power, *cov]):
-        if shards == 1:
-            assert np.array_equal(a, b, equal_nan=True)
-        else:
-            # the rounding of numpy's matrix products depends on the number
-            # of columns (matrix-vector for one, and BLAS blocks narrow
-            # matrices differently), so blocks differ in the last bits
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+    _matches_blocks(report, step_matrix(TEST_MODEL, sol),
+                    excess.gaussian_error_recursion(TEST_MODEL, sol).cov,
+                    np.diag(_channel_gain(sol)) @ sol.E_inf, n, seed)
 
 
-@pytest.mark.parametrize("shards", [1, 15, 16, 17, 64])
+@pytest.mark.parametrize("shards", [1, 15, 16, 17, 64, 1000])
 def test_lockstep_vector_matches_block_loop(shards):
     _vector_matches_blocks(shards * 200, shards, 34)
 
