@@ -26,7 +26,7 @@ import numpy as np
 from .bsms import BsmsDesign, JointChain, joint_chain, optimal_reproduction
 from .errors import DomainError, NumericError
 from .gauss import GaussModel, RealizationSolution
-from .numerics import (RngStream, _lockstep_draws, _sum, logsumexp, maximize_concave_1d,
+from .numerics import (RngStream, _lockstep_draws, logsumexp, maximize_concave_1d,
                        perron_eigenvalue, solve_discrete_lyapunov, sym_eig)
 
 __all__ = [
@@ -115,26 +115,24 @@ def lumped_distortion_chain(chain: JointChain) -> JointChain:
     (f = (0, 1)) comes back with its own arrays.
     """
     f = np.asarray(chain.f, dtype=float)
-    values = f.reshape(-1).tolist()
-    classes = [[k for k, x in enumerate(values) if x == v] for v in (0.0, 1.0)]
-    if not all(classes) or len(classes[0]) + len(classes[1]) != len(values):
+    L = np.array([f == 0.0, f == 1.0], dtype=float).reshape(2, -1)  # class indicator
+    sizes = L.sum(axis=1)
+    if not (sizes.all() and sizes.sum() == f.size):
         raise DomainError("lumped_distortion_chain: f must be 0/1 with both values present")
     P = np.asarray(chain.pi_matrix, dtype=float)
     pi = np.asarray(chain.stationary, dtype=float)
-    if classes == [[0], [1]]:
+    if P.shape != (f.size, f.size) or pi.shape != (f.size,):
+        raise DomainError("lumped_distortion_chain: pi_matrix, stationary and f must have "
+                          "n x n, n and n entries")
+    if f.tolist() == [0.0, 1.0]:
         return JointChain(pi_matrix=P, stationary=pi, f=f)
-    into = [P[dst].sum(axis=0).tolist() for dst in classes]  # class mass out of each state
-    T = np.empty((2, 2))
-    for j, src in enumerate(classes):
-        for i in range(2):
-            mass = [into[i][s] for s in src]
-            if max(mass) - min(mass) > 1e-12:
-                raise DomainError(
-                    "lumped_distortion_chain: chain is not lumpable for the distortion partition"
-                )
-            T[i, j] = _sum(mass) / len(mass)  # mass.mean()
-    stat = np.array([float(pi[c].sum()) for c in classes])
-    return JointChain(pi_matrix=T, stationary=stat, f=np.array([0.0, 1.0]))
+    into = L @ P  # class mass out of each state
+    T = (into @ L.T) / sizes  # mean over each source class
+    # lumpable: each state's mass into a class is its source class's mean (NaN is not)
+    if not float(np.max(np.abs(into - T @ L))) <= 5e-13:
+        raise DomainError(
+            "lumped_distortion_chain: chain is not lumpable for the distortion partition")
+    return JointChain(pi_matrix=T, stationary=L @ pi, f=np.array([0.0, 1.0]))
 
 
 def _perron_lumped(T):

@@ -6,10 +6,10 @@ realization, the Schalkwijk-Kailath scheme, and Monte Carlo verification.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -110,11 +110,15 @@ def matched_channel_noise(solution: RealizationSolution):
 
 @dataclass(frozen=True)
 class JsccScalarDesign:
-    """Scalar source-channel design with constant gains.
+    """Scalar source-channel design with constant gains, from one rule.
 
-    encoder_gain scales the encoder input (the innovation K_t in feedback
-    mode, the source X_t otherwise); decoder_gain is the MMSE scaling of the
-    channel output.  capacity is the channel capacity 0.5 log2(1 + P/q);
+    The encoder input (the innovation K_t in feedback mode, the source X_t
+    otherwise; iid is alpha = 0) has variance v = input_var; it is scaled
+    to power P (encoder_gain sqrt(P/v)), sent over AWGN noise q = sVc^2 and
+    MMSE-decoded (decoder_gain sqrt(P v)/(P + q)), which leaves
+    D_min = v q/(P + q).  With feedback the next innovation carries alpha^2
+    of that error, so v = sW^2/(1 - alpha^2 q/(P + q)); otherwise
+    v = sW^2/(1 - alpha^2) = source_var.  capacity is 0.5 log2(1 + P/q);
     matched_rate is the source rate at D_min, equal to capacity.
     """
 
@@ -145,50 +149,37 @@ def _check_scalar_params(alpha, sigma_W, sigma_Vc, P):
     return alpha * alpha, sW2, q
 
 
-def _float_range_is_domain(design_fn):
-    # checked inputs whose products underflow still reach a zero divisor or
-    # the log of 0: the parameters are out of range, like a non-finite field
-    @functools.wraps(design_fn)
-    def design(*args, **kwargs):
-        try:
-            return design_fn(*args, **kwargs)
-        except DomainError:
-            raise
-        except (ZeroDivisionError, ValueError):
-            raise DomainError(
-                f"{design_fn.__name__}: the parameters leave the float range") from None
-    return design
+def _scalar_design(mode, alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
+    # JsccScalarDesign's rule v = sW^2/(1 - a^2 g), g = q/(P + q) with feedback
+    # and 1 otherwise.  1 - a^2 g is summed as (1 - a^2) + a^2 (1 - g), and
+    # D_min = v q/(P + q) is taken as v/(1 + P/q): no cancellation near
+    # |alpha| = 1 and no subnormal factor at P >> q
+    a2, sW2, q = _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
+    snr = P / q
+    one_minus_g = snr / (1.0 + snr) if mode == "feedback" else 0.0
+    v = sW2 / ((1.0 - a2) + a2 * one_minus_g)
+    D_min = v / (1.0 + snr)
+    # a subnormal D_min has lost the digits that _checked's rate test needs
+    if not D_min >= sys.float_info.min:
+        raise DomainError("scalar design: D_min leaves the normal float range")
+    source_var = sW2 / (1.0 - a2)
+    if mode == "feedback":
+        matched = rna_scalar_fully_observed(alpha, sigma_W, D_min)
+    else:
+        matched = 0.5 * math.log2(source_var / D_min)
+    return _checked(JsccScalarDesign(
+        mode=mode, alpha=alpha, sigma_W=sigma_W, sigma_Vc=sigma_Vc, P=P,
+        encoder_gain=math.sqrt(P / v), decoder_gain=math.sqrt(P) * math.sqrt(v) / (P + q),
+        D_min=D_min, capacity=0.5 * math.log2(1.0 + snr), matched_rate=matched,
+        source_var=source_var, input_var=v))
 
 
-@_float_range_is_domain
 def design_feedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     """Feedback design: the innovation X_t - E[X_t | B^{t-1}] is scaled onto
     the channel; achieves D_min = sW^2 sVc^2 / ((1-a^2) sVc^2 + P)."""
-    a2, sW2, q = _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
-    D_min = sW2 * q / ((1.0 - a2) * q + P)
-    enc = math.sqrt(P * ((1.0 - a2) * q + P) / (sW2 * (q + P))) if P > 0.0 else 0.0
-    dec = math.sqrt(sW2 * P / (((1.0 - a2) * q + P) * (q + P))) if P > 0.0 else 0.0
-    cap = 0.5 * math.log2(1.0 + P / q)
-    matched = rna_scalar_fully_observed(alpha, sigma_W, D_min)
-    input_var = a2 * D_min + sW2  # innovation variance Lambda_inf
-    design = JsccScalarDesign(
-        mode="feedback",
-        alpha=alpha,
-        sigma_W=sigma_W,
-        sigma_Vc=sigma_Vc,
-        P=P,
-        encoder_gain=enc,
-        decoder_gain=dec,
-        D_min=D_min,
-        capacity=cap,
-        matched_rate=matched,
-        source_var=sW2 / (1.0 - a2),
-        input_var=input_var,
-    )
-    return _checked(design)
+    return _scalar_design("feedback", alpha, sigma_W, sigma_Vc, P)
 
 
-@_float_range_is_domain
 def design_nofeedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     """Memoryless design: X_t itself is scaled onto the channel; achieves
     D_min = sW^2 sVc^2 / ((1-a^2)(P + sVc^2)).
@@ -197,34 +188,13 @@ def design_nofeedback_scalar(alpha, sigma_W, sigma_Vc, P) -> JsccScalarDesign:
     0.5 log2(sigma_X^2 / D) with sigma_X^2 = sW^2/(1-a^2), which equals the
     channel capacity at D_min.
     """
-    a2, sW2, q = _check_scalar_params(alpha, sigma_W, sigma_Vc, P)
-    source_var = sW2 / (1.0 - a2)
-    D_min = sW2 * q / ((1.0 - a2) * (P + q))
-    enc = math.sqrt((1.0 - a2) * P / sW2)
-    dec = math.sqrt(sW2 / ((1.0 - a2) * P)) * P / (P + q) if P > 0.0 else 0.0
-    cap = 0.5 * math.log2(1.0 + P / q)
-    matched = 0.5 * math.log2(source_var / D_min)
-    design = JsccScalarDesign(
-        mode="no-feedback",
-        alpha=alpha,
-        sigma_W=sigma_W,
-        sigma_Vc=sigma_Vc,
-        P=P,
-        encoder_gain=enc,
-        decoder_gain=dec,
-        D_min=D_min,
-        capacity=cap,
-        matched_rate=matched,
-        source_var=source_var,
-        input_var=source_var,
-    )
-    return _checked(design)
+    return _scalar_design("no-feedback", alpha, sigma_W, sigma_Vc, P)
 
 
 def design_iid_scalar(sigma_X, sigma_Vc, P) -> JsccScalarDesign:
-    """IID source (alpha = 0): feedback and no-feedback designs coincide."""
-    base = design_nofeedback_scalar(0.0, sigma_X, sigma_Vc, P)
-    return replace(base, mode="iid")
+    """IID source (alpha = 0): feedback and no-feedback designs coincide;
+    D_min = sX^2 sVc^2 / (P + sVc^2)."""
+    return _scalar_design("iid", 0.0, sigma_X, sigma_Vc, P)
 
 
 def _checked(design: JsccScalarDesign):

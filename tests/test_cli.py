@@ -304,7 +304,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v7"
+    assert payload["schema"] == "nardf/jscc-sim/v8"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]
@@ -491,6 +491,19 @@ def test_jscc_sim_non_finite_input_exit_4(capsys, argv):
     assert code == 4
     assert out == ""
     assert "domain error" in err
+
+
+def test_jscc_sim_subnormal_d_min_exit_4(capsys):
+    # D_min = sW^2 q / P is about 5e-319 here: a subnormal D_min has lost the
+    # digits that the rate = capacity check needs, so the design is refused
+    # as out of range rather than failing that check (exit 3)
+    code, out, err = run(capsys, [
+        "jscc-sim", "--mode", "fb", "--alpha", "0", "--sigma-w", "2.38671054170664e-114",
+        "--sigma-vc", "2.1517138380066456e-07", "--power", "5.573756994826617e+77",
+        "--steps", "400", "--seed", "1"])
+    assert code == 4
+    assert out == ""
+    assert "domain error" in err and "D_min" in err
 
 
 def test_jscc_sim_sk_underflowing_mse_exit_3(capsys):
@@ -800,13 +813,26 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # rounded), and the reversible column keeps its bytes here.  The gauss-rate
 # pins were recorded again for its schema v3, when the Picard stop rule
 # became relative to max|Sigma|: 854 -> 837 sweeps over the 50 rows, the
-# rate within 1.3e-11 relative and the spectrum within 4.4e-12.
+# rate within 1.3e-11 relative and the spectrum within 4.4e-12.  The
+# jscc-sim pins, one per mode, were recorded for its schema v8: seed 7 and
+# 400 steps (two shards, so stderr stays empty), or 4 uses x 100 trials for
+# sk.  A seeded draw, gain or sum that rounds differently fails them.
 GOLDEN_ARGV = {
     ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
     ("excess", "theta-grid"): ["excess", "--p", "0.25", "--d", "0.1",
                                "--theta-grid", "0.05:0.95:0.05"],
     ("excess", "bounds"): ["excess", "--p", "0.25", "--d", "0.1", "--gamma", "0.1",
                            "--n-grid", "100:1000:100"],
+    ("jscc-sim", "fb"): ["jscc-sim", "--mode", "fb", "--alpha", "0.5", "--steps", "400",
+                         "--seed", "7"],
+    ("jscc-sim", "nfb"): ["jscc-sim", "--mode", "nfb", "--alpha", "-0.6", "--power", "1.5",
+                          "--steps", "400", "--seed", "7"],
+    ("jscc-sim", "iid"): ["jscc-sim", "--mode", "iid", "--sigma-x", "1.3", "--steps", "400",
+                          "--seed", "7"],
+    ("jscc-sim", "vector"): ["jscc-sim", "--mode", "vector", "--model", "model.txt",
+                             "--d", "1.2", "--steps", "400", "--seed", "7"],
+    ("jscc-sim", "sk"): ["jscc-sim", "--mode", "sk", "--steps", "4", "--trials", "100",
+                         "--seed", "7"],
 }
 BSMS_GOLDEN_SHA256 = {
     ("bsms-curve", "0.1", "csv"): "313ec45b2b9235eee914aa72a5f9d3976be47ad1b57377bdb68fda0137622566",
@@ -825,6 +851,16 @@ BSMS_GOLDEN_SHA256 = {
     ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
     ("excess", "bounds", "json"): "4c0802b420b581c295abe1bbaa9f491059799b6d384686ea4961b144cfd0ebb7",
+    ("jscc-sim", "fb", "csv"): "a843b750228ba269ba1024835ade6780f76ee73000d5d5bf45abc9b79cca2a09",
+    ("jscc-sim", "fb", "json"): "2b626b78398ba77f53ba9208cd631db3d8b036deed0fba8785f6fff6ee9b6ee0",
+    ("jscc-sim", "nfb", "csv"): "74431f750735e1d42d023cf885b61434bd3796414f3e24673e5ffc548fb6e9a7",
+    ("jscc-sim", "nfb", "json"): "b4cbdafd908082d6f3bbf50aef462681c41d0bd63722eea1d47983d4194b5103",
+    ("jscc-sim", "iid", "csv"): "d3e0e5fb3b13a8fa1f24631a291d43fca9e2142c003632ee8a2216cdb9e758ff",
+    ("jscc-sim", "iid", "json"): "f1f6283e9848a791ce70708d99c50a5a9643169d846640b782a2cb0458fcb8f7",
+    ("jscc-sim", "vector", "csv"): "5eee6ad62a1719df1f3726b100c381332c716ddecf336357292b98ac8f7c77e4",
+    ("jscc-sim", "vector", "json"): "68eb96c0fc209ad43254aa39e2c322274aba41f950916873752705996b6c6f3b",
+    ("jscc-sim", "sk", "csv"): "75f8ad1bd7bf27fa2e851f3ff9a65d31eba6cd2c5d4334ed466c8d1446019c7c",
+    ("jscc-sim", "sk", "json"): "218d36e45c443874d700692c23ce33959fbe22d672d92f3321a785df68a85318",
 }
 
 

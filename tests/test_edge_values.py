@@ -258,6 +258,10 @@ def _four_state(T, f):
     # two absorbing states: no tilt connects them
     (JointChain(pi_matrix=np.eye(2),
                 stationary=np.array([0.5, 0.5]), f=np.array([0.0, 1.0])), "reducible"),
+    # f or the stationary law of another length than the chain's states
+    (_four_state(CHAIN.pi_matrix, [0.0, 1.0, 0.0]), "n x n, n and n entries"),
+    (JointChain(pi_matrix=CHAIN.pi_matrix, stationary=CHAIN.stationary[:3], f=CHAIN.f),
+     "n x n, n and n entries"),
 ])
 def test_rate_function_rejects_chains_it_cannot_check_or_lump(chain, match):
     with pytest.raises(DomainError, match=match):

@@ -140,14 +140,110 @@ def test_match_power_scalar_always_matched():
         (design_feedback_scalar, (0.5, 1e-170, 1.0, 1.0)),  # sigma_W^2 underflows
         (design_nofeedback_scalar, (0.5, 1.0, 1e160, 1.0)),  # sigma_Vc^2 overflows
         (design_iid_scalar, (1.0, 1e-160, 1.0)),  # P / sigma_Vc^2 overflows
-        (design_nofeedback_scalar, (0.5, 1.0, 1.0, 1e-320)),  # infinite decoder gain
-        (design_nofeedback_scalar, (0.99999999, 1e100, 1e100, 1e-320)),  # zero divisor
-        (design_iid_scalar, (1e100, 1e100, 1e308)),  # D_min overflows: log2(0)
+        (design_feedback_scalar, (0.0, 2.38671054170664e-114, 2.1517138380066456e-07,
+                                  5.573756994826617e+77)),  # D_min ~ 5e-319 is subnormal
     ],
 )
 def test_scalar_non_finite_parameters_are_domain_errors(make, args):
     with pytest.raises(DomainError):
         make(*args)
+
+
+@pytest.mark.parametrize(
+    "make,args,D_min",
+    [
+        (design_nofeedback_scalar, (0.5, 1.0, 1.0, 1e-320), 4.0 / 3.0),
+        (design_nofeedback_scalar, (0.99999999, 1e100, 1e100, 1e-320),
+         1e200 / (1.0 - 0.99999999**2)),
+        (design_iid_scalar, (1e100, 1e100, 1e308), 1e92),
+    ],
+    ids=["nfb-tiny-power", "nfb-unit-root-tiny-power", "iid-huge-variances"],
+)
+def test_designs_the_closed_forms_left_out_of_range(make, args, D_min):
+    # the closed forms overflowed the decoder gain sqrt(sW^2/((1-a^2) P)) at
+    # P = 1e-320, divided by (1-a^2) P = 0, or overflowed sW^2 sVc^2 in D_min;
+    # the rule on the input variance forms none of those products
+    d = make(*args)
+    assert all(math.isfinite(v) for v in _design_fields(d).values())
+    assert d.D_min == pytest.approx(D_min, rel=1e-12)
+    assert d.matched_rate == pytest.approx(d.capacity, rel=1e-12, abs=1e-12)
+
+
+def _design_fields(d):
+    return {name: getattr(d, name) for name in (
+        "encoder_gain", "decoder_gain", "D_min", "capacity", "matched_rate", "source_var",
+        "input_var")}
+
+
+def _closed_form_feedback(alpha, sigma_W, sigma_Vc, P):
+    # the hand-derived feedback design that the one rule replaced
+    a2, sW2, q = alpha * alpha, sigma_W * sigma_W, sigma_Vc * sigma_Vc
+    D_min = sW2 * q / ((1.0 - a2) * q + P)
+    return {
+        "encoder_gain": math.sqrt(P * ((1.0 - a2) * q + P) / (sW2 * (q + P))),
+        "decoder_gain": math.sqrt(sW2 * P / (((1.0 - a2) * q + P) * (q + P))),
+        "D_min": D_min,
+        "capacity": 0.5 * math.log2(1.0 + P / q),
+        "matched_rate": rna_scalar_fully_observed(alpha, sigma_W, D_min),
+        "source_var": sW2 / (1.0 - a2),
+        "input_var": a2 * D_min + sW2,
+    }
+
+
+def _closed_form_nofeedback(alpha, sigma_W, sigma_Vc, P):
+    # the hand-derived no-feedback design that the one rule replaced
+    a2, sW2, q = alpha * alpha, sigma_W * sigma_W, sigma_Vc * sigma_Vc
+    source_var = sW2 / (1.0 - a2)
+    D_min = sW2 * q / ((1.0 - a2) * (P + q))
+    return {
+        "encoder_gain": math.sqrt((1.0 - a2) * P / sW2),
+        "decoder_gain": math.sqrt(sW2 / ((1.0 - a2) * P)) * P / (P + q) if P > 0.0 else 0.0,
+        "D_min": D_min,
+        "capacity": 0.5 * math.log2(1.0 + P / q),
+        "matched_rate": 0.5 * math.log2(source_var / D_min),
+        "source_var": source_var,
+        "input_var": source_var,
+    }
+
+
+def test_scalar_designs_equal_the_closed_forms():
+    # every field within 1e-15 relative (rates, in bits, within 1e-15 below
+    # one bit: at P = 0 they are 0 up to rounding), at unit-root alphas too
+    for alpha, sw, sv, P in itertools.product(
+            (0.0, 0.3, -0.7, 0.99999999, -0.99999999), (0.2, 1.0, 3.5), (0.1, 1.0, 4.0),
+            (0.0, 1e-6, 0.5, 1.0, 20.0, 1e6)):
+        for design, reference in (
+                (design_feedback_scalar(alpha, sw, sv, P), _closed_form_feedback(alpha, sw, sv, P)),
+                (design_nofeedback_scalar(alpha, sw, sv, P),
+                 _closed_form_nofeedback(alpha, sw, sv, P)),
+                (design_iid_scalar(sw, sv, P), _closed_form_nofeedback(0.0, sw, sv, P))):
+            for name, value in _design_fields(design).items():
+                ref = reference[name]
+                floor = 1.0 if name in ("capacity", "matched_rate") else 0.0
+                assert abs(value - ref) <= 1e-15 * max(abs(ref), floor), (design, name, ref)
+
+
+def test_scalar_designs_are_finite_or_domain_errors():
+    # log-uniform magnitudes over the whole float range: every design has
+    # finite fields or raises DomainError; a subnormal D_min used to slip
+    # through to the rate check and raise NumericError
+    rng = np.random.default_rng(20251020)
+    log_lo, log_hi = math.log(1e-320), math.log(1e308)
+    made = 0
+    for i in range(4000):
+        alpha = float((1.0 - math.exp(rng.uniform(math.log(1e-16), 0.0))) * rng.choice((-1, 1)))
+        sw, sv, P = (float(math.exp(x)) for x in rng.uniform(log_lo, log_hi, 3))
+        P = 0.0 if i % 10 == 0 else P
+        for make, args in ((design_feedback_scalar, (alpha, sw, sv, P)),
+                           (design_nofeedback_scalar, (alpha, sw, sv, P)),
+                           (design_iid_scalar, (sw, sv, P))):
+            try:
+                d = make(*args)
+            except DomainError:
+                continue
+            made += 1
+            assert all(math.isfinite(v) for v in _design_fields(d).values()), (make, args)
+    assert made > 1000
 
 
 def test_feedback_design_values():
@@ -372,7 +468,7 @@ def test_simulated_sums_out_of_float_range_are_numeric_errors(make):
 
 def test_scalar_designs_at_extreme_parameters_are_finite_or_raise():
     # every pairing of extreme magnitudes: a design with finite fields and
-    # positive variances, or DomainError / NumericError, never another error
+    # positive variances, or DomainError, never another error
     values = (1e-320, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e308)
     made = 0
     for alpha, sw, sv, P in itertools.product((0.0, 0.5, -0.9, 0.99999999), values, values,
@@ -380,7 +476,7 @@ def test_scalar_designs_at_extreme_parameters_are_finite_or_raise():
         for make in (design_feedback_scalar, design_nofeedback_scalar):
             try:
                 d = make(alpha, sw, sv, P)
-            except (DomainError, NumericError):
+            except DomainError:
                 continue
             made += 1
             fields = (d.D_min, d.capacity, d.matched_rate, d.encoder_gain, d.decoder_gain,
