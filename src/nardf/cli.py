@@ -220,7 +220,7 @@ def _cmd_gauss_rate(args):
             + [float(v) for v in sol.delta]
         )
     meta = {"model": path, "dims": dict(zip(("m", "k", "p", "d"), model.dims))}
-    return _table(header, rows, meta, "nardf/gauss-rate/v3", args.format)
+    return _table(header, rows, meta, "nardf/gauss-rate/v4", args.format)
 
 
 def _scalar_design_payload(design):

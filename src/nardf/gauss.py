@@ -1,10 +1,10 @@
 """Nonanticipative RDF of partially observed stationary Gauss-Markov sources.
 
 Solves the coupled fixed point of the modified Kalman-Riccati equation,
-eigendecomposition and reverse water-filling by one undamped Picard loop
-from Sigma = BB' + I, plus the scalar closed forms (fully observed,
-partially observed via the cubic) and the classical references for the
-alpha = 1 autoregressive source.  The vector rate is that of the paper's
+eigendecomposition and reverse water-filling (in closed form when m = p = 1,
+else by one undamped Picard loop from Sigma = BB' + I), plus the fully
+observed scalar closed form and the classical references for the alpha = 1
+autoregressive source.  The vector rate is that of the paper's
 realization, whose error covariance shares the innovations' eigenvectors:
 achievable and equal to R^na on scalar sources, but not always the
 infimum of the sequential RDF program (A = diag(0.9, 0.2), B = C = I at
@@ -198,6 +198,9 @@ _DIVERGENCE_CAP = 1e12  # times max|Sigma| at the start
 _TOL = 1e-11  # times max|Sigma|
 _MAX_ITER = 100_000
 _LINEAR_LAG = 1000  # sweeps between the changes that the linear-growth check compares
+_DIVERGED = ("solve_realization: iteration diverged "
+             "(model may violate detectability/stabilizability)")
+_GROWS_LINEARLY = "solve_realization: Sigma grows linearly: undetectable or unstabilizable mode"
 
 
 def _sweep(A, BBt, C, NNt, Sigma, D):
@@ -232,36 +235,63 @@ def _sweep(A, BBt, C, NNt, Sigma, D):
     return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
 
 
-def _sweep_1x1(a, bb, c, nn, s, D):
-    """_sweep at m = p = 1 on floats, operation for operation: E = [[1]],
-    a 1x1 dot is one rounded product (a zero keeps its sign, as in dot),
-    and the water-filling is the same _waterfill.  Returns the new Sigma."""
-    lam = (c * s) * c + nn
-    lam = 0.5 * (lam + lam)
-    if not math.isfinite(lam):
-        raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
-    if lam > 0.0:
-        _, (delta,), _ = _waterfill([lam], D)
-        ratio = (1.0 - delta / lam) / lam
-    else:  # np.maximum(w, 0.0) is 0 and the sweep skips the water-filling
-        ratio = 0.0
-    S = (c * ratio) * c
-    a_s = a * s
-    new = a_s * a - ((a_s * S) * s) * a + bb
-    return 0.5 * (new + new)
+def _scalar_sigma(a, bb, c, nn, D):
+    """Sigma_inf at m = p = 1 (BB' = bb, NN' = nn): bb/(1 - a^2) if |a| < 1
+    and bb = 0, c = 0 or D >= c^2 bb/(1 - a^2) + nn (saturated), else the
+    largest root of the cubic of partially_observed_sigma."""
+    if abs(a) < 1.0:
+        stationary = bb / (1.0 - a * a)
+        if bb == 0.0 or c == 0.0 or D >= c * c * stationary + nn:
+            return stationary
+    elif c == 0.0:  # no Sigma_inf; the loop's first sweep checks D against Lambda = nn first
+        _waterfill([nn], D)
+        raise NumericError(_GROWS_LINEARLY if abs(a) == 1.0 else _DIVERGED)
+    cc, a2 = c * c, a * a
+    return cubic_positive_root(cc * cc, (2.0 - a2) * cc * nn - a2 * cc * D - cc * cc * bb,
+                               (1.0 - a2) * nn * nn - 2.0 * cc * nn * bb, -(nn * nn * bb))
+
+
+def _sigma_inf(A, BBt, C, NNt, D):
+    # (Sigma_inf, iterations): m = p = 1 in closed form, counted as 1, else the Picard loop
+    if A.shape[0] == C.shape[0] == 1:
+        a, bb, c, nn = (float(X[0, 0]) for X in (A, BBt, C, NNt))
+        return np.array([[_scalar_sigma(a, bb, c, nn, D)]]), 1
+    Sigma = BBt + np.eye(A.shape[0])
+    cap = _DIVERGENCE_CAP * float(Sigma.max())  # PSD: max = max|.|
+    if not BBt.any() and _spectral_radius(A) < 1.0:
+        # Sigma_inf = 0, which a relative stop reaches only at underflow
+        Sigma = 0.0 * Sigma
+    for iterations in range(1, _MAX_ITER + 1):
+        new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
+        scale = float(abs(new).max())
+        change = float(abs(new - Sigma).max())
+        # NaN fails this comparison, so it also rejects non-finite entries
+        if not scale <= cap:
+            raise NumericError(_DIVERGED)
+        Sigma = new
+        if change <= _TOL * scale:
+            return Sigma, iterations
+        if iterations % _LINEAR_LAG == 1:
+            # a mode that neither the observation nor the decay reaches
+            # grows Sigma by a fixed step per sweep, far below the cap
+            if iterations > 1 and abs(change - lagged) <= 1e-9 * lagged:
+                raise NumericError(_GROWS_LINEARLY)
+            lagged = change
+    raise NumericError(f"solve_realization: no convergence in {_MAX_ITER} "
+                       f"iterations (last change {change:.3e})")
 
 
 def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     """Joint fixed point of the modified Riccati equation and reverse
-    water-filling (undamped Picard iteration on Sigma_inf from BB' + I), whose
-    rate is achievable but not always the sequential RDF infimum (module doc).
-
-    Each sweep recomputes Lambda = C Sigma C' + NN', its eigensystem, the
+    water-filling, whose rate is achievable but not always the sequential
+    RDF infimum (module doc).  At m = p = 1 Sigma_inf is in closed form
+    (_scalar_sigma, `iterations` 1); otherwise each sweep of an undamped
+    Picard loop recomputes Lambda = C Sigma C' + NN', its eigensystem, the
     water-filled (xi, delta), the weights eta_i = 1 - delta_i/lambda_i, and
     the Riccati step, which replaces Sigma until the change is at most
-    1e-11 max|Sigma| (from Sigma = 0 if BB' = 0 and A is stable).  With
-    m = p = 1 the loop runs on Python floats (_sweep_1x1, the same operations
-    and checks as _sweep); the last sweep and what follows run in numpy.
+    1e-11 max|Sigma| (from BB' + I, or 0 if BB' = 0 and A is stable).  One
+    more sweep builds the solution; its change, `residual`, checks the
+    closed form at m = p = 1.
 
     The sweeps take Lambda's eigensystem up to the sign of each
     eigenvector (see _sweep); sym_eig's sign convention is applied once,
@@ -276,9 +306,10 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     eigensolve, an allocation that misses D, a Sigma that is non-finite or
     exceeds _DIVERGENCE_CAP max|BB' + I|, a change equal (to 1e-9) to the
     change _LINEAR_LAG sweeps earlier (Sigma grows linearly), or no
-    convergence in _MAX_ITER sweeps.  After the loop, a decoder scaling or
-    filter gain outside the float range raises DomainError, and a failed
-    closed-loop eigensolve NumericError.
+    convergence in _MAX_ITER sweeps; at m = p = 1, for an unobserved mode
+    with |a| >= 1 and a residual above 1e-11 |Sigma_inf|.  After the last
+    sweep, a decoder scaling or filter gain outside the float range raises
+    DomainError, and a failed closed-loop eigensolve NumericError.
     """
     if not 0.0 < D < math.inf:
         raise DomainError("solve_realization: distortion must be positive and finite")
@@ -289,45 +320,14 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     BBt = B @ B.T
     NNt = N @ N.T
 
-    scalar = m == p == 1
-    if scalar:
-        a, bb, c, nn = (float(X[0, 0]) for X in (A, BBt, C, NNt))
-    Sigma = bb + 1.0 if scalar else BBt + np.eye(m)
-    cap = _DIVERGENCE_CAP * (Sigma if scalar else float(Sigma.max()))  # PSD: max = max|.|
-    if not BBt.any() and _spectral_radius(A) < 1.0:
-        # Sigma_inf = 0, which a relative stop reaches only at underflow
-        Sigma = 0.0 * Sigma
     # invalid="ignore" also covers _eigh_desc, which checks its own result
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, _MAX_ITER + 1):
-            if scalar:
-                new = _sweep_1x1(a, bb, c, nn, Sigma, D)
-                scale, change = abs(new), abs(new - Sigma)
-            else:
-                new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
-                scale = float(abs(new).max())
-                change = float(abs(new - Sigma).max())
-            # NaN fails this comparison, so it also rejects non-finite entries
-            if not scale <= cap:
-                raise NumericError("solve_realization: iteration diverged "
-                                   "(model may violate detectability/stabilizability)")
-            Sigma = new
-            if change <= _TOL * scale:
-                break
-            if iterations % _LINEAR_LAG == 1:
-                # a mode that neither the observation nor the decay reaches
-                # grows Sigma by a fixed step per sweep, far below the cap
-                if iterations > 1 and abs(change - lagged) <= 1e-9 * lagged:
-                    raise NumericError("solve_realization: Sigma grows linearly: "
-                                       "undetectable or unstabilizable mode")
-                lagged = change
-        else:
-            raise NumericError(f"solve_realization: no convergence in {_MAX_ITER} "
-                               f"iterations (last change {change:.3e})")
-        Sigma = np.array([[Sigma]]) if scalar else Sigma
+        Sigma, iterations = _sigma_inf(A, BBt, C, NNt, D)
         full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
     E = _sign_rows(E)
     residual = float(np.max(np.abs(full - Sigma)))
+    if m == p == 1 and residual > _TOL * abs(float(Sigma[0, 0])):
+        raise NumericError("solve_realization: the closed-form Sigma_inf misses the fixed point")
     lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
     rate = _waterfill_rate(lam, delta)  # 0 when every delta_i is 0 or lambda_i
 
@@ -385,16 +385,17 @@ def rna_scalar_fully_observed(alpha, sigma_W, D):
 
 def partially_observed_sigma(alpha, c, sigma_W, sigma_V, D):
     """Steady-state filter error variance Sigma_inf of the scalar partially
-    observed source at distortion D: largest real root of the cubic
+    observed source at distortion D: sW^2/(1 - a^2) once D >= c^2 sW^2/(1 - a^2)
+    + sV^2 (saturated), else the largest real root of the cubic
 
         c^4 S^3 + ((2 - a^2) c^2 sV^2 - a^2 c^2 D - c^4 sW^2) S^2
                 + ((1 - a^2) sV^4 - 2 c^2 sV^2 sW^2) S - sV^4 sW^2 = 0,
 
     obtained by clearing denominators in the scalar reduction of the
     modified Riccati fixed point S = a^2 S - a^2 c^2 S^2 H/lam + sW^2,
-    lam = c^2 S + sV^2, H = 1 - D/lam.  (Sanity anchors: a = 0 factors as
-    (S - sW^2)(S + sV^2/c^2)^2 = 0 with root sW^2; sV = 0 recovers the
-    fully observed S = a^2 D + sW^2.)
+    lam = c^2 S + sV^2, H = 1 - D/lam, which holds below saturation only.
+    (Sanity anchors: a = 0 factors as (S - sW^2)(S + sV^2/c^2)^2 = 0 with
+    root sW^2; sV = 0 recovers the fully observed S = a^2 D + sW^2.)
     """
     if not abs(alpha) < 1.0:
         raise DomainError("requires |alpha| < 1")
@@ -402,25 +403,14 @@ def partially_observed_sigma(alpha, c, sigma_W, sigma_V, D):
         raise DomainError("requires finite c > 0, sigma_W > 0, sigma_V >= 0")
     if not 0.0 < D < math.inf:
         raise DomainError("distortion must be positive and finite")
-    cc = c * c
-    sV2 = sigma_V * sigma_V
-    sW2 = sigma_W * sigma_W
-    a2 = alpha * alpha
-    lead = cc * cc
-    c2co = (2.0 - a2) * cc * sV2 - a2 * cc * D - lead * sW2
-    c1co = (1.0 - a2) * sV2 * sV2 - 2.0 * cc * sV2 * sW2
-    c0co = -(sV2 * sV2 * sW2)
-    root = cubic_positive_root(lead, c2co, c1co, c0co)
-    if root <= 0.0:
-        raise NumericError("scalar cubic: no positive root")
-    return root
+    return _scalar_sigma(alpha, sigma_W * sigma_W, c, sigma_V * sigma_V, D)
 
 
 def rna_scalar_partially_observed(alpha, c, sigma_W, sigma_V, D):
     """Nonanticipative RDF of the scalar partially observed source in
-    bits/sample: 0.5 log2((c^2 Sigma_inf + sigma_V^2)/D) with Sigma_inf the
-    largest positive root of the steady-state cubic; 0 once D reaches the
-    innovation variance lambda_1 = c^2 Sigma_inf + sigma_V^2."""
+    bits/sample: 0.5 log2((c^2 Sigma_inf + sigma_V^2)/D) with Sigma_inf from
+    partially_observed_sigma; 0 once D reaches the innovation variance
+    lambda_1 = c^2 Sigma_inf + sigma_V^2."""
     sigma = partially_observed_sigma(alpha, c, sigma_W, sigma_V, D)
     lam1 = c * c * sigma + sigma_V * sigma_V
     if D >= lam1:

@@ -208,24 +208,23 @@ def _cubic_eval(c3, c2, c1, c0, x):
 
 
 def cubic_positive_root(c3, c2, c1, c0):
-    """Largest real root of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0).
-
-    Residual is guaranteed <= 1e-9 * max|c_i| (Newton-polished); the caller
-    asserts positivity when the root must be positive.
+    """Largest real root of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0): the
+    largest real eigenvalue of the companion matrix, Newton-polished, with
+    |f(x)| <= 1e-12 sum_i |c_i| |x|^i, the scale at which f(x) rounds, so
+    the bound holds for roots of any size.  A failed eigensolve (a companion
+    row that overflows) or a larger residual is a NumericError.
     """
     if not all(math.isfinite(c) for c in (c3, c2, c1, c0)):
         raise DomainError("cubic_positive_root: coefficients must be finite")
     if c3 == 0.0:
         raise DomainError("cubic_positive_root: leading coefficient is zero")
-    try:
-        with np.errstate(over="ignore"):
-            roots = np.roots([c3, c2, c1, c0])
-    except np.linalg.LinAlgError:  # a companion row that overflows
-        raise NumericError("cubic_positive_root: companion matrix overflows") from None
-    real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))]
-    if real.size == 0:
-        raise NumericError("cubic_positive_root: no real root found")
-    x = float(np.max(real))
+    companion = np.array([[-c2 / c3, -c1 / c3, -c0 / c3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = _eigvals(companion).tolist()
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots):
+        raise NumericError("cubic_positive_root: eigensolve failed (companion matrix overflows)")
+    # LAPACK gives a real 3 x 3 matrix's real eigenvalue an imaginary part of exactly 0
+    x = max(z.real for z in roots if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)))
     # companion-matrix roots can carry O(1e-12) error; polish but never accept
     # a Newton step that increases the residual
     for _ in range(4):
@@ -238,8 +237,8 @@ def cubic_positive_root(c3, c2, c1, c0):
             x = cand
         else:
             break
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if abs(_cubic_eval(c3, c2, c1, c0, x)) > 1e-9 * scale:
+    scale = _cubic_eval(abs(c3), abs(c2), abs(c1), abs(c0), abs(x))
+    if abs(_cubic_eval(c3, c2, c1, c0, x)) > 1e-12 * scale:
         raise NumericError("cubic_positive_root: residual exceeds tolerance")
     return x
 

@@ -32,6 +32,19 @@ N  0.4 0.0
    0.0 0.4
 """
 
+# alpha = 0.9, sigma_W = 1, c = 1, sigma_V = 0.5: saturated from
+# D = 1/(1 - 0.81) + 0.25 = 5.513 on
+SCALAR_MODEL_TEXT = """\
+m 1
+k 1
+p 1
+d 1
+A 0.9
+B 1
+C 1
+N 0.5
+"""
+
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -189,7 +202,7 @@ def test_gauss_rate_json(capsys, model_file):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/gauss-rate/v3"
+    assert payload["schema"] == "nardf/gauss-rate/v4"
     assert payload["dims"] == {"m": 2, "k": 2, "p": 2, "d": 2}
     row = payload["rows"][0]
     assert row["rate"] == pytest.approx(1.0556672772317302, abs=1e-9)
@@ -813,12 +826,16 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # rounded), and the reversible column keeps its bytes here.  The gauss-rate
 # pins were recorded again for its schema v3, when the Picard stop rule
 # became relative to max|Sigma|: 854 -> 837 sweeps over the 50 rows, the
-# rate within 1.3e-11 relative and the spectrum within 4.4e-12.  The
+# rate within 1.3e-11 relative and the spectrum within 4.4e-12.  Its json
+# pin moved by the schema string only for v4 (the 2x2 rows keep their
+# bytes), and v4 added the scalar pins: a grid that crosses saturation near
+# D = 5.51, where Sigma_inf is in closed form and each row is one sweep.  The
 # jscc-sim pins, one per mode, were recorded for its schema v8: seed 7 and
 # 400 steps (two shards, so stderr stays empty), or 4 uses x 100 trials for
 # sk.  A seeded draw, gain or sum that rounds differently fails them.
 GOLDEN_ARGV = {
     ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
+    ("gauss-rate", "scalar"): ["gauss-rate", "--model", "scalar.txt", "--d-grid", "0.5:8.0:0.5"],
     ("excess", "theta-grid"): ["excess", "--p", "0.25", "--d", "0.1",
                                "--theta-grid", "0.05:0.95:0.05"],
     ("excess", "bounds"): ["excess", "--p", "0.25", "--d", "0.1", "--gamma", "0.1",
@@ -846,7 +863,9 @@ BSMS_GOLDEN_SHA256 = {
     ("rate-loss", None, "csv"): "066553d547285f5d792cb36495b98e7f79bb6f1a15b5a78e3586ac09df02afae",
     ("rate-loss", None, "json"): "1f3c6e31d21be6f306fcbcf13f7ca3dfe7f472afb43e78e5b2af6c522a657260",
     ("gauss-rate", "model", "csv"): "09a405be93f90129c92b2916d4d8e578bf8c666e94e0f700c1dfc043c7d72529",
-    ("gauss-rate", "model", "json"): "f3fb0e8685d21276c9fc65715f3b91eb9ad898a8ee306090b748124c9340ab32",
+    ("gauss-rate", "model", "json"): "53fb475d8ce208035e8c7acab30152e6a0e666259afcdb8117918e4e0611c5d9",
+    ("gauss-rate", "scalar", "csv"): "2609dd44c93a6595902faeb9740bdb8079da11d2f620dc0f8a0c2d1cb0eb3c7a",
+    ("gauss-rate", "scalar", "json"): "e563af209e464b900eb28fc1b0f25530e9c8a8ec90a9a244dd9005f7852c341f",
     ("excess", "theta-grid", "csv"): "0938bd7c1df193c2f8a6145f8065ec783f35f690bc0afac04917f2ba8bc4aae4",
     ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
@@ -871,6 +890,7 @@ def test_bsms_outputs_match_golden_bytes(capsys, monkeypatch, tmp_path, key):
     if (command, variant) in GOLDEN_ARGV:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "model.txt").write_text(MODEL_TEXT)
+        (tmp_path / "scalar.txt").write_text(SCALAR_MODEL_TEXT)
         argv = GOLDEN_ARGV[command, variant] + ["--format", fmt]
     else:
         argv = [command, "--format", fmt]

@@ -192,11 +192,8 @@ def test_partially_observed_cubic_anchors():
 
 
 def test_partially_observed_agrees_with_fixed_point():
-    # closed-form cubic vs the general solver on a 1x1 model
-    direct = rna_scalar_partially_observed(0.5, 1.0, 1.0, 0.5, 0.4)
-    sol = solve_realization(GaussModel.scalar(0.5, 1.0, 1.0, 0.5), 0.4)
-    assert direct == pytest.approx(sol.rate, abs=1e-8)
-    # random sweep: cubic root vs Picard fixed point
+    # the closed form, which solve_realization takes on a 1x1 model too,
+    # against the array-form Picard loop (_array_solve), an independent route
     rng = np.random.default_rng(7)
     for _ in range(50):
         a = rng.uniform(-0.95, 0.95)
@@ -205,13 +202,28 @@ def test_partially_observed_agrees_with_fixed_point():
         sv = rng.uniform(0.05, 1.5)
         var_x = c * c * sw * sw / (1.0 - a * a) + sv * sv
         D = rng.uniform(0.02, 0.95) * var_x
-        sol = solve_realization(GaussModel.scalar(a, sw, c, sv), D)
-        assert partially_observed_sigma(a, c, sw, sv, D) == pytest.approx(
-            sol.Sigma_inf[0, 0], abs=1e-8
-        )
-        assert rna_scalar_partially_observed(a, c, sw, sv, D) == pytest.approx(
-            sol.rate, abs=1e-8
-        )
+        model = GaussModel.scalar(a, sw, c, sv)
+        Sigma, _, _, _, rate, *_ = _array_solve(model, D)
+        assert partially_observed_sigma(a, c, sw, sv, D) == pytest.approx(Sigma[0, 0], abs=1e-8)
+        direct = rna_scalar_partially_observed(a, c, sw, sv, D)
+        assert direct == pytest.approx(rate, abs=1e-8)
+        assert solve_realization(model, D).rate == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, c, sw, sv", [(0.5, 1.0, 1.0, 0.5), (0.9, 1.0, 1.0, 0.5),
+                                              (-0.7, 2.0, 0.3, 1.2), (0.95, 0.4, 3.0, 0.0)])
+def test_partially_observed_sigma_is_stationary_at_and_above_saturation(alpha, c, sw, sv):
+    # from D = c^2 sW^2/(1 - a^2) + sV^2 on, the water-filling saturates
+    # (H = 0) and Sigma_inf is the stationary variance; the cubic's largest
+    # root there is spurious (1.993 for 4/3 at the first model, 3x saturation)
+    stationary = sw * sw / (1.0 - alpha * alpha)
+    level = c * c * stationary + sv * sv
+    for D in (level, 1.5 * level, 3.0 * level):
+        S = partially_observed_sigma(alpha, c, sw, sv, D)
+        assert S == pytest.approx(stationary, rel=1e-15, abs=0.0)
+        assert rna_scalar_partially_observed(alpha, c, sw, sv, D) == 0.0
+        ref = _array_solve(GaussModel.scalar(alpha, sw, c, sv), D)[0][0, 0]
+        assert abs(S - ref) <= 1e-9 * ref
 
 
 def test_sigma_v_continuity():
@@ -521,37 +533,51 @@ def _oracle_cases():
     return cases
 
 
-def test_sweep_is_bit_identical_to_array_form():
-    # 601 seeded (model, D) pairs, m, p in 1..4: four D per model, the last
-    # saturated, then (None) D exactly at the saturated spectrum total, the
-    # D >= total branch at equality; 40 of them on exactly tied spectra.
-    # The sweep leaves eigenvector signs to eigh, so E_inf and what is built
-    # from it are compared too
-    pairs = at_total = 0
+_ORACLE_FIELDS = ("Sigma_inf", "delta", "eta", "xi", "rate", "iterations", "residual", "E_inf",
+                  "gain", "b_inf", "closed_loop_radius")
+
+
+def _is_scalar(model):
+    return model.dims[0] == model.dims[2] == 1
+
+
+def _oracle_pairs(scalar):
+    # (model, D, array-form solution) over the _oracle_cases models with
+    # m = p = 1 (scalar) or the others; a None D becomes the spectrum total
+    # of the previous pair's array-form Sigma, saturated at 1.5 x the trace
     for model, ds in _oracle_cases():
+        if _is_scalar(model) != scalar:
+            continue
         for D in ds:
             if D is None:
                 C, N = model.C, model.N
                 Lam = C @ ref[0] @ C.T + N @ N.T
                 D = float(np.maximum(_array_sym_eig(0.5 * (Lam + Lam.T))[0], 0.0).sum())
             ref = _array_solve(model, D)
-            sol = solve_realization(model, D)
-            got = (sol.Sigma_inf, sol.delta, sol.eta, sol.xi, sol.rate, sol.iterations,
-                   sol.residual, sol.E_inf, sol.gain, sol.b_inf, sol.closed_loop_radius)
-            for name, a, b in zip(("Sigma_inf", "delta", "eta", "xi", "rate", "iterations",
-                                   "residual", "E_inf", "gain", "b_inf",
-                                   "closed_loop_radius"), got, ref):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, D)
-            pairs += 1
-            at_total += D == float(sol.spectrum.sum())
-    assert pairs == 601
+            yield model, D, ref
+
+
+def test_sweep_is_bit_identical_to_array_form():
+    # the 566 seeded (model, D) pairs of _oracle_pairs with m, p in 1..4 but
+    # not m = p = 1 (the closed form, tested below): four D per model, the
+    # last saturated, then D exactly at the saturated spectrum total, the
+    # D >= total branch at equality; 40 of them on exactly tied spectra.
+    # The sweep leaves eigenvector signs to eigh, so E_inf and what is built
+    # from it are compared too
+    pairs = at_total = 0
+    for model, D, ref in _oracle_pairs(scalar=False):
+        sol = solve_realization(model, D)
+        for name, b in zip(_ORACLE_FIELDS, ref):
+            assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(b).tobytes(), (name, D)
+        pairs += 1
+        at_total += D == float(sol.spectrum.sum())
+    assert pairs == 566
     assert at_total > 0  # 12 pairs end exactly at the total, the rest within ulps
 
 
-def test_sweep_products_keep_the_bits_of_zero_products():
-    # the sweep multiplies with ndarray.dot, which keeps -0.0 for a zero 1x1
-    # product where @ gives +0.0: signed-zero A, zero or empty noise and
-    # saturated D (eta = 0) make such products, m = 1 with p = 1 and p = 2
+def _zero_product_cases():
+    # signed-zero A, zero or empty noise and saturated D (eta = 0) make zero
+    # 1x1 products, m = 1 with p = 1 and p = 2
     for a in (0.0, -0.0, 0.6):
         for c in ([[1.2]], [[0.8], [-0.5]]):
             p = len(c)
@@ -559,16 +585,19 @@ def test_sweep_products_keep_the_bits_of_zero_products():
                 model = GaussModel(A=[[a]], B=[[1.0]], C=c, N=N)
                 total = _stationary_observation_trace(model)
                 for D in (0.3 * total, 0.9 * total, 1.5 * total):
-                    ref = _array_solve(model, D)
-                    sol = solve_realization(model, D)
-                    got = (sol.Sigma_inf, sol.delta, sol.eta, sol.xi, sol.rate, sol.iterations,
-                           sol.residual, sol.E_inf, sol.gain, sol.b_inf, sol.closed_loop_radius)
-                    for x, y in zip(got, ref):
-                        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (a, c, D)
+                    yield model, D
 
 
-_ORACLE_FIELDS = ("Sigma_inf", "delta", "eta", "xi", "rate", "iterations", "residual", "E_inf",
-                  "gain", "b_inf", "closed_loop_radius")
+def test_sweep_products_keep_the_bits_of_zero_products():
+    # the sweep multiplies with ndarray.dot, which keeps -0.0 for a zero 1x1
+    # product where @ gives +0.0; the p = 1 cases take the closed form and
+    # are tested below
+    for model, D in _zero_product_cases():
+        if _is_scalar(model):
+            continue
+        sol = solve_realization(model, D)
+        for name, b in zip(_ORACLE_FIELDS, _array_solve(model, D)):
+            assert np.asarray(getattr(sol, name)).tobytes() == np.asarray(b).tobytes(), (name, D)
 
 
 def _scalar_oracle_cases(models):
@@ -613,14 +642,21 @@ def _outcome(solve):
         return type(exc)
 
 
-def test_scalar_loop_is_bit_identical_to_array_form():
-    # solve_realization runs m = p = 1 on Python floats; every field the
-    # 601-pair oracle compares must keep the array form's bits, and where
-    # either raises, both raise the same class.  The array form's post-loop
-    # runs outside its errstate, so its warnings are silenced here; the
-    # solver's are not
-    pairs = raised = 0
-    for model, D in _scalar_oracle_cases(120):
+def test_scalar_closed_form_matches_array_form():
+    # solve_realization takes m = p = 1 in closed form; on the 600 pairs of
+    # _scalar_oracle_cases, the 35 scalar pairs of _oracle_pairs and the 18
+    # scalar zero-product pairs, where either route raises both raise the
+    # same class.  Otherwise Sigma_inf agrees with the array form's Picard
+    # loop to 1e-9 max|Sigma| (the loop's own stop error near a unit root)
+    # and the rate to 1e-9 bit, the closed form passes its own sweep check,
+    # and a saturated pair is the stationary variance bb/(1 - a^2).  The
+    # array form's post-loop runs outside its errstate, so its warnings are
+    # silenced here; the solver's are not
+    cases = [(model, D) for model, D, _ in _oracle_pairs(scalar=True)]
+    cases += [(model, D) for model, D in _zero_product_cases() if _is_scalar(model)]
+    cases += list(_scalar_oracle_cases(120))
+    raised = saturated = 0
+    for model, D in cases:
         with np.errstate(all="ignore"):
             ref = _outcome(lambda: _array_solve(model, D))
         got = _outcome(lambda: solve_realization(model, D))
@@ -628,12 +664,54 @@ def test_scalar_loop_is_bit_identical_to_array_form():
         if isinstance(ref, type) or isinstance(got, type):
             assert got is ref, case
             raised += 1
-        else:
-            for name, b in zip(_ORACLE_FIELDS, ref):
-                a = getattr(got, name)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, case)
-        pairs += 1
-    assert pairs == 600 and raised > 0
+            continue
+        S, S_ref = float(got.Sigma_inf[0, 0]), float(ref[0][0, 0])
+        assert abs(S - S_ref) <= 1e-9 * max(abs(S), abs(S_ref)), case
+        assert abs(got.rate - ref[4]) <= 1e-9, case
+        assert got.iterations == 1 and got.residual <= 1e-11 * abs(S), case
+        if got.saturated:
+            a, bb = float(model.A[0, 0]), float((model.B @ model.B.T)[0, 0])
+            assert S == pytest.approx(bb / (1.0 - a * a), rel=1e-14, abs=0.0), case
+            saturated += 1
+    assert len(cases) == 653 and raised > 0 and saturated > 0
+
+
+def test_scalar_closed_form_raises_nothing_on_valid_models():
+    # 3,000 stable models (seed 0): |alpha| < 0.99999, c in [0.1, 3],
+    # sigma_W and sigma_V log-uniform on [1e-3, 1e3], D log-uniform from
+    # 1e-6 to 1 times saturation.  A cubic residual test scaled by max|c_i|
+    # rejected 349 of these roots.  Each Sigma_inf must satisfy the scalar
+    # fixed point S = a^2 S - a^2 c^2 S^2 H/lam + sW^2, lam = c^2 S + sV^2,
+    # H = 1 - min(D, lam)/lam, to 1e-10 relative.  solve_realization, the
+    # same closed form plus one sweep, runs on every fifth model (Tier-1 time)
+    rng = np.random.default_rng(0)
+    n = 3000
+    alpha = rng.uniform(-0.99999, 0.99999, n)
+    c = rng.uniform(0.1, 3.0, n)
+    sw, sv = 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+    level = c * c * sw * sw / (1.0 - alpha * alpha) + sv * sv
+    D = level * 10.0 ** rng.uniform(-6.0, 0.0, n)
+    for i, (a, cc, w, v, d) in enumerate(zip(*(x.tolist() for x in (alpha, c, sw, sv, D)))):
+        S = partially_observed_sigma(a, cc, w, v, d)
+        lam = cc * cc * S + v * v
+        H = 1.0 - min(d, lam) / lam
+        assert abs(a * a * S - a * a * cc * cc * S * S * H / lam + w * w - S) <= 1e-10 * S
+        rate = 0.0 if d >= lam else 0.5 * math.log2(lam / d)
+        assert rna_scalar_partially_observed(a, cc, w, v, d) == pytest.approx(rate, abs=1e-12)
+        if i % 5 == 0:
+            assert solve_realization(GaussModel.scalar(a, w, cc, v), d).Sigma_inf[0, 0] == S
+
+
+@pytest.mark.parametrize("alpha, match", [(1.0, "grows linearly"), (-1.0, "grows linearly"),
+                                          (1.2, "iteration diverged"),
+                                          (-1.5, "iteration diverged")])
+@pytest.mark.parametrize("B", [[[0.0]], [[1.0]]], ids=["noiseless", "noisy"])
+def test_unobserved_scalar_mode_without_decay_is_numeric_error(alpha, match, B):
+    # c = 0 and |alpha| >= 1: no Sigma_inf exists, even without process
+    # noise, where at |alpha| = 1 every Sigma is a fixed point
+    model = GaussModel(A=[[alpha]], B=B, C=[[0.0]], N=[[0.3]])
+    with pytest.raises(NumericError, match=match):
+        solve_realization(model, 0.05)
 
 
 def test_eigh_gufunc_equals_numpy_eigh_on_the_oracle_lambdas():
@@ -666,8 +744,8 @@ def test_eigh_gufunc_equals_numpy_eigh_on_the_oracle_lambdas():
 def test_failed_eigensolve_in_the_solver_is_numeric_error(monkeypatch, binding, model):
     # NaNs from either LAPACK gufunc, with the invalid flag raised as a
     # failed solve raises it: NumericError, never a RuntimeWarning (an error
-    # here), a LinAlgError or a NaN in the solution.  The scalar model's
-    # sweeps take no eigh; its closed-loop radius still takes eigvals
+    # here), a LinAlgError or a NaN in the solution.  The scalar model takes
+    # no eigh; its cubic and its closed-loop radius take eigvals
     def failed(M):
         return np.full(M.shape[:-1], np.inf) - np.inf, np.full(M.shape, np.inf) - np.inf
 
