@@ -55,13 +55,13 @@ class GaussModel:
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        m = A.shape[0]
-        B = np.asarray(self.B, dtype=float).reshape(m, -1)
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        p = C.shape[0]
-        N = np.asarray(self.N, dtype=float).reshape(p, -1)
-        if A.shape != (m, m) or C.shape[1] != m:
+        B, N = np.asarray(self.B, dtype=float), np.asarray(self.N, dtype=float)
+        m, p = A.shape[0], C.shape[0]
+        # B and N are read as m and p rows, so their sizes must divide evenly
+        if not m or not p or A.shape != (m, m) or C.shape != (p, m) or B.size % m or N.size % p:
             raise DomainError("GaussModel: inconsistent matrix dimensions")
+        B, N = B.reshape(m, -1), N.reshape(p, -1)
         for name, M in (("A", A), ("B", B), ("C", C), ("N", N)):
             if not np.all(np.isfinite(M)):
                 raise DomainError(f"GaussModel: non-finite entries in {name}")
@@ -98,8 +98,9 @@ class WaterfillAllocation(NamedTuple):
 
 
 def _waterfill_rate(lam, delta):
-    mask = delta > 0.0
-    return float(0.5 * np.sum(np.log2(lam[mask] / delta[mask])))
+    # 0.5 sum log2(lambda_i/delta_i) over delta_i > 0 of two lists, with the
+    # array form's np.log2 and numpy's summation order
+    return 0.5 * _sum(np.log2([x / d for x, d in zip(lam, delta) if d > 0.0]).tolist())
 
 
 def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
@@ -115,14 +116,14 @@ def reverse_waterfill(spectrum, D) -> WaterfillAllocation:
         raise DomainError("reverse_waterfill: spectrum must be nonempty and finite")
     if np.any(lam < -1e-12 * scale):
         raise DomainError("reverse_waterfill: spectrum must be nonnegative")
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(lam, 0.0).tolist()
     if not D > 0.0:
         raise DomainError("reverse_waterfill: distortion must be positive")
-    xi, delta, saturated = _waterfill(lam.tolist(), D)
-    delta = np.array(delta)
+    xi, delta, saturated = _waterfill(lam, D)
     # a saturated delta equals lam, whose rate terms are log2(1) = 0 exactly
     return WaterfillAllocation(
-        xi=float(xi), delta=delta, rate=_waterfill_rate(lam, delta), saturated=saturated
+        xi=float(xi), delta=np.array(delta), rate=_waterfill_rate(lam, delta),
+        saturated=saturated
     )
 
 
@@ -180,17 +181,23 @@ class RealizationSolution:
 
 
 def _as_noise_diagonal(Q, p):
+    # Q as a (p,) array: a scalar, a (p,) vector or a diagonal (p, p) matrix
     if Q is None:
         return np.ones(p)
-    q = np.asarray(Q, dtype=float)
-    if q.ndim == 2:
-        if np.any(q != np.diag(np.diag(q))):
-            raise DomainError("channel noise Q must be diagonal")
-        q = np.diag(q)
-    q = np.broadcast_to(np.atleast_1d(q), (p,)).astype(float)
+    try:
+        q = np.array(Q, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric: refused below
+        q = np.empty(0)
+    if q.ndim == 0:
+        q = np.full(p, float(q))
+    elif q.shape == (p, p) and not np.any(q != np.diag(np.diag(q))):
+        q = np.diag(q).copy()
+    if q.shape != (p,):
+        raise DomainError(f"channel noise Q must be a scalar, a length-{p} vector "
+                          f"or a diagonal {p} x {p} matrix")
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise DomainError("channel noise Q must be positive")
-    return q.copy()
+    return q
 
 
 # every rule is relative, so scaling B, N by s and D by s^2 keeps the rate
@@ -206,33 +213,46 @@ _GROWS_LINEARLY = "solve_realization: Sigma grows linearly: undetectable or unst
 def _sweep(A, BBt, C, NNt, Sigma, D):
     """One Picard sweep: water-filled observation weight, then Riccati.
 
-    Returns the new Sigma and (Lam, lam, E, xi, delta, eta, saturated),
-    with lam, delta and eta lists of floats equal to the array forms.  The
-    rows of E carry eigh's signs, not sym_eig's convention: the sweep uses
-    E only in S = C'E' diag(ratio) E C, whose every term is a product of
-    two entries of one row, so a row's sign cannot change a bit of S.
+    Returns the new Sigma and (Lam, lam, E, xi, delta, saturated), with
+    lam and delta lists of floats equal to the array forms.  The rows of E
+    carry eigh's signs, not sym_eig's convention: the sweep uses E only in
+    S = C'E' diag(ratio) E C, whose every term is a product of two entries
+    of one row, so a row's sign cannot change a bit of S.
 
     The products use ndarray.dot: the same BLAS product as @, without the
     gufunc dispatch that dominates at these sizes.  The two differ only in
     the sign of a 1x1 product that is zero (dot keeps -0.0), and every such
     product is summed with NN' or BB' (sums of squares, never -0.0) before
-    it reaches Lambda or Sigma, so both keep their bits."""
+    it reaches Lambda or Sigma, so both keep their bits.
+
+    Its ~24 NumPy calls on 2x2 to 4x4 arrays cost more than the arithmetic,
+    so the checks run on lists.  Lambda is checked before the eigensolve:
+    LAPACK does not flag every non-finite input (a NaN on a 2x2's diagonal
+    can give a finite spectrum; an inf sets the divide-by-zero flag)."""
     Lam = C.dot(Sigma).dot(C.T) + NNt
     Lam = 0.5 * (Lam + Lam.T)
-    if not np.isfinite(Lam).all():
+    if not all(map(math.isfinite, Lam.ravel().tolist())):
         raise DomainError("solve_realization: non-finite Lambda (the covariances overflow)")
     w, E = _eigh_desc(Lam)
     lam = [x if x > 0.0 else 0.0 for x in w.tolist()]  # np.maximum(w, 0.0)
     xi, delta, saturated = _waterfill(lam, D)  # lam = 0: delta = lam, saturated
-    eta, ratio = [], []
-    for x, d in zip(lam, delta):
-        e = 1.0 - d / x if x > 0.0 else 0.0  # in [0, 1], as 0 <= delta_i <= lambda_i
-        eta.append(e)
-        ratio.append(e / x if x > 0.0 else 0.0)
+    # eta_i/lambda_i, eta_i = 1 - delta_i/lambda_i in [0, 1] as 0 <= delta_i <= lambda_i
+    ratio = [(1.0 - d / x) / x if x > 0.0 else 0.0 for x, d in zip(lam, delta)]
     S = C.T.dot(E.T).dot(np.array(ratio)[:, None] * E).dot(C)
     ASigma = A.dot(Sigma)
     new = ASigma.dot(A.T) - ASigma.dot(S).dot(Sigma).dot(A.T) + BBt
-    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, eta, saturated)
+    return 0.5 * (new + new.T), (Lam, lam, E, xi, delta, saturated)
+
+
+def _scale_and_change(new, old):
+    # (max|new_i|, max|new_i - old_i|) over two lists of floats in one pass,
+    # as the array reductions give them: a NaN term makes its maximum NaN
+    scale = change = 0.0
+    for x, y in zip(new, old):
+        a, d = abs(x), abs(x - y)
+        scale = a if a > scale or a != a else scale
+        change = d if d > change or d != d else change
+    return scale, change
 
 
 def _scalar_sigma(a, bb, c, nn, D):
@@ -261,14 +281,15 @@ def _sigma_inf(A, BBt, C, NNt, D):
     if not BBt.any() and _spectral_radius(A) < 1.0:
         # Sigma_inf = 0, which a relative stop reaches only at underflow
         Sigma = 0.0 * Sigma
+    prev = Sigma.ravel().tolist()
     for iterations in range(1, _MAX_ITER + 1):
         new, _ = _sweep(A, BBt, C, NNt, Sigma, D)
-        scale = float(abs(new).max())
-        change = float(abs(new - Sigma).max())
+        flat = new.ravel().tolist()
+        scale, change = _scale_and_change(flat, prev)
         # NaN fails this comparison, so it also rejects non-finite entries
         if not scale <= cap:
             raise NumericError(_DIVERGED)
-        Sigma = new
+        Sigma, prev = new, flat
         if change <= _TOL * scale:
             return Sigma, iterations
         if iterations % _LINEAR_LAG == 1:
@@ -298,6 +319,11 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     after the last sweep, to the E_inf that the solution returns and that
     the filter gain and closed loop are built from.
 
+    A vector solve costs iterations + 1 sweeps plus a fixed per-call cost,
+    both NumPy call overhead at 2x2 to 4x4, so checks, reductions and the
+    elementwise eta, b_inf and rate run on lists, which round as the array
+    form does; every product keeps its dot/@ call and order.
+
     D and Q are checked once, on entry (the model's matrices are finite by
     construction).  The sweeps call the unchecked cores of sym_eig and
     reverse_waterfill and keep only the checks that can fire mid-loop:
@@ -317,30 +343,28 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
     m, _, p, _ = model.dims
     q = _as_noise_diagonal(Q, p)
     A, B, C, N = model.A, model.B, model.C, model.N
-    BBt = B @ B.T
-    NNt = N @ N.T
 
-    # invalid="ignore" also covers _eigh_desc, which checks its own result
+    # _eigh_desc checks its own result; an overflowing BB' or NN' fails the loop's checks
     with np.errstate(over="ignore", invalid="ignore"):
+        BBt = B @ B.T
+        NNt = N @ N.T
         Sigma, iterations = _sigma_inf(A, BBt, C, NNt, D)
-        full, (Lam, lam, E, xi, delta, eta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
-    E = _sign_rows(E)
-    residual = float(np.max(np.abs(full - Sigma)))
-    if m == p == 1 and residual > _TOL * abs(float(Sigma[0, 0])):
-        raise NumericError("solve_realization: the closed-form Sigma_inf misses the fixed point")
-    lam, delta, eta = np.array(lam), np.array(delta), np.array(eta)
-    rate = _waterfill_rate(lam, delta)  # 0 when every delta_i is 0 or lambda_i
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        b_inf = np.sqrt(eta * delta / q)
-        inv_active = np.where(eta > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
-        gain = A @ Sigma @ C.T @ E.T @ (inv_active[:, None] * E)
-        Ebar = E.T @ (eta[:, None] * E)
-        closed_loop = A - gain @ Ebar @ C
-    if not all(np.isfinite(X).all() for X in (b_inf, gain, closed_loop)):
+        full, (Lam, lam, E, xi, delta, saturated) = _sweep(A, BBt, C, NNt, Sigma, D)
+        _, residual = _scale_and_change(full.ravel().tolist(), Sigma.ravel().tolist())
+        if m == p == 1 and residual > _TOL * abs(float(Sigma[0, 0])):
+            raise NumericError("solve_realization: the closed-form Sigma_inf misses the "
+                               "fixed point")
+        E = _sign_rows(E)
+        # the array form's elementwise expressions, on the last sweep's lists
+        eta = [1.0 - d / x if x > 0.0 else 0.0 for x, d in zip(lam, delta)]
+        b_inf = [math.sqrt(e * d / s) for e, d, s in zip(eta, delta, q.tolist())]
+        inv_active = [1.0 / x if e > 0.0 else 0.0 for x, e in zip(lam, eta)]
+        eta_array = np.array(eta)
+        gain = A @ Sigma @ C.T @ E.T @ (np.array(inv_active)[:, None] * E)
+        closed_loop = A - gain @ (E.T @ (eta_array[:, None] * E)) @ C
+    if not all(map(math.isfinite, b_inf + gain.ravel().tolist() + closed_loop.ravel().tolist())):
         raise DomainError("solve_realization: decoder or filter gain leaves the float range "
                           "(channel noise Q or a lambda_i too small)")
-    radius = _spectral_radius(closed_loop)
 
     return RealizationSolution(
         model=model,
@@ -349,17 +373,17 @@ def solve_realization(model: GaussModel, D, Q=None) -> RealizationSolution:
         Sigma_inf=Sigma,
         Lambda_inf=Lam,
         E_inf=E,
-        spectrum=lam,
-        delta=delta,
+        spectrum=np.array(lam),
+        delta=np.array(delta),
         xi=xi,
-        eta=eta,
-        b_inf=b_inf,
+        eta=eta_array,
+        b_inf=np.array(b_inf),
         gain=gain,
-        rate=rate,
+        rate=_waterfill_rate(lam, delta),  # 0 when every delta_i is 0 or lambda_i
         iterations=iterations,
         residual=residual,
         saturated=saturated,
-        closed_loop_radius=radius,
+        closed_loop_radius=_spectral_radius(closed_loop),
     )
 
 

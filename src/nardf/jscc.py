@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .excess import GaussianErrorRecursion, _error_steps, gaussian_error_recursion
 from .gauss import GaussModel, RealizationSolution, rna_scalar_fully_observed
-from .numerics import _MAX_STEPS, RngStream, _check_counts, _lockstep_draws, water_level
+from .numerics import _MAX_STEPS, RngStream, _check_counts, _level, _lockstep_draws, _sum
 
 __all__ = [
     "PowerMatch",
@@ -48,18 +48,26 @@ def capacity_waterfill(noise_vars, P):
         raise DomainError("capacity_waterfill: noise variances must be positive")
     if not 0.0 < P < math.inf:
         raise DomainError("capacity_waterfill: power must be positive and finite")
-    with np.errstate(over="ignore"):  # an infinite capacity is refused below
-        if q.size == 1:
-            cap, alloc = 0.5 * math.log2(1.0 + P / q[0]), np.array([float(P)])
-        else:
-            level = -water_level(-q, -(P + float(q.sum())))
-            # the quietest channel gets power even where the level rounds below its q
-            active = (q < level) | (q == q.min())
-            nu = (P + float(q[active].sum())) / int(active.sum())
-            alloc = np.maximum(0.0, nu - q)
-            if abs(float(alloc.sum()) - P) > 1e-12 * max(P, 1.0):
-                raise NumericError("capacity_waterfill: allocation does not meet P")
-            cap = float(0.5 * np.sum(np.log2(1.0 + alloc / q)))
+    cap, alloc = _capacity_waterfill(q.tolist(), float(P))
+    return cap, np.array(alloc)
+
+
+def _capacity_waterfill(q, P):
+    # capacity_waterfill of a nonempty list of positive finite floats at a
+    # positive finite P, unchecked, with the array form's values: numpy's
+    # sums (_sum), np.log2, and an allocation list
+    if len(q) == 1:
+        cap, alloc = 0.5 * math.log2(1.0 + P / q[0]), [P]
+    else:
+        level = -_level(sorted(-x for x in q), -(P + _sum(q)))
+        # the quietest channel gets power even where the level rounds below its q
+        quietest = min(q)
+        active = [x for x in q if x < level or x == quietest]
+        nu = (P + _sum(active)) / len(active)
+        alloc = [nu - x if nu - x > 0.0 else 0.0 for x in q]  # np.maximum(0.0, nu - q)
+        if abs(_sum(alloc) - P) > 1e-12 * max(P, 1.0):
+            raise NumericError("capacity_waterfill: allocation does not meet P")
+        cap = 0.5 * _sum(np.log2([1.0 + a / x for a, x in zip(alloc, q)]).tolist())
     if cap == math.inf:
         raise DomainError("capacity_waterfill: P/q leaves the float range")
     return cap, alloc
@@ -81,19 +89,18 @@ def match_power(solution: RealizationSolution) -> PowerMatch:
     (true automatically for one active coordinate or matched_channel_noise).
     DomainError if P leaves the float range.
     """
-    lam, delta, q = solution.spectrum, solution.delta, solution.q
-    with np.errstate(over="ignore"):  # an infinite power is refused below
-        alloc = np.where(delta > 0.0, q * (lam - delta) / np.where(delta > 0.0, delta, 1.0), 0.0)
-    P = float(alloc.sum())
+    lam, delta, q = (x.tolist() for x in (solution.spectrum, solution.delta, solution.q))
+    # q_i (lambda_i - delta_i)/delta_i on delta_i > 0, overflowing to inf as arrays do
+    alloc = [s * (x - d) / d if d > 0.0 else 0.0 for x, d, s in zip(lam, delta, q)]
+    P = _sum(alloc)
     if P == math.inf:
         raise DomainError("match_power: the matched power leaves the float range")
     if P <= 0.0:
-        return PowerMatch(P=0.0, allocation=np.zeros_like(lam), capacity=0.0, matched=True)
-    active = alloc > 0.0
-    cap, _ = capacity_waterfill(q[active], P)
+        return PowerMatch(P=0.0, allocation=np.zeros(len(lam)), capacity=0.0, matched=True)
+    cap, _ = _capacity_waterfill([s for s, a in zip(q, alloc) if a > 0.0], P)
     return PowerMatch(
         P=P,
-        allocation=alloc,
+        allocation=np.array(alloc),
         capacity=cap,
         matched=abs(cap - solution.rate) <= 1e-10,
     )

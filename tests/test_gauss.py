@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from nardf import numerics
+from nardf import gauss, numerics
 from nardf.errors import DomainError, NumericError
 from nardf.gauss import (
     GaussModel,
@@ -267,6 +267,27 @@ def test_channel_noise_validation():
         solve_realization(TEST_MODEL, 1.0, Q=[1.0, -1.0])
     with pytest.raises(DomainError):
         solve_realization(TEST_MODEL, 1.0, Q=np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("Q", [np.eye(3), [1.0, 2.0, 3.0], np.ones((2, 3)), np.ones((2, 2, 2)),
+                               [1.0], np.ones((1, 1)), [[1.0, 2.0], [3.0]], "one"],
+                         ids=["eye3", "length-3", "2x3", "3-d", "length-1", "1x1", "ragged",
+                              "string"])
+def test_channel_noise_of_the_wrong_shape_is_domain_error(Q):
+    # a scalar, a (p,) vector or a diagonal (p, p) matrix; anything else,
+    # broadcastable or not, is a DomainError rather than numpy's ValueError
+    with pytest.raises(DomainError, match="scalar, a length-2 vector or a diagonal 2 x 2"):
+        solve_realization(TEST_MODEL, 1.0, Q=Q)
+
+
+@pytest.mark.parametrize("Q", [2.0, np.float64(2.0), np.array(2.0), [2.0, 2.0],
+                               np.diag([2.0, 2.0])],
+                         ids=["float", "numpy-scalar", "0-d", "vector", "diagonal"])
+def test_channel_noise_shapes_give_one_solution(Q):
+    sol = solve_realization(TEST_MODEL, 1.0, Q=Q)
+    assert sol.q.tolist() == [2.0, 2.0]
+    ref = solve_realization(TEST_MODEL, 1.0, Q=[2.0, 2.0])
+    assert sol.b_inf.tobytes() == ref.b_inf.tobytes()
 
 
 def test_rate_curve_monotone_and_midpoint_convex():
@@ -880,6 +901,50 @@ def test_overflowing_model_is_domain_error_without_warning():
         solve_realization(huge, 1.2)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_sweep_rejects_every_non_finite_lambda_entry(value):
+    # the sweep checks Lambda before the eigensolve, since LAPACK does not
+    # flag every non-finite input: a NaN on the diagonal of a 2x2 can come
+    # back as a finite spectrum, and an inf sets the divide-by-zero flag
+    # (an error here, as solve_realization ignores only over and invalid).
+    # Lambda = C Sigma C' + NN' has the entry exactly where NN' does
+    Sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
+    for i, j in ((0, 0), (1, 0), (1, 1)):
+        NNt = 0.16 * np.eye(2)
+        NNt[i, j] = NNt[j, i] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="non-finite Lambda"):
+                gauss._sweep(TEST_MODEL.A, np.eye(2), TEST_MODEL.C, NNt, Sigma, 0.5)
+
+
+def test_scale_and_change_equal_the_array_reductions():
+    # the loop's one list pass against np.max(np.abs(new)) and
+    # np.max(np.abs(new - old)) on 2x2 to 4x4 entries, with NaN, inf and
+    # signed zeros placed anywhere: a NaN at any position makes its max NaN
+    rng = np.random.default_rng(8)
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
+    for _ in range(2000):
+        n = int(rng.choice([4, 9, 16]))
+        new, old = rng.normal(size=(2, n))
+        for x in (new, old):
+            for i in rng.integers(0, n, int(rng.integers(0, 3))):
+                x[i] = specials[int(rng.integers(0, len(specials)))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = (float(np.max(np.abs(new))), float(np.max(np.abs(new - old))))
+        got = gauss._scale_and_change(new.tolist(), old.tolist())
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), (new, old)
+
+
+def test_overflowing_process_noise_is_domain_error_without_warning():
+    # BB' overflows (1e200^2), to inf - inf = NaN off the diagonal for these
+    # rows: the covariance checks raise, without numpy's overflow warning
+    B = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    for C in (np.eye(2), TEST_MODEL.C):
+        model = GaussModel(A=TEST_MODEL.A, B=B, C=C, N=TEST_MODEL.N)
+        with pytest.raises(DomainError):
+            solve_realization(model, 0.5)
+
+
 @pytest.mark.parametrize("s, f", [(1e3, 0.1), (1e3, 2.0), (1e4, 0.1), (3e4, 0.1),
                                   (1e5, 0.5), (3e5, 0.1), (3e5, 0.5)])
 def test_large_covariance_scale_converges(s, f):
@@ -959,6 +1024,16 @@ def test_model_validation():
     assert GaussModel.scalar(0.5, 1.0).dims == (1, 1, 1, 0)
     with pytest.raises(DomainError):
         solve_realization(TEST_MODEL, 0.0)
+
+
+@pytest.mark.parametrize("B, N", [(np.ones(3), np.eye(2)), (np.eye(2), np.ones(3)),
+                                  (np.ones((3, 1)), np.eye(2)), (np.eye(2), np.ones((1, 5)))],
+                         ids=["B-size-3", "N-size-3", "B-3x1", "N-1x5"])
+def test_model_with_b_or_n_of_the_wrong_size_is_domain_error(B, N):
+    # B and N are read as m and p rows: a size that is not a multiple of
+    # m (resp. p) is a DomainError, not numpy's reshape ValueError
+    with pytest.raises(DomainError, match="inconsistent matrix dimensions"):
+        GaussModel(A=np.eye(2), B=B, C=np.eye(2), N=N)
 
 
 # ------------------------------------------------------------------ alpha = 1

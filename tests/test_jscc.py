@@ -21,7 +21,7 @@ from nardf.jscc import (
     simulate_scalar,
     simulate_vector,
 )
-from nardf.numerics import RngStream
+from nardf.numerics import RngStream, solve_discrete_lyapunov
 
 from conftest import step_matrix
 
@@ -114,6 +114,100 @@ def test_match_power_scalar_always_matched():
     pm = match_power(sol)
     assert pm.matched
     assert pm.capacity == pytest.approx(sol.rate, abs=1e-10)
+
+
+# ------------------------------------------ array-form power matching, bit for bit
+#
+# capacity_waterfill and match_power as array expressions, the formulas the
+# list core must reproduce: the water level from a sorted array, cumsum and
+# searchsorted, the active set (q < level) | (q == q.min()), np.maximum,
+# and numpy's sums and np.log2.  The third value says whether the quietest
+# channel is active only by the q == q.min() rule (its q is not below level).
+
+
+def _array_capacity_waterfill(q, P):
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):
+        if q.size == 1:
+            return 0.5 * math.log2(1.0 + P / q[0]), np.array([float(P)]), False
+        v = np.sort(-q)
+        below = np.concatenate(([0.0], np.cumsum(v[:-1])))
+        above = v.size - np.arange(v.size)
+        total = -(P + float(q.sum()))
+        j = min(int(np.searchsorted(below + above * v, total)), v.size - 1)
+        level = -((total - float(below[j])) / int(above[j]))
+        active = (q < level) | (q == q.min())
+        nu = (P + float(q[active].sum())) / int(active.sum())
+        alloc = np.maximum(0.0, nu - q)
+        return float(0.5 * np.sum(np.log2(1.0 + alloc / q))), alloc, not q.min() < level
+
+
+def _array_match_power(sol):
+    lam, delta, q = sol.spectrum, sol.delta, sol.q
+    with np.errstate(over="ignore"):
+        alloc = np.where(delta > 0.0, q * (lam - delta) / np.where(delta > 0.0, delta, 1.0), 0.0)
+    P = float(alloc.sum())
+    if P <= 0.0:
+        return 0.0, np.zeros_like(lam), 0.0, True
+    cap, _, _ = _array_capacity_waterfill(q[alloc > 0.0], P)
+    return P, alloc, cap, abs(cap - sol.rate) <= 1e-10
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _noise_draws(rng, p):
+    # unit (tied) noise, a tied multiple of I, a drawn vector with its two
+    # smallest entries tied, a drawn vector, and the drawn vector as a matrix
+    q = rng.uniform(0.05, 5.0, p)
+    tied = q.copy()
+    tied[np.argsort(q)[1:2]] = q.min()
+    return [None, rng.uniform(0.1, 10.0), tied, q, np.diag(q)]
+
+
+def test_match_power_and_capacity_equal_the_array_form_bit_for_bit():
+    # 1,000 seeded solutions (m, p in 1..4, five noise choices, four D from
+    # deep below saturation to saturated) and capacity_waterfill on 1,000
+    # drawn (q, P), P down to 1e-20 q, where the level rounds to min(q); every
+    # draw class must occur: every channel active, exactly one active, P = 0,
+    # tied q, a non-unit Q, and the quietest channel active by the q.min() rule
+    rng = np.random.default_rng(27)
+    seen = dict.fromkeys(("all", "one", "zero", "tied", "non-unit", "min-rule"), 0)
+    solutions = 0
+    while solutions < 1000:
+        m, p = (int(x) for x in rng.integers(1, 5, 2))
+        A = rng.normal(size=(m, m))
+        A *= rng.uniform(0.1, 0.9) / max(np.abs(np.linalg.eigvals(A)))
+        model = GaussModel(A=A, B=rng.normal(size=(m, m)), C=rng.normal(size=(p, m)),
+                           N=np.diag(rng.uniform(0.1, 1.0, p)))
+        total = float(np.trace(model.C @ solve_discrete_lyapunov(A, model.B @ model.B.T)
+                               @ model.C.T + model.N @ model.N.T))
+        for Q in _noise_draws(rng, p):
+            for f in (rng.uniform(0.005, 0.1), rng.uniform(0.1, 0.9), rng.uniform(0.9, 1.0), 1.5):
+                sol = solve_realization(model, f * total, Q)
+                pm = match_power(sol)
+                P, alloc, cap, matched = _array_match_power(sol)
+                assert _bits(pm.P) == _bits(P) and _bits(pm.allocation) == _bits(alloc)
+                assert _bits(pm.capacity) == _bits(cap) and pm.matched == matched
+                active = int(np.count_nonzero(alloc))
+                seen["all"] += p > 1 and active == p
+                seen["one"] += active == 1
+                seen["zero"] += P == 0.0
+                q = sol.q[alloc > 0.0]
+                seen["tied"] += active > 1 and int(np.count_nonzero(q == q.min())) > 1
+                seen["non-unit"] += bool(np.any(sol.q != 1.0))
+                solutions += 1
+    for _ in range(1000):
+        q = rng.uniform(0.01, 10.0, int(rng.integers(1, 9)))
+        if rng.uniform() < 0.3:
+            q[rng.integers(0, q.size, q.size)] = q.min()  # ties at the minimum
+        P = float(10.0 ** rng.uniform(-20.0, 3.0))
+        cap, alloc = capacity_waterfill(q, P)
+        cap_ref, alloc_ref, by_rule = _array_capacity_waterfill(q, P)
+        assert _bits(cap) == _bits(cap_ref) and _bits(alloc) == _bits(alloc_ref)
+        seen["min-rule"] += by_rule
+    assert min(seen.values()) >= 50, seen
 
 
 # -------------------------------------------------------------- scalar designs
