@@ -180,12 +180,13 @@ def directed_info_rate(chain: JointChain, design: BsmsDesign):
 
 def classical_gray(p, D):
     """Gray's lower bound H(p) - H(D) on the classical RDF of the BSMS(p),
-    clamped at 0; the flag reports whether the bound is tight (D <= D_c)."""
+    with H(D) taken at min(D, 1/2) and clamped at 0 (the RDF is 0 from D = 1/2
+    on); the flag reports whether the bound is tight (D <= D_c)."""
     if not 0.0 < p <= 0.5:
         raise DomainError("classical_gray requires 0 < p <= 0.5")
     if D < 0.0:
         raise DomainError("distortion must be nonnegative")
-    value = max(binary_entropy(p) - binary_entropy(min(D, 1.0)), 0.0)
+    value = max(binary_entropy(p) - binary_entropy(min(D, 0.5)), 0.0)
     return value, D <= gray_critical_distortion(p)
 
 

@@ -260,7 +260,7 @@ def _cmd_jscc_sim(args):
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     payload = {
-        "schema": "nardf/jscc-sim/v8",
+        "schema": "nardf/jscc-sim/v9",
         "mode": mode,
         "seed": seed,
     }

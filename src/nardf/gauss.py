@@ -2,8 +2,10 @@
 
 Solves the coupled fixed point of the modified Kalman-Riccati equation,
 eigendecomposition and reverse water-filling (in closed form when m = p = 1,
-else by one undamped Picard loop from Sigma = BB' + I), plus the fully
-observed scalar closed form and the classical references for the alpha = 1
+else by one undamped Picard loop from Sigma = BB' + I), plus the scalar
+closed forms, the fully observed one as the sigma_V = 0 case of the
+partially observed one (one rule, _scalar_sigma, for every scalar Sigma_inf,
+rate and saturation), and the classical references for the alpha = 1
 autoregressive source.  The vector rate is that of the paper's
 realization, whose error covariance shares the innovations' eigenvectors:
 achievable and equal to R^na on scalar sources, but not always the
@@ -56,12 +58,14 @@ class GaussModel:
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        B, N = np.asarray(self.B, dtype=float), np.asarray(self.N, dtype=float)
         m, p = A.shape[0], C.shape[0]
-        # B and N are read as m and p rows, so their sizes must divide evenly
-        if not m or not p or A.shape != (m, m) or C.shape != (p, m) or B.size % m or N.size % p:
+        # B has m rows and N p rows: an empty one has no columns, a 1-D one is one column
+        B, N = (np.empty((rows, 0)) if X.size == 0 else X.reshape(-1, 1) if X.ndim < 2 else X
+                for X, rows in ((np.asarray(self.B, dtype=float), m),
+                                (np.asarray(self.N, dtype=float), p)))
+        if (not m or not p or A.shape != (m, m) or C.shape != (p, m)
+                or B.ndim != 2 or len(B) != m or N.ndim != 2 or len(N) != p):
             raise DomainError("GaussModel: inconsistent matrix dimensions")
-        B, N = B.reshape(m, -1), N.reshape(p, -1)
         for name, M in (("A", A), ("B", B), ("C", C), ("N", N)):
             if not np.all(np.isfinite(M)):
                 raise DomainError(f"GaussModel: non-finite entries in {name}")
@@ -396,21 +400,17 @@ def _half_log2(x, context):
 
 
 def rna_scalar_fully_observed(alpha, sigma_W, D):
-    """Nonanticipative RDF 0.5 log2(alpha^2 + sigma_W^2/D) of the scalar
-    fully observed Gauss-Markov source, evaluated as written (no clamping)."""
-    if not 0.0 < D < math.inf:
-        raise DomainError("distortion must be positive and finite")
-    if not abs(alpha) <= 1.0:
-        raise DomainError("requires |alpha| <= 1")
-    if not 0.0 < sigma_W < math.inf:
-        raise DomainError("sigma_W must be positive and finite")
-    return _half_log2(alpha * alpha + sigma_W * sigma_W / D, "rna_scalar_fully_observed")
+    """Nonanticipative RDF 0.5 log2(alpha^2 + sigma_W^2/D) of the scalar fully
+    observed source for |alpha| <= 1, 0 from the stationary variance
+    sigma_W^2/(1 - alpha^2) on: rna_scalar_partially_observed at sigma_V = 0."""
+    return rna_scalar_partially_observed(alpha, 1.0, sigma_W, 0.0, D)
 
 
 def partially_observed_sigma(alpha, c, sigma_W, sigma_V, D):
     """Steady-state filter error variance Sigma_inf of the scalar partially
-    observed source at distortion D: sW^2/(1 - a^2) once D >= c^2 sW^2/(1 - a^2)
-    + sV^2 (saturated), else the largest real root of the cubic
+    observed source at distortion D: sW^2/(1 - a^2) once |a| < 1 and
+    D >= c^2 sW^2/(1 - a^2) + sV^2 (saturated), else the largest real root of
+    the cubic
 
         c^4 S^3 + ((2 - a^2) c^2 sV^2 - a^2 c^2 D - c^4 sW^2) S^2
                 + ((1 - a^2) sV^4 - 2 c^2 sV^2 sW^2) S - sV^4 sW^2 = 0,
@@ -419,15 +419,17 @@ def partially_observed_sigma(alpha, c, sigma_W, sigma_V, D):
     modified Riccati fixed point S = a^2 S - a^2 c^2 S^2 H/lam + sW^2,
     lam = c^2 S + sV^2, H = 1 - D/lam, which holds below saturation only.
     (Sanity anchors: a = 0 factors as (S - sW^2)(S + sV^2/c^2)^2 = 0 with
-    root sW^2; sV = 0 recovers the fully observed S = a^2 D + sW^2.)
+    root sW^2; sV = 0 recovers the fully observed S = a^2 D/c^2 + sW^2.)
+    Takes |a| <= 1 and checks the squares: c^2, sW^2 > 0, sV^2 >= 0, finite.
     """
-    if not abs(alpha) < 1.0:
-        raise DomainError("requires |alpha| < 1")
-    if not (0.0 < c < math.inf and 0.0 < sigma_W < math.inf and 0.0 <= sigma_V < math.inf):
-        raise DomainError("requires finite c > 0, sigma_W > 0, sigma_V >= 0")
+    cc, bb, nn = c * c, sigma_W * sigma_W, sigma_V * sigma_V
+    if not abs(alpha) <= 1.0:
+        raise DomainError("requires |alpha| <= 1")
+    if not (0.0 < cc < math.inf and 0.0 < bb < math.inf and 0.0 <= nn < math.inf):
+        raise DomainError("requires c^2 and sigma_W^2 positive and finite, sigma_V^2 finite")
     if not 0.0 < D < math.inf:
         raise DomainError("distortion must be positive and finite")
-    return _scalar_sigma(alpha, sigma_W * sigma_W, c, sigma_V * sigma_V, D)
+    return _scalar_sigma(alpha, bb, c, nn, D)
 
 
 def rna_scalar_partially_observed(alpha, c, sigma_W, sigma_V, D):
@@ -437,26 +439,25 @@ def rna_scalar_partially_observed(alpha, c, sigma_W, sigma_V, D):
     lambda_1 = c^2 Sigma_inf + sigma_V^2."""
     sigma = partially_observed_sigma(alpha, c, sigma_W, sigma_V, D)
     lam1 = c * c * sigma + sigma_V * sigma_V
-    if D >= lam1:
-        return 0.0
-    return _half_log2(lam1 / D, "rna_scalar_partially_observed")
+    return 0.0 if D >= lam1 else _half_log2(lam1 / D, "rna_scalar_partially_observed")
+
+
+def _alpha1_variance(sigma_W, D, context):
+    # sigma_W^2 on the region of classical_alpha1 and rate_loss_alpha1
+    sW2 = sigma_W * sigma_W
+    if not (sigma_W > 0.0 and 0.0 < D <= sW2 / 4.0):
+        raise DomainError(f"{context} valid only for sigma_W > 0, 0 < D <= sigma_W^2/4")
+    return sW2
 
 
 def classical_alpha1(sigma_W, D):
     """Classical RDF 0.5 log2(sigma_W^2/D) of the alpha = 1 autoregressive
     source, valid only on 0 < D <= sigma_W^2/4."""
-    if sigma_W <= 0.0:
-        raise DomainError("sigma_W must be positive")
-    if not 0.0 < D <= sigma_W * sigma_W / 4.0:
-        raise DomainError("classical_alpha1 valid only for 0 < D <= sigma_W^2/4")
-    return _half_log2(sigma_W * sigma_W / D, "classical_alpha1")
+    return _half_log2(_alpha1_variance(sigma_W, D, "classical_alpha1") / D, "classical_alpha1")
 
 
 def rate_loss_alpha1(sigma_W, D):
     """Rate loss 0.5 log2(1 + D/sigma_W^2) of causal codes for the alpha = 1
     autoregressive source on the same validity region as classical_alpha1."""
-    if sigma_W <= 0.0:
-        raise DomainError("sigma_W must be positive")
-    if not 0.0 < D <= sigma_W * sigma_W / 4.0:
-        raise DomainError("rate_loss_alpha1 valid only for 0 < D <= sigma_W^2/4")
-    return _half_log2(1.0 + D / (sigma_W * sigma_W), "rate_loss_alpha1")
+    sW2 = _alpha1_variance(sigma_W, D, "rate_loss_alpha1")
+    return _half_log2(1.0 + D / sW2, "rate_loss_alpha1")

@@ -12,6 +12,7 @@ Every public function here is pure.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -153,8 +154,9 @@ def water_level(values, total):
 def _level(v, total):
     # water_level of an ascending list of floats, rounded as the array form
     # rounds it: below_j = v_0 + ... + v_(j-1) summed in turn (cumsum), the
-    # piece ends below_j + (p - j) v_j, and searchsorted's binary search for
-    # the first end >= total (NaN ordered last)
+    # piece ends below_j + (p - j) v_j, and bisect_left's search for the
+    # first end that is not < total, which searchsorted finds too (a NaN end
+    # is not < total; a NaN total gives a NaN level at any index)
     p = len(v)
     below, ends = [], []
     run = 0.0
@@ -162,15 +164,7 @@ def _level(v, total):
         below.append(run)
         ends.append(run + (p - j) * x)
         run += x
-    lo, hi = 0, p
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        end = ends[mid]
-        if end < total or (total != total and end == end):
-            lo = mid + 1
-        else:
-            hi = mid
-    j = min(lo, p - 1)
+    j = min(bisect.bisect_left(ends, total), p - 1)
     return (total - below[j]) / (p - j)
 
 

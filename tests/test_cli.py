@@ -317,7 +317,7 @@ def test_jscc_sim_feedback(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/jscc-sim/v8"
+    assert payload["schema"] == "nardf/jscc-sim/v9"
     assert payload["mode"] == "fb"
     assert payload["seed"] == 42
     ana = payload["analytic"]
@@ -832,7 +832,11 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # D = 5.51, where Sigma_inf is in closed form and each row is one sweep.  The
 # jscc-sim pins, one per mode, were recorded for its schema v8: seed 7 and
 # 400 steps (two shards, so stderr stays empty), or 4 uses x 100 trials for
-# sk.  A seeded draw, gain or sum that rounds differently fails them.
+# sk.  A seeded draw, gain or sum that rounds differently fails them.  They
+# were recorded again for v9, which moved them by the schema string only,
+# and v9 added the fb-power pin: there the fb matched_rate, now taken
+# through the partially observed closed form, moves in its last digit
+# (json 0.6609640474436812 -> ...813; csv prints 12 digits).
 GOLDEN_ARGV = {
     ("gauss-rate", "model"): ["gauss-rate", "--model", "model.txt", "--d-grid", "0.1:5.0:0.1"],
     ("gauss-rate", "scalar"): ["gauss-rate", "--model", "scalar.txt", "--d-grid", "0.5:8.0:0.5"],
@@ -850,6 +854,8 @@ GOLDEN_ARGV = {
                              "--d", "1.2", "--steps", "400", "--seed", "7"],
     ("jscc-sim", "sk"): ["jscc-sim", "--mode", "sk", "--steps", "4", "--trials", "100",
                          "--seed", "7"],
+    ("jscc-sim", "fb-power"): ["jscc-sim", "--mode", "fb", "--alpha", "0.3", "--power", "1.5",
+                               "--steps", "400", "--seed", "7"],
 }
 BSMS_GOLDEN_SHA256 = {
     ("bsms-curve", "0.1", "csv"): "313ec45b2b9235eee914aa72a5f9d3976be47ad1b57377bdb68fda0137622566",
@@ -870,16 +876,18 @@ BSMS_GOLDEN_SHA256 = {
     ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
     ("excess", "bounds", "json"): "4c0802b420b581c295abe1bbaa9f491059799b6d384686ea4961b144cfd0ebb7",
-    ("jscc-sim", "fb", "csv"): "a843b750228ba269ba1024835ade6780f76ee73000d5d5bf45abc9b79cca2a09",
-    ("jscc-sim", "fb", "json"): "2b626b78398ba77f53ba9208cd631db3d8b036deed0fba8785f6fff6ee9b6ee0",
-    ("jscc-sim", "nfb", "csv"): "74431f750735e1d42d023cf885b61434bd3796414f3e24673e5ffc548fb6e9a7",
-    ("jscc-sim", "nfb", "json"): "b4cbdafd908082d6f3bbf50aef462681c41d0bd63722eea1d47983d4194b5103",
-    ("jscc-sim", "iid", "csv"): "d3e0e5fb3b13a8fa1f24631a291d43fca9e2142c003632ee8a2216cdb9e758ff",
-    ("jscc-sim", "iid", "json"): "f1f6283e9848a791ce70708d99c50a5a9643169d846640b782a2cb0458fcb8f7",
-    ("jscc-sim", "vector", "csv"): "5eee6ad62a1719df1f3726b100c381332c716ddecf336357292b98ac8f7c77e4",
-    ("jscc-sim", "vector", "json"): "68eb96c0fc209ad43254aa39e2c322274aba41f950916873752705996b6c6f3b",
-    ("jscc-sim", "sk", "csv"): "75f8ad1bd7bf27fa2e851f3ff9a65d31eba6cd2c5d4334ed466c8d1446019c7c",
-    ("jscc-sim", "sk", "json"): "218d36e45c443874d700692c23ce33959fbe22d672d92f3321a785df68a85318",
+    ("jscc-sim", "fb", "csv"): "4727b6e22bfd184de9ee97897f49801f93a44b76e27c3086e44e6c60d6b3b826",
+    ("jscc-sim", "fb", "json"): "984694b55244bfc6aaf55be134da350320c78c97a0665e378975b794b843aa1e",
+    ("jscc-sim", "nfb", "csv"): "eb9872d65f25d68bfa53801b8e1764b00a6f22ff762fd25d4264a03a53f4b4f6",
+    ("jscc-sim", "nfb", "json"): "0280ffa5d9acab245f26b3aa605bf075b4459dbcda81f009eb0596af7bb9eaf8",
+    ("jscc-sim", "iid", "csv"): "3b25aa62a9ded5d2c7fd4063ea225ce8791e42a50056598be3359fdb4fc5b1f4",
+    ("jscc-sim", "iid", "json"): "22a9e487054aa9ec79255e8cfbb346a85d2a5d6351169c6370775c5c06b8f49e",
+    ("jscc-sim", "vector", "csv"): "d3460ed4fda534da3faca61e40cf950509fa09725c226e4881db6948b7a0c611",
+    ("jscc-sim", "vector", "json"): "c24457651498f6ecbe4d7472415836937aa7f7255c058bcacf9cfecb1cdf62ba",
+    ("jscc-sim", "sk", "csv"): "c61925f01d93cb6a97d8392563245bd0db3776e691a9cc1f6152e628403faeaa",
+    ("jscc-sim", "sk", "json"): "c307241ee7fe4ece06f70db1301cbe2a7d110c933263d5bff03293533b0ec672",
+    ("jscc-sim", "fb-power", "csv"): "9f8c0ea89175a8e41064288500e7f6104c0ae6623346a0cb764feb24f3e1e555",
+    ("jscc-sim", "fb-power", "json"): "ca097a7d71005536360109c18de805d421735c1944a86c85bcd1a775412c7c07",
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nardf import gauss, numerics
+from nardf.bsms import classical_gray, rna_bsms
 from nardf.errors import DomainError, NumericError
 from nardf.gauss import (
     GaussModel,
@@ -187,8 +188,16 @@ def test_partially_observed_cubic_anchors():
         assert rna_scalar_partially_observed(alpha, 1.0, sw, 0.0, D) == pytest.approx(
             rna_scalar_fully_observed(alpha, sw, D), abs=1e-10
         )
+    # the unit root is inside the domain: the cubic against the array loop,
+    # whose own stop leaves ~1e-12 of error at |alpha| = 1
+    for alpha in (1.0, -1.0):
+        Sigma, _, _, _, rate, *_ = _array_solve(GaussModel.scalar(alpha, 1.0, 1.0, 1.0), 0.5)
+        assert partially_observed_sigma(alpha, 1.0, 1.0, 1.0, 0.5) == pytest.approx(
+            Sigma[0, 0], abs=1e-11)
+        assert rna_scalar_partially_observed(alpha, 1.0, 1.0, 1.0, 0.5) == pytest.approx(
+            rate, abs=1e-11)
     with pytest.raises(DomainError):
-        rna_scalar_partially_observed(1.0, 1.0, 1.0, 1.0, 0.5)
+        rna_scalar_partially_observed(1.5, 1.0, 1.0, 1.0, 0.5)
 
 
 def test_partially_observed_agrees_with_fixed_point():
@@ -231,6 +240,34 @@ def test_sigma_v_continuity():
         po = rna_scalar_partially_observed(alpha, 1.0, sw, 1e-6, D)
         fo = rna_scalar_fully_observed(alpha, sw, D)
         assert abs(po - fo) <= 1e-3
+
+
+def test_public_rates_are_nonnegative_and_agree():
+    # seeded draws over every public rate: both scalar closed forms, past
+    # saturation and at |alpha| = 1 included, against the solver and a
+    # clamped formula written here; Gray's bound against rna_bsms on D in
+    # [0, 2]; and the alpha = 1 split into classical rate plus rate loss
+    rng = np.random.default_rng(28)
+    for i in range(120):
+        alpha = (1.0, -1.0)[i % 2] if i % 5 == 0 else rng.uniform(-0.99, 0.99)
+        sw, c, sv = rng.uniform(0.2, 3.0), rng.uniform(0.3, 2.0), rng.uniform(0.0, 1.5)
+        scale = sw * sw / (1.0 - alpha * alpha) if abs(alpha) < 1.0 else sw * sw
+        D = scale * 10.0 ** rng.uniform(-2.0, 2.0)
+        fo = rna_scalar_fully_observed(alpha, sw, D)
+        po = rna_scalar_partially_observed(alpha, c, sw, sv, D)
+        assert fo >= 0.0 and po >= 0.0
+        assert fo == pytest.approx(max(0.5 * math.log2(alpha * alpha + sw * sw / D), 0.0),
+                                   abs=1e-9)
+        assert fo == pytest.approx(solve_realization(GaussModel.scalar(alpha, sw), D).rate,
+                                   abs=1e-9)
+        assert po == pytest.approx(
+            solve_realization(GaussModel.scalar(alpha, sw, c, sv), D).rate, abs=1e-9)
+        if D <= sw * sw / 4.0:
+            assert classical_alpha1(sw, D) + rate_loss_alpha1(sw, D) == pytest.approx(
+                rna_scalar_fully_observed(1.0, sw, D), abs=1e-12)
+    for p in (0.05, 0.3, 0.5):
+        for D in np.linspace(0.0, 2.0, 81):
+            assert 0.0 <= classical_gray(p, D)[0] <= rna_bsms(p, D) + 1e-12
 
 
 # ----------------------------------------------------------------- vector solver
@@ -1030,10 +1067,26 @@ def test_model_validation():
                                   (np.ones((3, 1)), np.eye(2)), (np.eye(2), np.ones((1, 5)))],
                          ids=["B-size-3", "N-size-3", "B-3x1", "N-1x5"])
 def test_model_with_b_or_n_of_the_wrong_size_is_domain_error(B, N):
-    # B and N are read as m and p rows: a size that is not a multiple of
-    # m (resp. p) is a DomainError, not numpy's reshape ValueError
+    # B must have m rows and N p rows: any other size is a DomainError, not
+    # numpy's reshape ValueError
     with pytest.raises(DomainError, match="inconsistent matrix dimensions"):
         GaussModel(A=np.eye(2), B=B, C=np.eye(2), N=N)
+
+
+def test_model_refuses_a_2d_b_or_n_with_the_wrong_rows():
+    # sizes that divide evenly were reshaped: a 2 x 3 B for m = 3 became
+    # 3 x 2, and a 3 x 2 N for p = 2 became 2 x 3
+    with pytest.raises(DomainError, match="inconsistent matrix dimensions"):
+        GaussModel(A=0.5 * np.eye(3), B=np.arange(6.0).reshape(2, 3), C=np.eye(3), N=np.eye(3))
+    with pytest.raises(DomainError, match="inconsistent matrix dimensions"):
+        GaussModel(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2), N=np.ones((3, 2)))
+    with pytest.raises(DomainError, match="inconsistent matrix dimensions"):
+        GaussModel(A=0.5 * np.eye(2), B=np.ones((2, 1, 1)), C=np.eye(2), N=np.eye(2))
+    # a 1-D B or N is one column, and an empty N (of any shape) no columns
+    model = GaussModel(A=0.5 * np.eye(2), B=[1.0, 2.0], C=np.eye(2), N=[])
+    assert model.B.tolist() == [[1.0], [2.0]] and model.N.shape == (2, 0)
+    assert GaussModel(A=[[0.5]], B=1.0, C=[[1.0]], N=np.empty((0, 0))).dims == (1, 1, 1, 0)
+    assert GaussModel(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2), N=[0.3, 0.4]).N.shape == (2, 1)
 
 
 # ------------------------------------------------------------------ alpha = 1

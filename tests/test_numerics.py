@@ -439,6 +439,16 @@ def test_water_level_examples():
     assert water_level([-1.0, -2.0], -5.0) == -2.5  # every value active
 
 
+def test_water_level_with_nan():
+    # a NaN total has a NaN level; a NaN value sorts last, and its piece end
+    # counts as >= every total, as in np.searchsorted on the piece ends
+    assert math.isnan(water_level([4.0, 1.0], math.nan))
+    assert math.isnan(water_level([1.0], math.nan))
+    assert water_level([4.0, math.nan, 1.0], 1.5) == 0.5
+    assert water_level([4.0, math.nan, 1.0], 100.0) == 95.0
+    assert water_level([4.0, math.nan, 1.0], 5.0) == 2.0
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(values=_spectra, frac=st.floats(0.001, 1.0))
 def test_water_level_matches_bisection(values, frac):
