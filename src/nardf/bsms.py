@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import binary_entropy, maximize_concave_1d
+from .numerics import _entropy_gap, maximize_concave_1d
 
 __all__ = [
     "BsmsDesign",
@@ -36,18 +36,23 @@ def _check_p(p):
 
 
 def rna_bsms(p, D):
-    """Nonanticipative RDF of the BSMS(p) in bits/sample.
+    """Nonanticipative RDF of the BSMS(p) in bits/sample, as a float.
 
     H(m) - H(D) with m = 1-p-D+2pD for D <= 1/2, and 0 above.  D = 0 gives
-    the entropy rate H(p) (the limit value).
+    the entropy rate H(p) (the limit value).  H(m) = H(1 - m), and for
+    p <= 1/2 (R^na is symmetric under p -> 1 - p) 1 - m = D + p(1 - 2D)
+    exceeds D by p(1 - 2D), from which the difference is taken
+    (_entropy_gap): full relative precision for every p and D.
     """
+    p, D = float(p), float(D)
     _check_p(p)
-    if D < 0.0:
+    if not D >= 0.0:
         raise DomainError("distortion must be nonnegative")
     if D > 0.5:
         return 0.0
-    m = 1.0 - p - D + 2.0 * p * D
-    return max(binary_entropy(m) - binary_entropy(D), 0.0)
+    if p > 0.5:
+        p = 1.0 - p  # exact
+    return _entropy_gap(D, p * (1.0 - 2.0 * D), (1.0 - 2.0 * p) * (1.0 - 2.0 * D))
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,8 @@ class BsmsDesign:
 
     kernel[y, y_prev, x] is Q*(y | y_prev, x); marginal[y, y_prev] is the
     reproduction marginal P*(y | y_prev), which coincides with the source
-    kernel.
+    kernel.  Every kernel entry, 1 - alpha and 1 - beta included, comes from
+    its closed form, with full relative precision.
     """
 
     p: float
@@ -70,20 +76,21 @@ class BsmsDesign:
 
 
 def optimal_reproduction(p, D):
+    p, D = float(p), float(D)
     _check_p(p)
     if not 0.0 < D < 0.5:
         raise DomainError("optimal reproduction is degenerate unless 0 < D < 1/2")
-    m = 1.0 - p - D + 2.0 * p * D
-    alpha = (1.0 - p) * (1.0 - D) / m
-    beta = p * (1.0 - D) / (p + D - 2.0 * p * D)
-    kernel = np.empty((2, 2, 2))
+    # m = 1 - p - D + 2pD and 1 - m as sums of nonnegative terms (1 - p is
+    # exact for p >= 1/2), then alpha, beta and their complements
+    # 1 - alpha = pD/m and 1 - beta = D(1 - p)/(1 - m) without a subtraction
+    m = (1.0 - p) * (1.0 - 2.0 * D) + D
+    u = p * (1.0 - 2.0 * D) + D
+    alpha, alpha_c = (1.0 - p) * (1.0 - D) / m, p * D / m
+    beta, beta_c = p * (1.0 - D) / u, (1.0 - p) * D / u
     # y agrees with y_prev when x == y_prev (keep w.p. alpha), and with x
     # otherwise (track w.p. beta)
-    kernel[0, 0, 0] = alpha
-    kernel[0, 0, 1] = 1.0 - beta
-    kernel[0, 1, 0] = beta
-    kernel[0, 1, 1] = 1.0 - alpha
-    kernel[1] = 1.0 - kernel[0]
+    kernel = np.array([[[alpha, beta_c], [beta, alpha_c]],
+                       [[alpha_c, beta], [beta_c, alpha]]])
     marginal = np.array([[1.0 - p, p], [p, 1.0 - p]])
     return BsmsDesign(
         p=p,
@@ -144,8 +151,8 @@ def verify_tilted_form(design: BsmsDesign):
     Q*(y|y',x) must equal e^{s rho(x,y)} P*(y|y') / Phi(x,y') with the
     normalizer Phi(x,y') = sum_y e^{s rho(x,y)} P*(y|y') and s = log(D/(1-D)).
     Returns (s, max relative deviation) as floats; s <= 0 in nats.
-    NumericError above 1e-8, also where the stored 1 - alpha has lost its
-    relative precision (alpha near 1)."""
+    NumericError above 1e-8.  The kernel stores 1 - alpha and 1 - beta in
+    closed form, so the check holds to rounding at every valid (p, D)."""
     s = math.log(design.D) - math.log1p(-design.D)
     dev = 0.0
     for x in (0, 1):
@@ -180,13 +187,15 @@ def directed_info_rate(chain: JointChain, design: BsmsDesign):
 
 def classical_gray(p, D):
     """Gray's lower bound H(p) - H(D) on the classical RDF of the BSMS(p),
-    with H(D) taken at min(D, 1/2) and clamped at 0 (the RDF is 0 from D = 1/2
-    on); the flag reports whether the bound is tight (D <= D_c)."""
+    clamped at 0: it is 0 from D = p on (the RDF is 0 from D = 1/2 on), and
+    below p the difference is taken from p - D at full relative precision.
+    The flag reports whether the bound is tight (D <= D_c)."""
+    p, D = float(p), float(D)
     if not 0.0 < p <= 0.5:
         raise DomainError("classical_gray requires 0 < p <= 0.5")
-    if D < 0.0:
+    if not D >= 0.0:
         raise DomainError("distortion must be nonnegative")
-    value = max(binary_entropy(p) - binary_entropy(min(D, 0.5)), 0.0)
+    value = _entropy_gap(D, p - D, 1.0 - 2.0 * p) if D < p else 0.0
     return value, D <= gray_critical_distortion(p)
 
 
@@ -200,13 +209,16 @@ def gray_critical_distortion(p):
 
 def rate_loss_bound(p, D):
     """Upper bound, in bits/sample, on rna_bsms(p, D) minus the classical RDF:
-    H(m) - H(p) for D <= p, else H(m) - H(D)."""
+    H(m) - H(p) for D <= p, else H(m) - H(D).  H(m) = H(1 - m), and
+    1 - m = p + D(1 - 2p) = D + p(1 - 2D): each difference is taken from its
+    excess over p or D at full relative precision, as in rna_bsms."""
+    p, D = float(p), float(D)
     if not (0.0 <= p <= 0.5 and 0.0 <= D <= 0.5):
         raise DomainError("rate_loss_bound requires p, D in [0, 1/2]")
-    m = 1.0 - p - D + 2.0 * p * D
+    w = (1.0 - 2.0 * p) * (1.0 - 2.0 * D)  # 1 - 2(1 - m)
     if D <= p:
-        return binary_entropy(m) - binary_entropy(p)
-    return binary_entropy(m) - binary_entropy(D)
+        return _entropy_gap(p, D * (1.0 - 2.0 * p), w)
+    return _entropy_gap(D, p * (1.0 - 2.0 * D), w)
 
 
 def max_rate_loss():
@@ -217,8 +229,9 @@ def max_rate_loss():
     rises toward the crease D = p from both sides, and its maximum lies on
     the crease, where RL(p, p) = H(1 - 2p + 2p^2) - H(p) is concave on
     [0, 1/4] (it turns convex near p = 0.275) and is maximized by golden
-    section.
+    section.  H(1 - 2p + 2p^2) = H(2p(1 - p)), and 2p(1 - p) exceeds p by
+    p(1 - 2p), from which the difference is taken, as in rate_loss_bound.
     """
     p, value = maximize_concave_1d(
-        lambda t: binary_entropy(1.0 - t - t + 2.0 * t * t) - binary_entropy(t), 0.0, 0.25)
+        lambda t: _entropy_gap(t, t * (1.0 - 2.0 * t), (1.0 - 2.0 * t) ** 2), 0.0, 0.25)
     return p, p, value

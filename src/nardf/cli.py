@@ -197,7 +197,7 @@ def _cmd_bsms_curve(args):
         rate = bsms.rna_bsms(p, D)
         gray, exact = bsms.classical_gray(p, D)
         rows.append((D, rate, gray, exact, bsms.rate_loss_bound(p, D)))
-    return _table(header, rows, {"p": p}, "nardf/bsms-curve/v1", args.format)
+    return _table(header, rows, {"p": p}, "nardf/bsms-curve/v2", args.format)
 
 
 def _cmd_gauss_rate(args):
@@ -349,7 +349,7 @@ def _cmd_excess(args):
             for t, v, ls in zip(curve.thetas, curve.values, curve.lambda_star)
         ]
         meta = {"p": p, "D": D}
-        return _table(header, rows, meta, "nardf/excess-rate-function/v3", args.format)
+        return _table(header, rows, meta, "nardf/excess-rate-function/v4", args.format)
 
     gamma = _require(args.gamma, "--gamma (or --theta-grid)")
     if not 0.0 < gamma < math.inf:
@@ -384,7 +384,7 @@ def _cmd_excess(args):
         "hoeffding_threshold_n": 2.0 / (lam * gamma) if lam > 0.0 else None,
         "lumped_lambda_2": excess.second_eigenvalue(lumped),
     }
-    return _table(header, rows, meta, "nardf/excess-bounds/v4", args.format)
+    return _table(header, rows, meta, "nardf/excess-bounds/v5", args.format)
 
 
 def _cmd_rate_loss(args):
@@ -393,12 +393,12 @@ def _cmd_rate_loss(args):
         header = ("p", "D", "rate_loss_bound")
         rows = [(p_star, d_star, value)]
         meta = {"maximizer": True}
-        return _table(header, rows, meta, "nardf/rate-loss/v2", args.format)
+        return _table(header, rows, meta, "nardf/rate-loss/v3", args.format)
     p = _require(args.p, "--p")
     ds = _distortion_grid(args)
     header = ("p", "D", "rate_loss_bound")
     rows = [(p, D, bsms.rate_loss_bound(p, D)) for D in ds]
-    return _table(header, rows, {"maximizer": False}, "nardf/rate-loss/v1", args.format)
+    return _table(header, rows, {"maximizer": False}, "nardf/rate-loss/v2", args.format)
 
 
 # ---------------------------------------------------------------- parser

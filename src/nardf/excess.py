@@ -49,12 +49,10 @@ __all__ = [
 
 def hoeffding_constants(design: BsmsDesign):
     """Contraction constant of the Hoeffding-type bound:
-    min{p, 1-p} * min{alpha, beta, 1-alpha, 1-beta}.  The bound is defined
-    for n > 2/(lambda*gamma) (with ||f|| = 1, m = 1)."""
-    lam = min(design.p, 1.0 - design.p) * min(
-        design.alpha, design.beta, 1.0 - design.alpha, 1.0 - design.beta
-    )
-    return lam
+    min{p, 1-p} * min{alpha, beta, 1-alpha, 1-beta}, the four kernel entries
+    as the design stores them (the complements in closed form).  The bound
+    is defined for n > 2/(lambda*gamma) (with ||f|| = 1, m = 1)."""
+    return min(design.p, 1.0 - design.p) * float(design.kernel.min())
 
 
 def hoeffding_bound(chain: JointChain, design: BsmsDesign, n, gamma):

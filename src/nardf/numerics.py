@@ -5,6 +5,11 @@ section per problem: every theta of a rate-function curve runs its own),
 RNG streams, and the one block layout through which every Monte Carlo
 simulator draws (_lockstep_draws).
 
+The entropy core runs on Python floats through `math` alone: _entropy2
+takes q together with its complement 1 - q and logs the smaller side, and
+_entropy_gap takes a difference H(a + d) - H(a) from d itself, so neither
+loses relative precision near 0, near 1 or to cancellation.
+
 All rates in this package are in bits (base-2 logs).  Large-deviations
 exponents are natural-log objects; BITS_PER_NAT converts for display.
 Every public function here is pure.
@@ -37,27 +42,62 @@ _eigh_lo = _umath_linalg.eigh_lo
 _eigvals = _umath_linalg.eigvals
 
 
-def _entropy_inner(q):
-    return -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
+def _entropy2(q, r):
+    # H(q) in bits from q and r = 1 - q, both at full relative precision:
+    # log of the smaller side, log1p of its negation for the larger side's
+    # log, 0 at either end.  Both terms have one sign, so nothing cancels.
+    # math.log2, not math.log: the latter parses an optional base and costs
+    # three times as much
+    if q > r:
+        q, r = r, q
+    if q == 0.0:
+        return 0.0
+    return -(q * math.log2(q) + r * math.log1p(-q) / LN2)
+
+
+def _entropy_gap(a, d, w):
+    # H(a + d) - H(a) in bits for a, d >= 0 with u = a + d <= 1/2, from d
+    # and w = 1 - 2u at full relative precision (the caller's closed forms;
+    # only the atanh form reads w).  Where d >= a, H(a) <= H(u/2) <= 0.82 H(u)
+    # and the two entropies are subtracted.  Below that, in nats, with
+    # b = 1 - a and v = 1 - u,
+    #   H(u) - H(a) = d log(v/u) - a log1p(d/a) - b log1p(-d/b),
+    # whose last two terms cancel to ~eps d, below eps/log(v/u) of the
+    # result for u <= 1/4.  Above 1/4, with w_a = 1 - 2a,
+    #   H(u) - H(a) = d log(b/a) + w atanh(2d/(1 - w w_a))
+    #                 + log1p(-2d (w_a + w)/(1 - w^2))/2,
+    # whose one negative term is below 0.6 of the other two
+    u = a + d
+    if d >= a:
+        return _entropy2(u, 1.0 - u) - _entropy2(a, 1.0 - a)
+    b = 1.0 - a
+    if u <= 0.25:
+        nats = (d * (math.log1p(-u) - LN2 * math.log2(u))
+                - a * math.log1p(d / a) - b * math.log1p(-d / b))
+    else:
+        wa = 1.0 - 2.0 * a
+        nats = (d * math.log1p(wa / a) + w * math.atanh(2.0 * d / (1.0 - w * wa))
+                + 0.5 * math.log1p(-2.0 * d * (wa + w) / (1.0 - w * w)))
+    return nats / LN2
 
 
 def binary_entropy(q):
     """Binary entropy H(q) in bits, elementwise, with 0*log2(0) = 0.
 
-    A 0-d argument (Python or NumPy scalar, 0-d array) skips the array
-    machinery and returns a float; it keeps np.log2, which rounds as the
-    array path does where math.log2 can differ in the last bit."""
+    Every argument goes through one float core, which takes q with its
+    complement 1 - q (exact for q >= 1/2) and logs the smaller side with
+    log and log1p, so H keeps its full relative precision near 0 and near 1.
+    A 0-d argument (Python or NumPy scalar, 0-d array) returns a float; an
+    array maps the core over its elements, so both paths give the same bits."""
     if isinstance(q, (float, int)) or getattr(q, "ndim", None) == 0:
         x = float(q)
         if not 0.0 <= x <= 1.0:
             raise DomainError("binary_entropy: argument must lie in [0, 1]")
-        return 0.0 if x == 0.0 or x == 1.0 else float(_entropy_inner(x))
+        return _entropy2(x, 1.0 - x)
     arr = np.asarray(q, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
         raise DomainError("binary_entropy: argument must lie in [0, 1]")
-    out = np.zeros_like(arr)
-    inner = (arr > 0.0) & (arr < 1.0)
-    out[inner] = _entropy_inner(arr[inner])
+    out = np.array([_entropy2(x, 1.0 - x) for x in arr.ravel().tolist()]).reshape(arr.shape)
     return out if out.ndim else float(out)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from nardf.bsms import (
     rna_bsms,
 )
 from nardf.errors import DomainError, NumericError
+from nardf.excess import hoeffding_constants
 from nardf.numerics import binary_entropy
 
 
@@ -37,6 +39,9 @@ def test_rna_domain():
         rna_bsms(1.0, 0.1)
     with pytest.raises(DomainError):
         rna_bsms(0.3, -0.01)
+    # a NaN D is checked on entry, not left to the entropy's range check
+    with pytest.raises(DomainError, match="distortion must be nonnegative"):
+        rna_bsms(0.3, math.nan)
 
 
 def test_rna_closed_form_structure():
@@ -151,14 +156,13 @@ def test_tilted_form():
 
 @pytest.mark.parametrize("p, D, error", [
     (0.3, 0.1, None), (0.5, 0.49, None), (0.3, 0.5, DomainError),
-    (1e-11, 6e-10, NumericError), (1e-12, 1e-12, NumericError),
-    (0.3, 1e-9, NumericError), (1e-9, 0.1, NumericError)])
+    (1e-11, 6e-10, None), (1e-12, 1e-12, None), (0.3, 1e-9, None), (1e-9, 0.1, None)])
 def test_tilted_form_at_the_edges_raises_library_errors(p, D, error):
     # s comes from D in closed form: the log of the cancelled ratio
     # (1 - alpha)/alpha * (1 - p)/p leaked a math domain error at
-    # (1e-11, 6e-10) and (1e-12, 1e-12).  Where the kernel's stored
-    # 1 - alpha has lost its relative precision the check still raises
-    # NumericError; a closed-form complement would let those pairs pass
+    # (1e-11, 6e-10) and (1e-12, 1e-12).  The last four pairs raised
+    # NumericError while the kernel took 1 - alpha by subtraction; with the
+    # closed-form complements they pass
     from nardf.bsms import verify_tilted_form
 
     if error is None:
@@ -182,6 +186,8 @@ def test_classical_gray():
     assert exact is True
     with pytest.raises(DomainError):
         classical_gray(0.7, 0.1)
+    with pytest.raises(DomainError, match="distortion must be nonnegative"):
+        classical_gray(0.3, math.nan)
 
 
 def test_rna_dominates_gray():
@@ -223,12 +229,20 @@ def test_rate_loss_bounds_the_true_gap():
         assert gap <= rate_loss_bound(p, D) + 1e-12
 
 
+def _grid_entropy(q):
+    # H(q) in bits over an array, by np.log2 and with 0 log 0 = 0: the
+    # grid's own formula, independent of the library's entropy core
+    def xlog2x(x):
+        return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+    return -(xlog2x(q) + xlog2x(1.0 - q))
+
+
 def _rate_loss_grid(points):
     # rate_loss_bound over a (p, D) grid on [0, 1/2]^2, as arrays
     g = np.linspace(0.0, 0.5, points)
     P, D = np.meshgrid(g, g, indexing="ij")
-    hm = binary_entropy(1.0 - P - D + 2.0 * P * D)
-    return g, np.where(D <= P, hm - binary_entropy(P), hm - binary_entropy(D))
+    hm = _grid_entropy(1.0 - P - D + 2.0 * P * D)
+    return g, np.where(D <= P, hm - _grid_entropy(P), hm - _grid_entropy(D))
 
 
 def test_rate_loss_grid_formula_is_rate_loss_bound():
@@ -262,8 +276,10 @@ def test_rate_loss_rises_toward_the_crease():
 
 def test_max_rate_loss():
     p, D, val = max_rate_loss()
-    # pinned bit for bit: the golden section on floats keeps the array run's iterates
-    assert (p, D, val) == (0.12109133307249685, 0.12109133307249685, 0.21441761436357254)
+    # pinned bit for bit.  The exact maximum is 0.21441761436357262563 at
+    # p = 0.12109133370328; the crease is flat to rounding that close to
+    # its peak, so the golden section stops within ~2e-9 of it in p
+    assert (p, D, val) == (0.1210913321161067, 0.1210913321161067, 0.21441761436357262)
     assert val == pytest.approx(0.2144176, abs=2e-6)
     assert p == pytest.approx(0.1211, abs=2e-4)
     assert D == pytest.approx(p, abs=2e-4)  # the maximum sits on the crease D = p
@@ -272,3 +288,128 @@ def test_max_rate_loss():
     pp = rng.uniform(0.0, 0.5, 400)
     DD = rng.uniform(0.0, 0.5, 400)
     assert all(rate_loss_bound(a, b) <= val + 1e-9 for a, b in zip(pp, DD))
+
+
+# ------------------------------------------------- full relative precision
+
+# relative tolerance against the exact values; results in the subnormal range
+# have only absolute precision, 1e-13 of the smallest normal float
+RTOL, ATOL = 1e-13, 1e-13 * 2.2250738585072014e-308
+
+
+def _log_uniform_pairs(seed, count, low=1e-300):
+    rng = np.random.default_rng(seed)
+    pairs = np.exp(rng.uniform(math.log(low), math.log(0.5), (count, 2)))
+    return [tuple(pair) for pair in pairs.tolist()]
+
+
+def _mp_entropy(x):
+    if x in (0, 1):
+        return mpmath.mpf(0)
+    return -(x * mpmath.log(x) + (1 - x) * mpmath.log1p(-x)) / mpmath.log(2)
+
+
+def _exact(f, p, D):
+    # f(p, D) in mpmath, at 40 digits plus the most that the entropy
+    # differences and complements can cancel: the decimal exponents of p, D,
+    # 1/2 - p, 1/2 - D and p - D; their sum also covers products such as
+    # pD in 1 - alpha.  It is accepted once 20 more digits agree to 1e-25,
+    # and the precision doubles until they do
+    dps = 40 + sum(max(0, int(-math.log10(abs(x)))) for x in (p, D, 0.5 - p, 0.5 - D, p - D)
+                   if x)
+    while True:
+        values = []
+        for extra in (0, 20):
+            with mpmath.workdps(dps + extra):
+                values.append(f(mpmath.mpf(p), mpmath.mpf(D)))
+        if abs(values[1] - values[0]) <= mpmath.mpf(10) ** -25 * abs(values[1]):
+            return values[1]
+        dps *= 2
+
+
+def _rna(p, D):
+    return _mp_entropy(1 - p - D + 2 * p * D) - _mp_entropy(D)
+
+
+def _gray(p, D):
+    return max(_mp_entropy(p) - _mp_entropy(D), mpmath.mpf(0))
+
+
+def _rate_loss(p, D):
+    return _mp_entropy(1 - p - D + 2 * p * D) - _mp_entropy(max(p, D))
+
+
+def _assert_close(got, exact, where):
+    assert type(got) is float, where
+    assert abs(mpmath.mpf(got) - exact) <= RTOL * abs(exact) + ATOL, (where, got, float(exact))
+
+
+ORACLE_PAIRS = _log_uniform_pairs(31, 50) + [
+    (1e-12, 1e-13), (1e-13, 1e-12), (1e-300, 0.3), (0.3, 1e-300), (0.25, 0.25),
+    (0.3, 0.3 * (1.0 - 1e-12)), (1e-9, 0.5 - 1e-9), (0.5 - 1e-9, 1e-9),
+    (0.5 - 1e-12, 0.5 - 1e-12), (1e-20, 0.499), (0.1, 0.5), (5e-324, 0.2), (0.2, 5e-324)]
+
+
+def test_bsms_closed_forms_have_full_relative_precision():
+    # rna_bsms, Gray's bound and the rate-loss bound against mpmath (_exact)
+    # on (p, D) log-uniform down to 1e-300: a plain difference of
+    # entropies cancels all of its digits where p << D (relative error
+    # ~eps D/p), and 1 - m taken by subtraction loses them where m ~ 1
+    for p, D in ORACLE_PAIRS:
+        _assert_close(rna_bsms(p, D), _exact(_rna, p, D), ("rna", p, D))
+        _assert_close(rate_loss_bound(p, D), _exact(_rate_loss, p, D), ("rate loss", p, D))
+        _assert_close(classical_gray(p, D)[0], _exact(_gray, p, D), ("gray", p, D))
+        if p >= 0.25:  # 1 - p is exact: p > 1/2 takes the same closed form
+            _assert_close(rna_bsms(1.0 - p, D), _exact(_rna, 1.0 - p, D), ("rna", 1.0 - p, D))
+
+
+def _kernel_entry(y, yp, x):
+    # Q*(y | yp, x) in mpmath from alpha and beta; complements by subtraction
+    def entry(p, D):
+        m = 1 - p - D + 2 * p * D
+        keep = (1 - p) * (1 - D) / m if x == yp else p * (1 - D) / (1 - m)
+        return keep if y == (yp if x == yp else x) else 1 - keep
+    return entry
+
+
+def _hoeffding(p, D):
+    return min(p, 1 - p) * min(_kernel_entry(y, 0, x)(p, D) for y in (0, 1) for x in (0, 1))
+
+
+def test_kernel_complements_and_hoeffding_constants_have_full_relative_precision():
+    # 1 - alpha = pD/m and 1 - beta = D(1 - p)/(1 - m) are stored in closed
+    # form; 1.0 - alpha loses every digit once alpha rounds to 1
+    for p, D in ORACLE_PAIRS[:40] + [(0.3, 1e-9), (1e-9, 0.1), (0.5, 1e-200)]:
+        for q in ((p, 1.0 - p) if p >= 0.25 else (p,)):
+            if not 0.0 < D < 0.5:
+                continue
+            design = optimal_reproduction(q, D)
+            for index in np.ndindex(2, 2, 2):
+                exact = _exact(_kernel_entry(*index), q, D)
+                _assert_close(float(design.kernel[index]), exact, (q, D, index))
+            _assert_close(hoeffding_constants(design), _exact(_hoeffding, q, D), (q, D))
+    # the value the subtraction gave at (0.3, 1e-9) was 1.2857145348e-10
+    assert hoeffding_constants(optimal_reproduction(0.3, 1e-9)) == pytest.approx(
+        1.2857142864e-10, rel=1e-10)
+
+
+def test_tilted_form_holds_on_every_log_uniform_pair():
+    # 2,933 of these 3,000 pairs raised NumericError while 1 - alpha and
+    # 1 - beta were taken by subtraction
+    from nardf.bsms import verify_tilted_form
+
+    for p, D in _log_uniform_pairs(0, 3000):
+        s, dev = verify_tilted_form(optimal_reproduction(p, D))
+        assert s < 0.0 and dev <= 1e-12, (p, D, dev)
+
+
+@pytest.mark.parametrize("p, D", [(np.float64(0.3), np.float64(0.1)),
+                                  (np.array(0.3), np.array(0.1)), (np.float32(0.3), 0.1)])
+def test_numpy_scalar_and_0d_inputs_give_python_floats(p, D):
+    for f in (rna_bsms, lambda p, D: classical_gray(p, D)[0], rate_loss_bound):
+        got = f(p, D)
+        assert type(got) is float and got == f(float(p), float(D))
+    design = optimal_reproduction(p, D)
+    fields = (design.p, design.D, design.m, design.alpha, design.beta, design.rate)
+    assert all(type(v) is float for v in fields)
+    assert design.kernel.tolist() == optimal_reproduction(float(p), float(D)).kernel.tolist()

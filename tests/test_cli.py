@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -139,7 +140,7 @@ def test_bsms_curve_json(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/bsms-curve/v1"
+    assert payload["schema"] == "nardf/bsms-curve/v2"
     assert payload["p"] == 0.25
     assert payload["rows"][0]["rna"] == pytest.approx(rna_bsms(0.25, 0.1), rel=1e-14)
     assert payload["rows"][0]["gray_exact"] is False
@@ -182,15 +183,30 @@ def test_nan_distortion_exit_4(capsys, model_file, argv):
     assert "domain error" in err
 
 
+# every module `import nardf.cli` loads beyond those of `import numpy`; the
+# entropy core imports nothing beyond math, and a new import grows this set
+CLI_IMPORTS = {
+    "__future__", "_json", "argparse", "copy", "dataclasses", "gettext", "json",
+    "json.decoder", "json.encoder", "json.scanner", "nardf", "nardf.bsms", "nardf.cli",
+    "nardf.errors", "nardf.excess", "nardf.gauss", "nardf.jscc", "nardf.modelfile",
+    "nardf.numerics",
+}
+
+
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle; importing the CLI must not pull it in
+    # scipy is a test-only oracle; importing the CLI must not pull it in, nor
+    # any module beyond CLI_IMPORTS
     src = os.path.dirname(os.path.dirname(nardf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, nardf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code = ("import sys, numpy; before = set(sys.modules); import nardf.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+            "print(sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, added = proc.stdout.strip().split("\n")
+    assert scipy_modules == "[]"
+    assert set(ast.literal_eval(added)) <= CLI_IMPORTS
 
 
 # ------------------------------------------------------------------ gauss-rate
@@ -697,7 +713,7 @@ def test_excess_theta_grid_edges_print_finite_numbers(capsys, fmt):
     assert not any(word in out.lower() for word in ("inf", "nan"))
     if fmt == "json":
         payload = json.loads(out)
-        assert payload["schema"] == "nardf/excess-rate-function/v3"
+        assert payload["schema"] == "nardf/excess-rate-function/v4"
         assert [row["theta"] for row in payload["rows"]] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -709,7 +725,7 @@ def test_excess_bounds(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/excess-bounds/v4"
+    assert payload["schema"] == "nardf/excess-bounds/v5"
     assert payload["hoeffding_threshold_n"] == pytest.approx(1466.666666, abs=1e-4)
     assert payload["lumped_lambda_2"] == pytest.approx(0.06417112299465248, abs=1e-12)
     rows = payload["rows"]
@@ -780,7 +796,7 @@ def test_rate_loss_maximizer(capsys):
     code, out, _ = run(capsys, ["rate-loss", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "nardf/rate-loss/v2"
+    assert payload["schema"] == "nardf/rate-loss/v3"
     assert payload["maximizer"] is True
     row = payload["rows"][0]
     assert row["rate_loss_bound"] == pytest.approx(0.2144176, abs=2e-6)
@@ -794,6 +810,7 @@ def test_rate_loss_points(capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert payload["schema"] == "nardf/rate-loss/v2"
     assert payload["maximizer"] is False
     assert payload["rows"][0]["rate_loss_bound"] == pytest.approx(
         rate_loss_bound(0.25, 0.1), rel=1e-14
@@ -805,10 +822,13 @@ def test_rate_loss_points(capsys):
     assert len(out.strip().split("\n")) == 6
 
 
-# Seeded stdout of the BSMS closed forms, recorded before binary_entropy
-# gained its 0-d path: 713 grid points at two p, csv and json, and the
-# maximiser.  A scalar entropy that rounds differently (math.log2 in place
-# of np.log2) moves the printed digits and fails this test.
+# Seeded stdout of the BSMS closed forms: 713 grid points at two p, csv and
+# json, and the maximiser.  Recorded again for bsms-curve v2 and rate-loss
+# v2 (curve) and v3 (maximiser), when every entropy difference came to be
+# taken from its closed-form excess: values near D = 1/2 moved by up to
+# 1.3e-10 relative toward the exact ones, and the maximiser moved by ~1e-9,
+# where the crease is flat to rounding.  An entropy that rounds differently
+# moves the printed digits and fails this test.
 BSMS_GRID = "0.0005:0.4995:0.0007"
 # Stdout of gauss-rate (a D grid that crosses saturation near 3.37) and of
 # excess (a theta grid, and the bounds without --trials), recorded before
@@ -823,7 +843,13 @@ BSMS_GRID = "0.0005:0.4995:0.0007"
 # recorded again for v4, when the lump's lambda_2 moved from an eigensolve
 # of the symmetrised chain to the closed form 1 - a - b: lumped_lambda_2
 # reads 0.1071428571428571 where v3 printed 0.10714285714285714 (3/28
-# rounded), and the reversible column keeps its bytes here.  The gauss-rate
+# rounded), and the reversible column keeps its bytes here.  Both excess
+# json pins were recorded again for excess-bounds v5 and
+# excess-rate-function v4, when the kernel took 1 - alpha and 1 - beta in
+# closed form: hoeffding_lambda 0.008928571428571425 -> ...428 (1/112),
+# hoeffding_threshold_n 2240.000000000001 -> 2240.0 and lumped_lambda_2
+# 0.1071428571428571 -> ...572; the theta grid moved by its schema string
+# only here (other inputs move in the last digits).  The gauss-rate
 # pins were recorded again for its schema v3, when the Picard stop rule
 # became relative to max|Sigma|: 854 -> 837 sweeps over the 50 rows, the
 # rate within 1.3e-11 relative and the spectrum within 4.4e-12.  Its json
@@ -858,24 +884,24 @@ GOLDEN_ARGV = {
                                "--steps", "400", "--seed", "7"],
 }
 BSMS_GOLDEN_SHA256 = {
-    ("bsms-curve", "0.1", "csv"): "313ec45b2b9235eee914aa72a5f9d3976be47ad1b57377bdb68fda0137622566",
-    ("bsms-curve", "0.1", "json"): "33b9abdb288ba0b75e15673852108fa207a428d5f260b5c14e0d2bbea9ebbdc8",
-    ("bsms-curve", "0.3333", "csv"): "543be6e8e7a41528fdf3799dcb9c18b752c044e5983bb8cf1b923ed708c9317e",
-    ("bsms-curve", "0.3333", "json"): "fb5faa4597905c7a0763bae354ebfdec3ff3116764405f674a7bffad6f3e4156",
-    ("rate-loss", "0.1", "csv"): "8b5a7b25aa7a6ff5834526513c6b00d60d97af0d8df3e21dae5dd8538a1a2137",
-    ("rate-loss", "0.1", "json"): "86cc2487ed42eff9586015090ab3d8abf484de6a72a59ce9e3e14cf07e9cac8f",
-    ("rate-loss", "0.3333", "csv"): "10fb611fd6eb3affbc204f9c5da5eb696b6c58f666f550f4ea040fa2fbcf70db",
-    ("rate-loss", "0.3333", "json"): "0ce2469266fbc8836ebd38020ac5deb697ff625971c75a218cd118609f4ddc68",
-    ("rate-loss", None, "csv"): "066553d547285f5d792cb36495b98e7f79bb6f1a15b5a78e3586ac09df02afae",
-    ("rate-loss", None, "json"): "1f3c6e31d21be6f306fcbcf13f7ca3dfe7f472afb43e78e5b2af6c522a657260",
+    ("bsms-curve", "0.1", "csv"): "ee5f2f36f4f4e17dec55e52a8de31a25a4c7e87595877e03d95fa21d5b776b49",
+    ("bsms-curve", "0.1", "json"): "5e80f12a9846893d3e39d14c650b59548398550f568997101040ef30ca6f88e0",
+    ("bsms-curve", "0.3333", "csv"): "a98698ec96e9d806ed892347cb0dcb5abee1d168eeb9fb4aecaba16b8502a23f",
+    ("bsms-curve", "0.3333", "json"): "ef5022c093b28945275277379694d1215744f16e64868d17b674a7b757e4d2a7",
+    ("rate-loss", "0.1", "csv"): "6db0f1b48d233491b43827f00109e830465672450652875ba0e00ffe770926ed",
+    ("rate-loss", "0.1", "json"): "6d7d8a97948db750202bf0977c1399ae3359e281eac0cc9be7c6ce50e2a48a31",
+    ("rate-loss", "0.3333", "csv"): "4b72a4135684714a070118531d4f6d80f620cd6bae96179e80233c9b6e29c424",
+    ("rate-loss", "0.3333", "json"): "2685a39c1aee8c8f4777694ff74706d701196442c19c55626f13e28e2fda0575",
+    ("rate-loss", None, "csv"): "9fb88665c794e1a4922e6931ceeb318a63c7bd8c33f7dfede547ddbda0afa374",
+    ("rate-loss", None, "json"): "ffcb3f867924476aefe95e01404ad2aa5d989ea38a67873d7abb48aacc5e7628",
     ("gauss-rate", "model", "csv"): "09a405be93f90129c92b2916d4d8e578bf8c666e94e0f700c1dfc043c7d72529",
     ("gauss-rate", "model", "json"): "53fb475d8ce208035e8c7acab30152e6a0e666259afcdb8117918e4e0611c5d9",
     ("gauss-rate", "scalar", "csv"): "2609dd44c93a6595902faeb9740bdb8079da11d2f620dc0f8a0c2d1cb0eb3c7a",
     ("gauss-rate", "scalar", "json"): "e563af209e464b900eb28fc1b0f25530e9c8a8ec90a9a244dd9005f7852c341f",
     ("excess", "theta-grid", "csv"): "0938bd7c1df193c2f8a6145f8065ec783f35f690bc0afac04917f2ba8bc4aae4",
-    ("excess", "theta-grid", "json"): "652102bf794f50bc9427d920586c16c50780b3b4387b8ff15bc225b4c2e39d32",
+    ("excess", "theta-grid", "json"): "5851d9fba94b833f260213dae0823c0d062f9227389db9fbdb79adf30f481af1",
     ("excess", "bounds", "csv"): "91d8f2510dfbf03aec7389e4d27edf7b02ac24f233004e7bf332d0899fd68655",
-    ("excess", "bounds", "json"): "4c0802b420b581c295abe1bbaa9f491059799b6d384686ea4961b144cfd0ebb7",
+    ("excess", "bounds", "json"): "7eb4e2061b5624e7e5c757aef3df756e51ba4f158118743581d9d7295b97692b",
     ("jscc-sim", "fb", "csv"): "4727b6e22bfd184de9ee97897f49801f93a44b76e27c3086e44e6c60d6b3b826",
     ("jscc-sim", "fb", "json"): "984694b55244bfc6aaf55be134da350320c78c97a0665e378975b794b843aa1e",
     ("jscc-sim", "nfb", "csv"): "eb9872d65f25d68bfa53801b8e1764b00a6f22ff762fd25d4264a03a53f4b4f6",
